@@ -19,7 +19,7 @@ from sparseattn import (
     SweepConfig,
     assemble,
     build_log_gap,
-    check_conditions,
+    compile_target,
     compress,
     find_dmin,
     generate,
@@ -27,6 +27,7 @@ from sparseattn import (
     render_pgm,
     sam,
     sample_stiefel,
+    search_width,
     svd_factor,
 )
 from sparseattn._seeds import derive_seed
@@ -38,13 +39,17 @@ print(f"target: L={L}, {A.nnz} nonzeros, k={params.k}, gamma={params.gamma}")
 
 gap = build_log_gap(A, params.eps1, params.eps2)
 factors = svd_factor(gap)
+target = compile_target(A)
 print(f"largest singular value of the log-gap matrix: {factors.singular_values[0]:.3f}")
+
+# At full width the embeddings and fixed weights reproduce the log-gap matrix.
+inputs = assemble(compress(factors, sample_stiefel(L, L, seed=7), 2 * L))
+print(f"full width d = {2 * L}: X is {inputs.x.shape[0]} x {inputs.x.shape[1]}, "
+      f"max |logits - log-gap| = {np.abs(logits(inputs) - gap.values).max():.1e}")
 
 print("\nwidth sweep (single projection draw each):")
 for d in (32, 64, 128, 192, 2 * L):
-    y = sample_stiefel(L, d // 2, seed=derive_seed(7, d))
-    inputs = assemble(compress(factors, y, d))
-    report = check_conditions(logits(inputs), A, params.eps1, params.eps2)
+    _, _, _, report = search_width(factors, target, d, 1, 7, params.eps1, params.eps2)
     print(f"  d = {d:3d}: passed = {report.passed!s:5}   "
           f"zero-ratio log {report.worst_zero_ratio_log:7.3f} (< {np.log(params.eps1):.3f})   "
           f"nonzero dev {report.worst_nonzero_dev:6.3f} (< {params.eps2})")
@@ -57,15 +62,9 @@ print(f"  d_min = {record.d_min} after {record.redraws_used} redraws "
       f"(theoretical bound {record.theoretical_d:.0f})")
 
 # Replay the passing draw at the found width for rendering.
-d = record.d_min
-scale_pair = None
-for t in range(round(cfg.q * L)):
-    y = sample_stiefel(L, d // 2, seed=derive_seed(record.seed, 1, d, t))
-    inputs = assemble(compress(factors, y, d))
-    z = logits(inputs)
-    if check_conditions(z, A, params.eps1, params.eps2).passed:
-        print(f"  replayed the passing draw (redraw {t})")
-        break
+passing, _, z, _ = search_width(factors, target, record.d_min, round(cfg.q * L), record.seed,
+                                params.eps1, params.eps2)
+print(f"  replayed the passing draw (redraw {passing})")
 
 m = sam(z)
 render_pgm(A, RenderSpec(pool=2, clip=0.05, out_path="target.pgm"))

@@ -45,9 +45,10 @@ from .sweep import (
     log_fit,
     q_sweep,
     run_sweep,
+    search_width,
     theoretical_d,
 )
-from .verify import ApproxReport, check_conditions, check_direct
+from .verify import ApproxReport, check_conditions, check_direct, compile_target
 
 __all__ = [
     "ApproxParams",
@@ -66,6 +67,7 @@ __all__ = [
     "build_log_gap",
     "check_conditions",
     "check_direct",
+    "compile_target",
     "compress",
     "csam",
     "find_dmin",
@@ -84,6 +86,7 @@ __all__ = [
     "run_sweep",
     "sam",
     "sample_stiefel",
+    "search_width",
     "svd_factor",
     "tail_estimate",
     "theoretical_d",

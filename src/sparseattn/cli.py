@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: ``generate`` (draw a target matrix to a COO file), ``approx``
-(search projection redraws for a passing attention matrix), ``sweep`` /
-``qsweep`` (grid experiments streamed to CSV), ``render`` (pooled PGM
-attention maps), and ``jlt-bench`` (projection tail benchmark).
+(search projection redraws at one width for a passing attention matrix),
+``sweep`` / ``qsweep`` (grid experiments streamed to CSV), ``render`` (pooled
+PGM attention maps), and ``jlt-bench`` (projection tail benchmark).
+``approx`` and the sweeps share one redraw loop, ``sweep.search_width``, so a
+sweep CSV row replays through ``approx`` at its ``d_min`` and ``seed``.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage or validation error.  Thread count for sweeps comes from the
@@ -19,8 +21,7 @@ import sys
 import numpy as np
 
 from . import attention, concentration, sweep as sweep_mod
-from ._seeds import derive_seed
-from .construct import assemble, build_log_gap, compress, sample_stiefel, svd_factor
+from .construct import build_log_gap, svd_factor
 from .matrices import (
     ApproxParams,
     CooFormatError,
@@ -31,7 +32,7 @@ from .matrices import (
     write_coo,
 )
 from .render import RenderSpec, render_pgm
-from .verify import check_conditions
+from .verify import compile_target
 
 CONFIG_KEYS = {
     "k": int,
@@ -170,33 +171,21 @@ def cmd_approx(args) -> int:
     if args.d % 2 != 0 or args.d <= 0:
         raise UsageError(f"--d must be a positive even integer, got {args.d}")
     A = read_coo(args.input)
-    d_hid = args.dhid if args.dhid is not None else args.d
-    if not args.d <= d_hid <= 2 * A.L:
-        raise UsageError(f"need d <= dhid <= 2L, got d={args.d}, dhid={d_hid}, L={A.L}")
-    if args.q <= 0:
-        raise UsageError(f"--q must be positive, got {args.q}")
-
-    gap = build_log_gap(A, args.eps1, args.eps2)
-    factors = svd_factor(gap)
+    if args.d > 2 * A.L:
+        raise UsageError(f"need d <= 2L, got d={args.d}, L={A.L}")
     n_redraws = int(round(args.q * A.L))
-    passing = None
-    redraws_used = 0
-    report = None
-    z = None
-    for t in range(n_redraws):
-        y = sample_stiefel(A.L, args.d // 2, derive_seed(args.seed, 1, args.d, t))
-        inputs = assemble(compress(factors, y, args.d), d_hid)
-        z = attention.logits(inputs)
-        redraws_used += 1
-        report = check_conditions(z, A, args.eps1, args.eps2, causal=A.causal)
-        if report.passed:
-            passing = t
-            break
+    if n_redraws < 1:
+        raise UsageError(f"--q {args.q} gives round(q * L) = {n_redraws} redraws at L={A.L}")
+
+    factors = svd_factor(build_log_gap(A, args.eps1, args.eps2))
+    target = compile_target(A, causal=A.causal)
+    passing, redraws_used, z, report = sweep_mod.search_width(
+        factors, target, args.d, n_redraws, args.seed, args.eps1, args.eps2
+    )
 
     payload = {
-        "passed": bool(report is not None and report.passed),
+        "passed": report.passed,
         "d": args.d,
-        "d_hid": d_hid,
         "q": args.q,
         "redraws_used": redraws_used,
         "passing_redraw": passing,
@@ -204,7 +193,7 @@ def cmd_approx(args) -> int:
         "eps1": args.eps1,
         "eps2": args.eps2,
         "causal": A.causal,
-        "report": json.loads(report.to_json()) if report is not None else None,
+        "report": json.loads(report.to_json()),
     }
     text = json.dumps(payload, indent=2)
     if args.report is not None:
@@ -212,12 +201,11 @@ def cmd_approx(args) -> int:
             fh.write(text + "\n")
     print(text)
 
-    if z is not None:
-        if args.dump_logits is not None:
-            write_dense_dump(z, args.dump_logits)
-        if args.dump_m is not None:
-            m = attention.csam(z) if A.causal else attention.sam(z)
-            write_dense_dump(m, args.dump_m)
+    if args.dump_logits is not None:
+        write_dense_dump(z, args.dump_logits)
+    if args.dump_m is not None:
+        m = attention.csam(z) if A.causal else attention.sam(z)
+        write_dense_dump(m, args.dump_m)
     return 0 if payload["passed"] else 1
 
 
@@ -308,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps2", type=float, default=1.41)
     p.add_argument("--q", type=float, default=1.0, help="redraw budget multiplier")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dhid", type=int, default=None, help="embedding width (default: d)")
     p.add_argument("--report", default=None, help="write the JSON report here too")
     p.add_argument("--dump-logits", default=None, help="dense text dump of the logits")
     p.add_argument("--dump-m", default=None, help="dense text dump of the attention matrix")

@@ -77,40 +77,6 @@ class AttentionInputs:
     d: int
     d_hid: int
 
-    def write_text(self, path) -> None:
-        """Debug dump: header ``L d d_hid``, then the three matrices row by
-        row (17 significant digits, same float format as the COO files)."""
-        blocks = [("x", self.x), ("w_query", self.w_query), ("w_key", self.w_key)]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"{self.x.shape[0]} {self.d} {self.d_hid}\n")
-            for name, matrix in blocks:
-                fh.write(name + "\n")
-                for row in matrix:
-                    fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-    @classmethod
-    def read_text(cls, path) -> "AttentionInputs":
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = fh.read().split("\n")
-        L, d, d_hid = (int(t) for t in tokens[0].split())
-        pos = 1
-        matrices = {}
-        for name, rows in (("x", L), ("w_query", d_hid), ("w_key", d_hid)):
-            if tokens[pos] != name:
-                raise ValueError(f"{path}: expected section {name!r}, got {tokens[pos]!r}")
-            pos += 1
-            matrices[name] = np.array(
-                [[float(v) for v in tokens[pos + r].split()] for r in range(rows)]
-            )
-            pos += rows
-        return cls(
-            x=matrices["x"],
-            w_query=matrices["w_query"],
-            w_key=matrices["w_key"],
-            d=d,
-            d_hid=d_hid,
-        )
-
 
 def build_log_gap(A: SparseStochasticMatrix, eps1: float, eps2: float) -> LogGapMatrix:
     """Shifted log transform of the target; zeros map to exact 0.0."""

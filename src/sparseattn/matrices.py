@@ -118,10 +118,6 @@ class SparseStochasticMatrix:
     def nnz(self) -> int:
         return int(self.vals.size)
 
-    @property
-    def entries(self) -> list[tuple[int, int, float]]:
-        return list(zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()))
-
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.L, self.L))
         dense[self.rows, self.cols] = self.vals

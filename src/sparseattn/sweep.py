@@ -5,7 +5,8 @@ the harness redraws the shared orthogonal projection up to ``round(q * L)``
 times per width and records the first width at which some redraw satisfies
 both ratio conditions.  Sweeps over sequence lengths and over ``q`` stream
 rows to a resumable CSV, and a least-squares fit of width against log L
-summarizes the growth rate.
+summarizes the growth rate.  ``search_width`` is the one redraw loop: the
+sweep runs it at every grid width and ``sparseattn approx`` at a single one.
 
 Seeding: each (L, trial) record gets ``derive_seed(master_seed, L, trial)``.
 From that record seed, the target matrix uses ``derive_seed(record_seed, 0)``
@@ -24,16 +25,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._seeds import derive_seed
-from .construct import build_log_gap, sample_stiefel, svd_factor
+from .construct import Factorization, build_log_gap, compress, sample_stiefel, svd_factor
 from .matrices import ApproxParams, GenerationError, SparseStochasticMatrix, generate
-from .verify import check_conditions
+from .verify import ApproxReport, CompiledTarget, check_compiled, compile_target
 
 CSV_HEADER = "L,trial,q,d_min,theoretical_d,redraws_used,seed"
 THREADS_ENV = "SPARSEATTN_THREADS"
-
-# Cap on the total float64 count of a batch of logit matrices; keeps the
-# batched redraw evaluation under ~256 MiB regardless of L.
-_BATCH_BUDGET = 1 << 25
 
 
 @dataclass
@@ -104,6 +101,10 @@ class SweepConfig:
             raise ValueError("d_points must be >= 1")
         if self.q <= 0:
             raise ValueError("q must be positive")
+        if int(round(self.q * min(self.L_grid))) == 0:
+            raise ValueError(
+                f"q={self.q} gives round(q * L) = 0 redraws at L={min(self.L_grid)}"
+            )
         if self.trials_per_L < 1:
             raise ValueError("trials_per_L must be >= 1")
 
@@ -131,65 +132,63 @@ def theoretical_d(params: ApproxParams, L: int) -> float:
     )
 
 
-def _redraw_batches(total: int, L: int):
-    """Split redraw indices into contiguous batches sized to the memory cap."""
-    batch = max(1, min(total, _BATCH_BUDGET // max(1, L * L)))
-    start = 0
-    while start < total:
-        yield range(start, min(start + batch, total))
-        start += batch
+def search_width(
+    factors: Factorization, target: CompiledTarget, d: int, n_redraws: int,
+    seed: int, eps1: float, eps2: float,
+) -> tuple[int | None, int, np.ndarray | None, ApproxReport | None]:
+    """Redraw the shared projection at width ``d`` until the check passes.
+
+    Redraw ``t`` (t = 0 .. n_redraws - 1) samples a Haar L x d/2 matrix ``y``
+    with seed ``derive_seed(seed, 1, d, t)`` and checks the logits
+    ``z = (s F_L y)(s F_R y)^T``, ``s = sqrt(2L/d)``, which equal the logits
+    of the assembled attention inputs.  Stops at the first pass.  Returns
+    the passing redraw (None if none passed), the redraws used, and the
+    logits and report of the last redraw checked.
+    """
+    z = report = None
+    for t in range(n_redraws):
+        y = sample_stiefel(target.L, d // 2, derive_seed(seed, 1, d, t))
+        pair = compress(factors, y, d)
+        z = pair.left @ pair.right.T
+        report = check_compiled(z, target, eps1, eps2)
+        if report.passed:
+            return t, t + 1, z, report
+    return None, n_redraws, z, report
 
 
 def find_dmin(A: SparseStochasticMatrix, cfg: SweepConfig, seed: int) -> SweepRecord:
     """Smallest grid width at which some projection redraw passes the check.
 
-    Walks the width grid in ascending order (skipping widths above 2L, which
-    cannot be realized); at each width performs up to ``round(q * L)``
-    redraws with per-redraw derived seeds and stops at the first pass.
-    Redraws within a width are evaluated in blocks, selecting the passing
-    redraw with the smallest index, so the outcome does not depend on block
-    size.
+    Walks the width grid in ascending order, up to 2L (wider cannot be
+    realized), and runs ``search_width`` with ``round(q * L)`` redraws at
+    each width until one passes.  The target is compiled once for all
+    widths; ``redraws_used`` counts the redraws at every width tried.
     """
     L = A.L
     params = replace(cfg.params, L=L, causal=A.causal)
-    gap = build_log_gap(A, params.eps1, params.eps2)
-    factors = svd_factor(gap)
+    factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
+    target = compile_target(A, causal=A.causal)
     n_redraws = int(round(cfg.q * L))
-    bound = theoretical_d(params, L)
-
-    redraws_used = 0
-    for d in cfg.d_grid():
-        if d > 2 * L:
-            continue
-        half = d // 2
-        scale = math.sqrt(2.0 * L / d)
-        for batch in _redraw_batches(n_redraws, L):
-            ys = np.stack([sample_stiefel(L, half, derive_seed(seed, 1, d, t)) for t in batch])
-            lefts = scale * (factors.left @ ys)
-            rights = scale * (factors.right @ ys)
-            for offset, t in enumerate(batch):
-                z = lefts[offset] @ rights[offset].T
-                redraws_used += 1
-                report = check_conditions(z, A, params.eps1, params.eps2, causal=A.causal)
-                if report.passed:
-                    return SweepRecord(
-                        L=L,
-                        trial=-1,
-                        q=cfg.q,
-                        d_min=d,
-                        theoretical_d=bound,
-                        redraws_used=redraws_used,
-                        seed=seed,
-                    )
-    return SweepRecord(
+    record = SweepRecord(
         L=L,
         trial=-1,
         q=cfg.q,
         d_min=None,
-        theoretical_d=bound,
-        redraws_used=redraws_used,
+        theoretical_d=theoretical_d(params, L),
+        redraws_used=0,
         seed=seed,
     )
+    for d in cfg.d_grid():
+        if d > 2 * L:
+            break
+        passing, used, _, _ = search_width(
+            factors, target, d, n_redraws, seed, params.eps1, params.eps2
+        )
+        record.redraws_used += used
+        if passing is not None:
+            record.d_min = d
+            break
+    return record
 
 
 def _matrix_seed(record_seed: int) -> int:
@@ -216,7 +215,10 @@ def _run_record(cfg: SweepConfig, L: int, trial: int) -> SweepRecord:
     return record
 
 
-def _read_existing(csv_path) -> list[SweepRecord]:
+def _read_existing(csv_path, master_seed: int) -> list[SweepRecord]:
+    """Rows of an earlier run of this sweep; each row's seed must be the one
+    ``master_seed`` derives for its (L, trial), which rejects torn rows and
+    files written under another master seed."""
     if csv_path is None or not os.path.exists(csv_path):
         return []
     with open(csv_path, "r", encoding="utf-8") as fh:
@@ -225,7 +227,17 @@ def _read_existing(csv_path) -> list[SweepRecord]:
         return []
     if lines[0] != CSV_HEADER:
         raise ValueError(f"{csv_path}: unexpected CSV header {lines[0]!r}")
-    return [SweepRecord.from_csv_row(ln) for ln in lines[1:]]
+    records = []
+    for line in lines[1:]:
+        record = SweepRecord.from_csv_row(line)
+        if record.seed != derive_seed(master_seed, record.L, record.trial):
+            raise ValueError(
+                f"{csv_path}: row {line!r} does not belong to this sweep: its seed is "
+                f"not the one master_seed={master_seed} derives for "
+                f"L={record.L}, trial={record.trial}"
+            )
+        records.append(record)
+    return records
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -249,7 +261,7 @@ def run_sweep(cfg: SweepConfig, csv_path=None) -> list[SweepRecord]:
     byte-identical files.  Returns all records for this config, including
     previously completed ones.
     """
-    existing = _read_existing(csv_path)
+    existing = _read_existing(csv_path, cfg.master_seed)
     done = {(r.L, r.trial, r.q): r for r in existing}
     cells = [
         (L, trial)

@@ -8,7 +8,9 @@ the target's ratios within a factor of ``exp(eps2)``, strictly.
 ``check_conditions`` works in the log domain on the raw logits: because a
 softmax row ratio equals the exponential of the logit difference, both
 conditions reduce to differences of logits, which stay finite where the
-attention entries themselves would overflow or underflow.  ``check_direct``
+attention entries themselves would overflow or underflow.  It compiles the
+target (``compile_target``) and checks against it (``check_compiled``); a
+redraw search compiles once and checks every redraw.  ``check_direct``
 evaluates the same conditions literally on attention-matrix entries and is
 the small-instance oracle the log-domain path is tested against.
 
@@ -76,23 +78,37 @@ class ApproxReport:
         )
 
 
-def _row_masks(A: SparseStochasticMatrix, causal: bool):
-    """Boolean nonzero/zero masks and log-values of the target, with columns
-    beyond the row index dropped entirely in causal mode."""
+@dataclass
+class CompiledTarget:
+    """The target as the log-domain check reads it, built once per matrix:
+    L x L masks of the considered nonzero and zero positions (in causal mode
+    columns beyond the row index are in neither), log-values at the nonzeros,
+    per-row counts, and the number of (j1, j2) pairs the conditions cover."""
+
+    L: int
+    nz: np.ndarray
+    zero: np.ndarray
+    log_a: np.ndarray
+    nz_counts: np.ndarray
+    zero_counts: np.ndarray
+    n_triples: int
+
+
+def compile_target(A: SparseStochasticMatrix, causal: bool = False) -> CompiledTarget:
+    """Compile ``A`` once for any number of ``check_compiled`` calls."""
     L = A.L
     nz = np.zeros((L, L), dtype=bool)
     nz[A.rows, A.cols] = True
     log_a = np.zeros((L, L))
     log_a[A.rows, A.cols] = np.log(A.vals)
-    considered = np.tril(np.ones((L, L), dtype=bool)) if causal else np.ones((L, L), dtype=bool)
-    zero = considered & ~nz
-    return nz & considered, zero, log_a
-
-
-def _count_triples(nz_counts: np.ndarray, zero_counts: np.ndarray) -> int:
-    # All ordered (j1, j2) pairs the conditions quantify over: zero/nonzero
-    # pairs for condition 1, distinct nonzero pairs for condition 2.
-    return int(np.sum(zero_counts * nz_counts) + np.sum(nz_counts * (nz_counts - 1)))
+    zero = ~nz
+    if causal:
+        upper = np.triu_indices(L, k=1)
+        nz[upper] = zero[upper] = False
+    nz_counts, zero_counts = nz.sum(axis=1), zero.sum(axis=1)
+    # Zero/nonzero pairs for condition 1, distinct nonzero pairs for condition 2.
+    n_triples = int(np.sum(zero_counts * nz_counts) + np.sum(nz_counts * (nz_counts - 1)))
+    return CompiledTarget(L, nz, zero, log_a, nz_counts, zero_counts, n_triples)
 
 
 def check_conditions(
@@ -102,19 +118,32 @@ def check_conditions(
     eps2: float,
     causal: bool = False,
 ) -> ApproxReport:
-    """Log-domain check of both ratio conditions on the logit matrix.
+    """Log-domain check of both ratio conditions on the logit matrix."""
+    return check_compiled(z, compile_target(A, causal), eps1, eps2)
+
+
+def check_compiled(
+    z: np.ndarray, target: CompiledTarget, eps1: float, eps2: float
+) -> ApproxReport:
+    """Log-domain check of both ratio conditions against a compiled target.
 
     Per row, condition 1 reduces to max(z over zeros) - min(z over
     nonzeros) < log(eps1) and condition 2 to the spread of
     ``z - log(target)`` over nonzeros being < eps2, so the scan is O(L) per
-    row while agreeing exactly with full pair enumeration.
+    row while agreeing exactly with full pair enumeration.  Raises on
+    non-finite logits at considered positions, where the softmax is
+    undefined.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != (A.L, A.L):
-        raise VerificationError(f"logits shape {z.shape} does not match L={A.L}")
-    nz, zero, log_a = _row_masks(A, causal)
-    nz_counts = nz.sum(axis=1)
-    zero_counts = zero.sum(axis=1)
+    if z.shape != (target.L, target.L):
+        raise VerificationError(f"logits shape {z.shape} does not match L={target.L}")
+    nz, zero, log_a = target.nz, target.zero, target.log_a
+    nz_counts, zero_counts = target.nz_counts, target.zero_counts
+    if not np.isfinite(z).all():
+        bad = ~np.isfinite(z) & (nz | zero)
+        if bad.any():
+            i, j = (int(v) for v in np.argwhere(bad)[0])
+            raise VerificationError(f"non-finite logit {z[i, j]} at row {i}, column {j}")
 
     z_zero_max = np.where(zero, z, -np.inf).max(axis=1)
     z_nz_min = np.where(nz, z, np.inf).min(axis=1)
@@ -158,7 +187,7 @@ def check_conditions(
         passed=passed,
         worst_zero_ratio_log=worst_zero,
         worst_nonzero_dev=worst_dev,
-        n_triples_checked=_count_triples(nz_counts, zero_counts),
+        n_triples_checked=target.n_triples,
         first_violation=first_violation,
     )
 
@@ -179,7 +208,8 @@ def check_direct(
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (A.L, A.L):
         raise VerificationError(f"matrix shape {m.shape} does not match L={A.L}")
-    nz, zero, _ = _row_masks(A, causal)
+    compiled = compile_target(A, causal)
+    nz, zero = compiled.nz, compiled.zero
     a_dense = A.to_dense()
 
     worst_zero = -math.inf
@@ -226,12 +256,10 @@ def check_direct(
             first_violation = row_violation
 
     passed = worst_zero < log_eps1 and worst_dev < eps2
-    nz_counts = nz.sum(axis=1)
-    zero_counts = zero.sum(axis=1)
     return ApproxReport(
         passed=passed,
         worst_zero_ratio_log=worst_zero,
         worst_nonzero_dev=worst_dev,
-        n_triples_checked=_count_triples(nz_counts, zero_counts),
+        n_triples_checked=compiled.n_triples,
         first_violation=first_violation,
     )

@@ -25,8 +25,15 @@ from sparseattn.concentration import (
 from sparseattn.construct import assemble, build_log_gap, compress, sample_stiefel, svd_factor
 from sparseattn.matrices import ApproxParams, generate
 from sparseattn.render import pooled_pixels
-from sparseattn.sweep import SweepConfig, log_fit, q_sweep, run_sweep, theoretical_d
-from sparseattn.verify import check_conditions, check_direct
+from sparseattn.sweep import (
+    SweepConfig,
+    log_fit,
+    q_sweep,
+    run_sweep,
+    search_width,
+    theoretical_d,
+)
+from sparseattn.verify import check_conditions, check_direct, compile_target
 
 FULL = os.environ.get("SPARSEATTN_FULL_ACCEPTANCE", "") == "1"
 
@@ -79,16 +86,12 @@ def test_criterion_02_fig3_reproduction():
     best = None
     for ms in master_seeds:
         A = generate(params, seed=derive_seed(ms, 0))
-        gap = build_log_gap(A, params.eps1, params.eps2)
-        factors = svd_factor(gap)
-        scale = math.sqrt(2.0 * 512 / d)
-        for t in range(int(round(q * 512))):
-            y = sample_stiefel(512, d // 2, derive_seed(ms, 1, d, t))
-            z = (scale * (factors.left @ y)) @ (scale * (factors.right @ y)).T
-            if check_conditions(z, A, params.eps1, params.eps2).passed:
-                best = (A, sam(z), ms, t)
-                break
-        if best is not None:
+        factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
+        passing, _, z, _ = search_width(
+            factors, compile_target(A), d, int(round(q * 512)), ms, params.eps1, params.eps2
+        )
+        if passing is not None:
+            best = (A, sam(z), ms, passing)
             break
     if best is None:
         violations.append("no master seed produced a passing matrix in 512 redraws")

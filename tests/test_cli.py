@@ -97,6 +97,14 @@ def test_approx_failure_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_approx_rejects_zero_redraw_budget(tmp_path, capsys):
+    coo = tmp_path / "id.coo"
+    write_identity_coo(coo, L=16)
+    # round(0.01 * 16) = 0 redraws.
+    assert run("approx", "--input", coo, "--d", 2, "--q", 0.01) == 2
+    assert "0 redraws" in capsys.readouterr().err
+
+
 def test_approx_dumps_are_loadable(tmp_path):
     coo = tmp_path / "id.coo"
     write_identity_coo(coo, L=8)

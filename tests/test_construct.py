@@ -274,17 +274,3 @@ def test_assemble_rejects_bad_hidden_width():
         assemble(pair, d_hid=3)
     with pytest.raises(ValueError):
         assemble(pair, d_hid=33)  # 2L = 32
-
-
-def test_attention_inputs_text_dump_round_trip(tmp_path):
-    from sparseattn.construct import AttentionInputs
-
-    _, _, f = full_pipeline_matrices()
-    inputs = assemble(compress(f, sample_stiefel(16, 2, seed=5), 4), d_hid=7)
-    path = tmp_path / "inputs.txt"
-    inputs.write_text(path)
-    back = AttentionInputs.read_text(path)
-    np.testing.assert_array_equal(back.x, inputs.x)
-    np.testing.assert_array_equal(back.w_query, inputs.w_query)
-    np.testing.assert_array_equal(back.w_key, inputs.w_key)
-    assert (back.d, back.d_hid) == (4, 7)

@@ -1,14 +1,19 @@
 """Width-sweep harness tests: bound evaluation, search, CSV, fitting."""
 
+import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import random_causal_matrix
+from sparseattn import cli
 from sparseattn._seeds import derive_seed
 from sparseattn.construct import build_log_gap, sample_stiefel, svd_factor
-from sparseattn.matrices import ApproxParams, generate
+from sparseattn.matrices import ApproxParams, generate, write_coo
 from sparseattn.sweep import (
     SweepConfig,
     SweepRecord,
@@ -16,9 +21,10 @@ from sparseattn.sweep import (
     log_fit,
     q_sweep,
     run_sweep,
+    search_width,
     theoretical_d,
 )
-from sparseattn.verify import check_conditions
+from sparseattn.verify import check_conditions, compile_target
 
 
 def small_params(L=32):
@@ -136,28 +142,85 @@ def test_find_dmin_deterministic():
     assert (r1.d_min, r1.redraws_used) == (r2.d_min, r2.redraws_used)
 
 
-def test_found_record_replays_to_a_passing_report():
-    cfg = small_cfg(L_grid=[16], trials_per_L=2, d_lower=4, d_upper=32, d_points=6)
-    records = run_sweep(cfg)
-    found = [r for r in records if r.d_min is not None]
-    assert found
-    for rec in found:
+def reference_search(factors, A, d, n_redraws, seed, eps1, eps2):
+    """The literal redraw loop, written out: (first passing redraw, redraws used)."""
+    scale = math.sqrt(2.0 * A.L / d)
+    for t in range(n_redraws):
+        y = sample_stiefel(A.L, d // 2, derive_seed(seed, 1, d, t))
+        z = (scale * (factors.left @ y)) @ (scale * (factors.right @ y)).T
+        if check_conditions(z, A, eps1, eps2, causal=A.causal).passed:
+            return t, t + 1
+    return None, n_redraws
+
+
+def found_records_and_targets(cfg):
+    for rec in run_sweep(cfg):
+        if rec.d_min is None:
+            continue
         params = ApproxParams(
             L=rec.L, k=cfg.params.k, gamma=cfg.params.gamma,
             eps1=cfg.params.eps1, eps2=cfg.params.eps2,
         )
-        A = generate(params, derive_seed(rec.seed, 0))
-        gap = build_log_gap(A, params.eps1, params.eps2)
-        factors = svd_factor(gap)
-        scale = math.sqrt(2.0 * rec.L / rec.d_min)
-        passed = False
-        for t in range(int(round(rec.q * rec.L))):
-            y = sample_stiefel(rec.L, rec.d_min // 2, derive_seed(rec.seed, 1, rec.d_min, t))
-            z = (scale * (factors.left @ y)) @ (scale * (factors.right @ y)).T
-            if check_conditions(z, A, params.eps1, params.eps2).passed:
-                passed = True
-                break
-        assert passed
+        yield rec, generate(params, derive_seed(rec.seed, 0))
+
+
+def test_found_record_replays_to_a_passing_report():
+    cfg = small_cfg(L_grid=[16], trials_per_L=2, d_lower=4, d_upper=32, d_points=6)
+    replays = list(found_records_and_targets(cfg))
+    assert replays
+    eps1, eps2 = cfg.params.eps1, cfg.params.eps2
+    for rec, A in replays:
+        factors = svd_factor(build_log_gap(A, eps1, eps2))
+        passing, _ = reference_search(
+            factors, A, rec.d_min, int(round(rec.q * rec.L)), rec.seed, eps1, eps2
+        )
+        assert passing is not None
+
+
+def test_found_record_replays_through_cli_approx(tmp_path):
+    cfg = small_cfg(L_grid=[16, 32], trials_per_L=2, d_lower=4, d_upper=40, d_points=8)
+    replays = list(found_records_and_targets(cfg))
+    assert replays
+    for rec, A in replays:
+        coo, report = tmp_path / "A.coo", tmp_path / "report.json"
+        write_coo(A, coo)
+        code = cli.main([
+            "approx", "--input", str(coo), "--d", str(rec.d_min), "--q", repr(rec.q),
+            "--eps1", repr(cfg.params.eps1), "--eps2", repr(cfg.params.eps2),
+            "--seed", str(rec.seed), "--report", str(report),
+        ])
+        payload = json.loads(report.read_text())
+        assert code == 0 and payload["passed"]
+        # The sweep row also counts the full budget spent at every earlier width.
+        earlier = [d for d in cfg.d_grid() if d < rec.d_min and d <= 2 * rec.L]
+        n_redraws = int(round(rec.q * rec.L))
+        assert payload["redraws_used"] == rec.redraws_used - n_redraws * len(earlier)
+        assert payload["redraws_used"] == payload["passing_redraw"] + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.integers(4, 12),
+    half_d=st.integers(1, 12),
+    n_redraws=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+    causal=st.booleans(),
+)
+def test_search_width_matches_reference_loop(L, half_d, n_redraws, seed, causal):
+    d = 2 * min(half_d, L)
+    params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=causal)
+    if causal:
+        A = random_causal_matrix(L, 2, 2.0, seed)
+    else:
+        A = generate(params, seed)
+    factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
+    passing, used, z, report = search_width(
+        factors, compile_target(A, causal), d, n_redraws, seed, params.eps1, params.eps2
+    )
+    assert (passing, used) == reference_search(
+        factors, A, d, n_redraws, seed, params.eps1, params.eps2
+    )
+    assert report == check_conditions(z, A, params.eps1, params.eps2, causal=causal)
 
 
 # ---------------------------------------------------------------- run_sweep
@@ -218,6 +281,26 @@ def test_run_sweep_resume_skips_completed_cells(tmp_path):
     before = full.read_bytes()
     run_sweep(cfg, csv_path=full)
     assert full.read_bytes() == before
+
+
+def test_run_sweep_resume_rejects_torn_row(tmp_path):
+    cfg = small_cfg()
+    path = tmp_path / "torn.csv"
+    run_sweep(cfg, csv_path=path)
+    lines = path.read_text().splitlines()
+    torn = lines[-1][:-4]  # the seed lost its last digits
+    path.write_text("\n".join(lines[:-1] + [torn]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(torn)):
+        run_sweep(cfg, csv_path=path)
+
+
+def test_run_sweep_resume_rejects_other_master_seed(tmp_path):
+    path = tmp_path / "other.csv"
+    run_sweep(small_cfg(master_seed=11), csv_path=path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="does not belong to this sweep"):
+        run_sweep(small_cfg(master_seed=12), csv_path=path)
+    assert path.read_bytes() == before
 
 
 def test_csv_round_trip_not_found_sentinel():
@@ -314,3 +397,10 @@ def test_sweep_config_validation():
         small_cfg(q=0.0)
     with pytest.raises(ValueError):
         small_cfg(trials_per_L=0)
+
+
+def test_sweep_config_rejects_zero_redraw_budget():
+    # round(0.01 * 16) = 0 redraws per width would search nothing.
+    with pytest.raises(ValueError, match="0 redraws"):
+        small_cfg(q=0.01, L_grid=[16, 512])
+    assert small_cfg(q=0.04, L_grid=[16]).q == 0.04  # round(0.64) = 1

@@ -251,6 +251,20 @@ def test_report_json_round_trip():
     assert payload["first_violation"] is None
 
 
+def test_nonfinite_logits_rejected():
+    from sparseattn.matrices import SparseStochasticMatrix
+
+    A = SparseStochasticMatrix(4, np.arange(4), np.arange(4), np.ones(4))
+    z = np.full((4, 4), -10.0)
+    np.fill_diagonal(z, 0.0)
+    z[0, 0] = np.inf  # sam(z)[0] is all NaN
+    with pytest.raises(VerificationError, match="non-finite"):
+        check_conditions(z, A, 0.15, 0.7)
+    # Above the diagonal a causal check judges nothing, finite or not.
+    z[0, 0], z[0, 3] = 0.0, np.inf
+    assert check_conditions(z, A, 0.15, 0.7, causal=True).passed
+
+
 def test_shape_mismatch_rejected():
     A, _ = random_instance(8, 2, 2.0, 0)
     with pytest.raises(VerificationError):
