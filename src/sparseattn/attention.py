@@ -8,11 +8,7 @@ from .construct import AttentionInputs
 
 
 def logits(inputs: AttentionInputs) -> np.ndarray:
-    """Pre-exponential attention scores, evaluated as (X Wq)(X Wk)^T.
-
-    Association through the projected factors costs O(L^2 d) instead of the
-    O(L^2 d_hid) of the literal four-matrix product; the result is the same.
-    """
+    """Pre-exponential attention scores, evaluated as (X Wq)(X Wk)^T."""
     q = inputs.x @ inputs.w_query
     k = inputs.x @ inputs.w_key
     return q @ k.T

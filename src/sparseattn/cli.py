@@ -5,11 +5,11 @@ Subcommands: ``generate`` (draw a target matrix to a COO file), ``approx``
 ``sweep`` / ``qsweep`` (grid experiments streamed to CSV), ``render`` (pooled
 PGM attention maps), and ``jlt-bench`` (projection tail benchmark).
 ``approx`` and the sweeps share one redraw loop, ``sweep.search_width``, so a
-sweep CSV row replays through ``approx`` at its ``d_min`` and ``seed``.
+sweep CSV row replays through ``approx`` at its ``d_min`` and ``seed``.  The
+sweeps run their records one at a time, in grid order.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
-2 usage or validation error.  Thread count for sweeps comes from the
-``SPARSEATTN_THREADS`` environment variable (default: machine parallelism).
+2 usage or validation error.
 """
 
 from __future__ import annotations

@@ -65,17 +65,15 @@ class ProjectionPair:
 class AttentionInputs:
     """Token embeddings plus fixed query/key weights.
 
-    ``x`` is ``[left | right | 0]`` (L x d_hid), ``w_query`` selects the
-    first d columns, and ``w_key`` routes the right block into the first
-    d/2 output columns, so the logit product collapses to
-    ``left @ right.T``.
+    ``x`` is ``[left | right]`` (L x d), ``w_query`` is the identity, and
+    ``w_key`` routes the right block into the first d/2 output columns, so
+    the logit product collapses to ``left @ right.T``.
     """
 
     x: np.ndarray
     w_query: np.ndarray
     w_key: np.ndarray
     d: int
-    d_hid: int
 
 
 def build_log_gap(A: SparseStochasticMatrix, eps1: float, eps2: float) -> LogGapMatrix:
@@ -157,29 +155,13 @@ def compress(factors: Factorization, y: np.ndarray, d: int) -> ProjectionPair:
     )
 
 
-def assemble(pair: ProjectionPair, d_hid: int | None = None) -> AttentionInputs:
-    """Lay out embeddings and fixed weights realizing the compressed logits.
-
-    Requires d <= d_hid <= 2L; the default d_hid = d uses no zero padding.
-    """
+def assemble(pair: ProjectionPair) -> AttentionInputs:
+    """Lay out embeddings and fixed weights realizing the compressed logits."""
     d = pair.d
-    L = pair.left.shape[0]
-    if d_hid is None:
-        d_hid = d
-    if not d <= d_hid <= 2 * L:
-        raise ValueError(f"need d <= d_hid <= 2L, got d={d}, d_hid={d_hid}, L={L}")
     half = d // 2
-    x = np.zeros((L, d_hid))
-    x[:, :half] = pair.left
-    x[:, half:d] = pair.right
-
-    w_query = np.zeros((d_hid, d))
-    w_query[:d, :] = np.eye(d)
-
-    # Block matrix with the identity in the upper-right quarter: the key
+    x = np.hstack([pair.left, pair.right])
+    # Block matrix with the identity in the lower-left quarter: the key
     # projection swaps the right block of x into the first d/2 columns.
-    omega = np.zeros((d, d))
-    omega[:half, half:] = np.eye(half)
-    w_key = np.zeros((d_hid, d))
-    w_key[:d, :] = omega.T
-    return AttentionInputs(x=x, w_query=w_query, w_key=w_key, d=d, d_hid=d_hid)
+    w_key = np.zeros((d, d))
+    w_key[half:, :half] = np.eye(half)
+    return AttentionInputs(x=x, w_query=np.eye(d), w_key=w_key, d=d)

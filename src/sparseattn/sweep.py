@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,7 +29,6 @@ from .matrices import ApproxParams, GenerationError, SparseStochasticMatrix, gen
 from .verify import ApproxReport, CompiledTarget, check_compiled, compile_target
 
 CSV_HEADER = "L,trial,q,d_min,theoretical_d,redraws_used,seed"
-THREADS_ENV = "SPARSEATTN_THREADS"
 
 
 @dataclass
@@ -215,10 +213,12 @@ def _run_record(cfg: SweepConfig, L: int, trial: int) -> SweepRecord:
     return record
 
 
-def _read_existing(csv_path, master_seed: int) -> list[SweepRecord]:
-    """Rows of an earlier run of this sweep; each row's seed must be the one
-    ``master_seed`` derives for its (L, trial), which rejects torn rows and
-    files written under another master seed."""
+def _read_existing(csv_path, cfg: SweepConfig) -> list[SweepRecord]:
+    """Rows of an earlier run of this sweep.  Each row's seed must be the one
+    ``cfg.master_seed`` derives for its (L, trial), which rejects torn rows and
+    files written under another master seed; its ``theoretical_d`` must be the
+    bound of ``cfg.params`` at its L, which rejects files written under other
+    k, gamma, eps1 or eps2."""
     if csv_path is None or not os.path.exists(csv_path):
         return []
     with open(csv_path, "r", encoding="utf-8") as fh:
@@ -230,76 +230,64 @@ def _read_existing(csv_path, master_seed: int) -> list[SweepRecord]:
     records = []
     for line in lines[1:]:
         record = SweepRecord.from_csv_row(line)
-        if record.seed != derive_seed(master_seed, record.L, record.trial):
+        if record.seed != derive_seed(cfg.master_seed, record.L, record.trial):
             raise ValueError(
                 f"{csv_path}: row {line!r} does not belong to this sweep: its seed is "
-                f"not the one master_seed={master_seed} derives for "
+                f"not the one master_seed={cfg.master_seed} derives for "
                 f"L={record.L}, trial={record.trial}"
+            )
+        if record.theoretical_d != theoretical_d(cfg.params, record.L):
+            raise ValueError(
+                f"{csv_path}: row {line!r} does not belong to this sweep: its "
+                f"theoretical_d is not the bound for k={cfg.params.k}, "
+                f"gamma={cfg.params.gamma}, eps1={cfg.params.eps1}, eps2={cfg.params.eps2}"
             )
         records.append(record)
     return records
 
 
-def _worker_count(n_tasks: int) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        workers = int(env)
-        if workers < 1:
-            raise ValueError(f"{THREADS_ENV} must be a positive integer, got {env!r}")
+def _open_for_append(csv_path):
+    """Open the CSV to append rows: an empty file gets the header, and a file
+    whose last line lost its newline gets one, so each row has its own line."""
+    fh = open(csv_path, "a", encoding="utf-8", newline="\n")
+    if fh.tell() == 0:
+        fh.write(CSV_HEADER + "\n")
     else:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_tasks))
+        with open(csv_path, "rb") as raw:
+            raw.seek(-1, os.SEEK_END)
+            if raw.read(1) != b"\n":
+                fh.write("\n")
+    return fh
 
 
 def run_sweep(cfg: SweepConfig, csv_path=None) -> list[SweepRecord]:
     """Run every (L, trial) cell of the sweep, streaming rows to ``csv_path``.
 
-    Completed (L, trial, q) cells already present in the CSV are skipped, so
-    an interrupted sweep resumes where it stopped.  Records are computed in
-    parallel (thread count from ``SPARSEATTN_THREADS``, default the machine
-    parallelism) but written in deterministic grid order, so reruns produce
-    byte-identical files.  Returns all records for this config, including
-    previously completed ones.
+    Records run one at a time in grid order, each row written and flushed as
+    soon as it is computed, so reruns produce byte-identical files.  Cells
+    whose (L, trial, q) row is already in the CSV are taken from it, not
+    recomputed, so an interrupted sweep resumes where it stopped.  Returns
+    all records for this config, including previously completed ones.
     """
-    existing = _read_existing(csv_path, cfg.master_seed)
-    done = {(r.L, r.trial, r.q): r for r in existing}
-    cells = [
-        (L, trial)
-        for L in cfg.L_grid
-        for trial in range(cfg.trials_per_L)
-        if (L, trial, cfg.q) not in done
-    ]
-
-    new_records: list[SweepRecord] = []
-    if cells:
-        fh = None
-        try:
-            if csv_path is not None:
-                fresh = not existing and (
-                    not os.path.exists(csv_path) or os.path.getsize(csv_path) == 0
-                )
-                fh = open(csv_path, "a", encoding="utf-8", newline="\n")
-                if fresh:
-                    fh.write(CSV_HEADER + "\n")
-                    fh.flush()
-            with ThreadPoolExecutor(max_workers=_worker_count(len(cells))) as pool:
-                futures = [pool.submit(_run_record, cfg, L, trial) for L, trial in cells]
-                for fut in futures:
-                    record = fut.result()
-                    new_records.append(record)
-                    if fh is not None:
+    done = {(r.L, r.trial, r.q): r for r in _read_existing(csv_path, cfg)}
+    fh = None
+    records: list[SweepRecord] = []
+    try:
+        for L in cfg.L_grid:
+            for trial in range(cfg.trials_per_L):
+                record = done.get((L, trial, cfg.q))
+                if record is None:
+                    record = _run_record(cfg, L, trial)
+                    if csv_path is not None:
+                        if fh is None:
+                            fh = _open_for_append(csv_path)
                         fh.write(record.to_csv_row() + "\n")
                         fh.flush()
-        finally:
-            if fh is not None:
-                fh.close()
-
-    by_cell = {(r.L, r.trial): r for r in new_records}
-    return [
-        done.get((L, trial, cfg.q), None) or by_cell[(L, trial)]
-        for L in cfg.L_grid
-        for trial in range(cfg.trials_per_L)
-    ]
+                records.append(record)
+    finally:
+        if fh is not None:
+            fh.close()
+    return records
 
 
 def q_sweep(cfg: SweepConfig, q_values: list[float], csv_path=None) -> list[SweepRecord]:

@@ -65,18 +65,6 @@ class ApproxReport:
         }
         return json.dumps(payload)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ApproxReport":
-        data = json.loads(text)
-        fv = data.get("first_violation")
-        return cls(
-            passed=data["passed"],
-            worst_zero_ratio_log=data["worst_zero_ratio_log"],
-            worst_nonzero_dev=data["worst_nonzero_dev"],
-            n_triples_checked=data["n_triples_checked"],
-            first_violation=tuple(fv) if fv else None,
-        )
-
 
 @dataclass
 class CompiledTarget:

@@ -7,14 +7,14 @@ from sparseattn.attention import csam, logits, sam
 from sparseattn.construct import ProjectionPair, assemble
 
 
-def random_inputs(L=8, d=4, d_hid=None, seed=0):
+def random_inputs(L=8, d=4, seed=0):
     rng = np.random.default_rng(seed)
     pair = ProjectionPair(
         left=rng.standard_normal((L, d // 2)),
         right=rng.standard_normal((L, d // 2)),
         d=d,
     )
-    return assemble(pair, d_hid=d_hid)
+    return assemble(pair)
 
 
 # -------------------------------------------------------------------- logits
@@ -31,12 +31,12 @@ def test_logits_match_projection_product():
     pair = ProjectionPair(
         left=rng.standard_normal((8, 2)), right=rng.standard_normal((8, 2)), d=4
     )
-    inputs = assemble(pair, d_hid=11)
+    inputs = assemble(pair)
     assert np.abs(logits(inputs) - pair.left @ pair.right.T).max() < 1e-12
 
 
 def test_logits_match_naive_four_matrix_product():
-    inputs = random_inputs(seed=5, d_hid=9)
+    inputs = random_inputs(seed=5)
     naive = inputs.x @ inputs.w_query @ inputs.w_key.T @ inputs.x.T
     assert np.abs(logits(inputs) - naive).max() < 1e-10
 

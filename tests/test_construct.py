@@ -245,12 +245,12 @@ def test_assemble_no_padding_by_default():
 def test_assemble_query_projection_selects_columns():
     _, _, f = full_pipeline_matrices()
     pair = compress(f, sample_stiefel(16, 2, seed=5), 4)
-    inputs = assemble(pair, d_hid=10)
-    np.testing.assert_array_equal(inputs.x @ inputs.w_query, inputs.x[:, :4])
+    inputs = assemble(pair)
+    np.testing.assert_array_equal(inputs.x @ inputs.w_query, inputs.x)
 
 
 def test_assemble_logit_identity_vs_naive_product():
-    # Oracle: the zero-padded four-matrix product, evaluated literally.
+    # Oracle: the four-matrix product, evaluated literally.
     rng = np.random.default_rng(0)
     L, d = 8, 4
     from sparseattn.construct import Factorization, ProjectionPair
@@ -260,17 +260,6 @@ def test_assemble_logit_identity_vs_naive_product():
         right=rng.standard_normal((L, d // 2)),
         d=d,
     )
-    for d_hid in (d, d + 3, 2 * L):
-        inputs = assemble(pair, d_hid=d_hid)
-        naive = inputs.x @ inputs.w_query @ inputs.w_key.T @ inputs.x.T
-        direct = pair.left @ pair.right.T
-        assert np.abs(naive - direct).max() < 1e-12
-
-
-def test_assemble_rejects_bad_hidden_width():
-    _, _, f = full_pipeline_matrices()
-    pair = compress(f, sample_stiefel(16, 2, seed=5), 4)
-    with pytest.raises(ValueError):
-        assemble(pair, d_hid=3)
-    with pytest.raises(ValueError):
-        assemble(pair, d_hid=33)  # 2L = 32
+    inputs = assemble(pair)
+    naive = inputs.x @ inputs.w_query @ inputs.w_key.T @ inputs.x.T
+    assert np.abs(naive - pair.left @ pair.right.T).max() < 1e-12

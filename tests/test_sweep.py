@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import re
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_causal_matrix
-from sparseattn import cli
+from sparseattn import cli, sweep
 from sparseattn._seeds import derive_seed
 from sparseattn.construct import build_log_gap, sample_stiefel, svd_factor
 from sparseattn.matrices import ApproxParams, generate, write_coo
@@ -245,23 +244,6 @@ def test_run_sweep_theoretical_column_recomputes(tmp_path):
         assert rec.theoretical_d == pytest.approx(theoretical_d(params, rec.L), rel=1e-9)
 
 
-def test_run_sweep_csv_deterministic_across_thread_counts(tmp_path):
-    cfg = small_cfg()
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    old = os.environ.get("SPARSEATTN_THREADS")
-    try:
-        os.environ["SPARSEATTN_THREADS"] = "1"
-        run_sweep(cfg, csv_path=out1)
-        os.environ["SPARSEATTN_THREADS"] = "3"
-        run_sweep(cfg, csv_path=out2)
-    finally:
-        if old is None:
-            os.environ.pop("SPARSEATTN_THREADS", None)
-        else:
-            os.environ["SPARSEATTN_THREADS"] = old
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_run_sweep_resume_skips_completed_cells(tmp_path):
     cfg = small_cfg()
     full = tmp_path / "full.csv"
@@ -281,6 +263,50 @@ def test_run_sweep_resume_skips_completed_cells(tmp_path):
     before = full.read_bytes()
     run_sweep(cfg, csv_path=full)
     assert full.read_bytes() == before
+
+
+def test_run_sweep_resume_computes_only_missing_cells(tmp_path, monkeypatch):
+    cfg = small_cfg(trials_per_L=3)
+    full = tmp_path / "full.csv"
+    run_sweep(cfg, csv_path=full)
+    lines = full.read_text().splitlines()
+
+    calls = []
+    run_record = sweep._run_record
+
+    def counting_run_record(cfg, L, trial):
+        calls.append((L, trial))
+        return run_record(cfg, L, trial)
+
+    monkeypatch.setattr(sweep, "_run_record", counting_run_record)
+    partial = tmp_path / "partial.csv"
+    partial.write_text("\n".join(lines[:3]) + "\n")  # header and two rows
+    run_sweep(cfg, csv_path=partial)
+    cells = [(L, trial) for L in cfg.L_grid for trial in range(cfg.trials_per_L)]
+    assert calls == cells[2:]  # each missing cell once, in grid order
+
+
+def test_run_sweep_resume_after_lost_final_newline(tmp_path):
+    cfg = small_cfg()
+    full = tmp_path / "full.csv"
+    run_sweep(cfg, csv_path=full)
+    lines = full.read_text().splitlines()
+
+    partial = tmp_path / "partial.csv"
+    partial.write_text("\n".join(lines[:3]))  # the last row has no newline
+    run_sweep(cfg, csv_path=partial)
+    assert partial.read_bytes() == full.read_bytes()
+
+
+def test_run_sweep_resume_rejects_other_tolerances(tmp_path):
+    path = tmp_path / "other.csv"
+    run_sweep(small_cfg(), csv_path=path)
+    first_row = path.read_text().splitlines()[1]
+    before = path.read_bytes()
+    other = small_cfg(params=ApproxParams(L=32, k=1, gamma=1.0, eps1=0.2, eps2=1.41))
+    with pytest.raises(ValueError, match=re.escape(first_row) + ".*theoretical_d"):
+        run_sweep(other, csv_path=path)
+    assert path.read_bytes() == before
 
 
 def test_run_sweep_resume_rejects_torn_row(tmp_path):
