@@ -24,11 +24,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._seeds import derive_seed
-from .construct import Factorization, build_log_gap, compress, sample_stiefel, svd_factor
+from .construct import Factorization, build_log_gap, sample_stiefel, svd_factor
 from .matrices import ApproxParams, GenerationError, SparseStochasticMatrix, generate
-from .verify import ApproxReport, CompiledTarget, check_compiled, compile_target
+from .verify import ApproxReport, CompiledTarget, compile_target, margin_report, row_margins
 
 CSV_HEADER = "L,trial,q,d_min,theoretical_d,redraws_used,seed"
+# Rows in the first block of a redraw's logits; each next block doubles.
+# Failing redraws mostly fail within the first few dozen rows.
+FIRST_BLOCK_ROWS = 16
 
 
 @dataclass
@@ -130,10 +133,19 @@ def theoretical_d(params: ApproxParams, L: int) -> float:
     )
 
 
+def _row_blocks(L: int):
+    """Row ranges [lo, hi) covering 0 .. L - 1: FIRST_BLOCK_ROWS rows, then
+    each block twice the size of the one before."""
+    lo, size = 0, FIRST_BLOCK_ROWS
+    while lo < L:
+        yield lo, min(lo + size, L)
+        lo, size = lo + size, 2 * size
+
+
 def search_width(
     factors: Factorization, target: CompiledTarget, d: int, n_redraws: int,
     seed: int, eps1: float, eps2: float,
-) -> tuple[int | None, int, np.ndarray | None, ApproxReport | None]:
+) -> tuple[int | None, int, np.ndarray, ApproxReport]:
     """Redraw the shared projection at width ``d`` until the check passes.
 
     Redraw ``t`` (t = 0 .. n_redraws - 1) samples a Haar L x d/2 matrix ``y``
@@ -142,15 +154,50 @@ def search_width(
     of the assembled attention inputs.  Stops at the first pass.  Returns
     the passing redraw (None if none passed), the redraws used, and the
     logits and report of the last redraw checked.
+
+    Each redraw is evaluated in row blocks (``_row_blocks``): ``s F_R y`` is
+    formed once, then each block of rows of ``z`` is formed into one L x L
+    buffer and checked (``row_margins``) in turn, and a redraw that is not
+    the last one stops at the first block holding a violating row.  Pass or
+    fail is exactly that of the full check of these logits, which agree with
+    one unblocked product to roundoff (BLAS sums may depend on the operand
+    shape).  The last redraw is always evaluated in full, so the logits and
+    report returned are complete; a passing redraw's report is built from the
+    margins of its blocks.  A non-finite logit raises ``VerificationError``
+    in any row the search evaluates; rows after the failing block of an
+    earlier redraw are not evaluated.
     """
-    z = report = None
+    if d % 2 != 0 or d <= 0:
+        raise ValueError(f"d must be a positive even integer, got {d}")
+    if n_redraws < 1:
+        raise ValueError(f"n_redraws must be >= 1, got {n_redraws}")
+    L = target.L
+    scale = math.sqrt(2.0 * L / d)
+    log_eps1 = math.log(eps1)
+    z = np.empty((L, L))
+    cond1, cond2 = np.empty(L), np.empty(L)
     for t in range(n_redraws):
-        y = sample_stiefel(target.L, d // 2, derive_seed(seed, 1, d, t))
-        pair = compress(factors, y, d)
-        z = pair.left @ pair.right.T
-        report = check_compiled(z, target, eps1, eps2)
-        if report.passed:
-            return t, t + 1, z, report
+        y = sample_stiefel(L, d // 2, derive_seed(seed, 1, d, t))
+        right_t = (scale * (factors.right @ y)).T
+        # One L x d/2 array per redraw, filled block by block, rather than a
+        # temporary per block: block-sized temporaries stayed resident in the
+        # C heap and raised the peak memory of repeated approx calls at
+        # L=2048 by about 18 MB.
+        left = np.empty((L, d // 2))
+        last = t == n_redraws - 1
+        for lo, hi in _row_blocks(L):
+            np.matmul(factors.left[lo:hi], y, out=left[lo:hi])
+            left[lo:hi] *= scale
+            np.matmul(left[lo:hi], right_t, out=z[lo:hi])
+            cond1[lo:hi], cond2[lo:hi] = row_margins(z[lo:hi], target, lo)
+            if not last and (
+                (cond1[lo:hi] >= log_eps1).any() or (cond2[lo:hi] >= eps2).any()
+            ):
+                break
+        else:  # every block evaluated: a pass, or the last redraw
+            report = margin_report(z, target, cond1, cond2, eps1, eps2)
+            if report.passed:
+                return t, t + 1, z, report
     return None, n_redraws, z, report
 
 
@@ -218,7 +265,9 @@ def _read_existing(csv_path, cfg: SweepConfig) -> list[SweepRecord]:
     ``cfg.master_seed`` derives for its (L, trial), which rejects torn rows and
     files written under another master seed; its ``theoretical_d`` must be the
     bound of ``cfg.params`` at its L, which rejects files written under other
-    k, gamma, eps1 or eps2."""
+    k, gamma, eps1 or eps2; and its (d_min, redraws_used) must be a result
+    ``cfg.d_grid()`` can produce (``_grid_can_produce``), which rejects files
+    written under another d-grid."""
     if csv_path is None or not os.path.exists(csv_path):
         return []
     with open(csv_path, "r", encoding="utf-8") as fh:
@@ -242,8 +291,31 @@ def _read_existing(csv_path, cfg: SweepConfig) -> list[SweepRecord]:
                 f"theoretical_d is not the bound for k={cfg.params.k}, "
                 f"gamma={cfg.params.gamma}, eps1={cfg.params.eps1}, eps2={cfg.params.eps2}"
             )
+        if not _grid_can_produce(record, cfg):
+            raise ValueError(
+                f"{csv_path}: row {line!r} does not belong to this sweep: its "
+                f"(d_min, redraws_used) cannot come from the d-grid d_lower={cfg.d_lower}, "
+                f"d_upper={cfg.d_upper}, d_points={cfg.d_points}"
+            )
         records.append(record)
     return records
+
+
+def _grid_can_produce(record: SweepRecord, cfg: SweepConfig) -> bool:
+    """Whether ``find_dmin`` on this config's width grid can give the row's
+    result, with n = round(q L) redraws per width at the row's own q: a found
+    width must be a grid width w <= 2L, reached after the full budget at each
+    of the e widths below it, so n e < redraws_used <= n (e + 1); a row that
+    found none spent n at every width <= 2L, or 0 if its target failed to
+    generate."""
+    widths = [d for d in cfg.d_grid() if d <= 2 * record.L]
+    n = int(round(record.q * record.L))
+    if record.d_min is None:
+        return record.redraws_used in (0, n * len(widths))
+    if record.d_min not in widths:
+        return False
+    e = widths.index(record.d_min)
+    return n * e < record.redraws_used <= n * (e + 1)
 
 
 def _open_for_append(csv_path):

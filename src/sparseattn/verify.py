@@ -9,10 +9,15 @@ the target's ratios within a factor of ``exp(eps2)``, strictly.
 softmax row ratio equals the exponential of the logit difference, both
 conditions reduce to differences of logits, which stay finite where the
 attention entries themselves would overflow or underflow.  It compiles the
-target (``compile_target``) and checks against it (``check_compiled``); a
-redraw search compiles once and checks every redraw.  ``check_direct``
-evaluates the same conditions literally on attention-matrix entries and is
-the small-instance oracle the log-domain path is tested against.
+target once (``compile_target``) to its per-row nonzero columns and
+log-values, in O(nnz + L) with no L x L array, and checks against it
+(``check_compiled``).  ``row_margins`` gives each row's two condition values
+for any block of rows and ``margin_report`` turns them into the report, so
+a redraw search checks each block of logits as it forms it and stops at the
+first violating row.  ``check_direct`` evaluates the same conditions
+literally on attention-matrix entries, with its own masks built from the
+target, and is the small-instance oracle the log-domain path is tested
+against.
 
 Both functions report the same canonical first violation: triples are
 scanned row by row, zero/nonzero pairs before nonzero/nonzero pairs within
@@ -68,35 +73,42 @@ class ApproxReport:
 
 @dataclass
 class CompiledTarget:
-    """The target as the log-domain check reads it, built once per matrix:
-    L x L masks of the considered nonzero and zero positions (in causal mode
-    columns beyond the row index are in neither), log-values at the nonzeros,
-    per-row counts, and the number of (j1, j2) pairs the conditions cover."""
+    """The target as the log-domain check reads it, built once per matrix in
+    O(nnz + L) and holding no L x L array.
+
+    ``rows``, ``cols`` and ``log_vals`` list the considered nonzeros in
+    row-major order (in causal mode entries above the diagonal are not
+    considered), and row ``i``'s entries are ``row_ptr[i]:row_ptr[i + 1]``.
+    ``nz_counts`` and ``zero_counts`` count each row's considered nonzero and
+    zero positions (in causal mode only columns ``j <= i`` are considered),
+    and ``n_triples`` is the number of (j1, j2) pairs the conditions cover.
+    """
 
     L: int
-    nz: np.ndarray
-    zero: np.ndarray
-    log_a: np.ndarray
+    causal: bool
+    rows: np.ndarray
+    cols: np.ndarray
+    log_vals: np.ndarray
+    row_ptr: np.ndarray
     nz_counts: np.ndarray
     zero_counts: np.ndarray
     n_triples: int
 
 
 def compile_target(A: SparseStochasticMatrix, causal: bool = False) -> CompiledTarget:
-    """Compile ``A`` once for any number of ``check_compiled`` calls."""
+    """Compile ``A`` once for any number of checks against it."""
     L = A.L
-    nz = np.zeros((L, L), dtype=bool)
-    nz[A.rows, A.cols] = True
-    log_a = np.zeros((L, L))
-    log_a[A.rows, A.cols] = np.log(A.vals)
-    zero = ~nz
-    if causal:
-        upper = np.triu_indices(L, k=1)
-        nz[upper] = zero[upper] = False
-    nz_counts, zero_counts = nz.sum(axis=1), zero.sum(axis=1)
+    keep = A.cols <= A.rows if causal else np.ones(A.nnz, dtype=bool)
+    rows, cols = A.rows[keep], A.cols[keep]
+    nz_counts = np.bincount(rows, minlength=L)
+    row_ptr = np.concatenate(([0], np.cumsum(nz_counts)))
+    considered = np.arange(1, L + 1) if causal else np.full(L, L)
+    zero_counts = considered - nz_counts
     # Zero/nonzero pairs for condition 1, distinct nonzero pairs for condition 2.
     n_triples = int(np.sum(zero_counts * nz_counts) + np.sum(nz_counts * (nz_counts - 1)))
-    return CompiledTarget(L, nz, zero, log_a, nz_counts, zero_counts, n_triples)
+    return CompiledTarget(
+        L, causal, rows, cols, np.log(A.vals[keep]), row_ptr, nz_counts, zero_counts, n_triples
+    )
 
 
 def check_conditions(
@@ -113,63 +125,101 @@ def check_conditions(
 def check_compiled(
     z: np.ndarray, target: CompiledTarget, eps1: float, eps2: float
 ) -> ApproxReport:
-    """Log-domain check of both ratio conditions against a compiled target.
-
-    Per row, condition 1 reduces to max(z over zeros) - min(z over
-    nonzeros) < log(eps1) and condition 2 to the spread of
-    ``z - log(target)`` over nonzeros being < eps2, so the scan is O(L) per
-    row while agreeing exactly with full pair enumeration.  Raises on
+    """Log-domain check of both ratio conditions against a compiled target:
+    ``row_margins`` over every row, then ``margin_report``.  Raises on
     non-finite logits at considered positions, where the softmax is
-    undefined.
-    """
+    undefined."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (target.L, target.L):
         raise VerificationError(f"logits shape {z.shape} does not match L={target.L}")
-    nz, zero, log_a = target.nz, target.zero, target.log_a
-    nz_counts, zero_counts = target.nz_counts, target.zero_counts
-    if not np.isfinite(z).all():
-        bad = ~np.isfinite(z) & (nz | zero)
+    cond1, cond2 = row_margins(z, target, 0)
+    return margin_report(z, target, cond1, cond2, eps1, eps2)
+
+
+def row_margins(
+    z_rows: np.ndarray, target: CompiledTarget, lo: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row condition values of the logit rows ``lo .. lo + len(z_rows) - 1``.
+
+    Per row, condition 1 reduces to max(z over zeros) - min(z over
+    nonzeros), to compare with log(eps1), and condition 2 to the spread of
+    ``z - log(target)`` over nonzeros, to compare with eps2, so the work is
+    one masked row-max plus O(nnz) gathers while agreeing exactly with full
+    pair enumeration.  A row without pairs of a kind gets -inf for it.
+    Raises on a non-finite logit at a considered position of these rows.
+    """
+    hi = lo + z_rows.shape[0]
+    start, end = target.row_ptr[lo], target.row_ptr[hi]
+    local, cols = target.rows[start:end] - lo, target.cols[start:end]
+    # The considered positions of these rows; clearing the nonzeros from it
+    # below leaves the zero positions.
+    if target.causal:
+        zero_mask = np.arange(target.L) <= np.arange(lo, hi)[:, None]
+    else:
+        zero_mask = np.ones(z_rows.shape, dtype=bool)
+    if not np.isfinite(z_rows).all():
+        bad = ~np.isfinite(z_rows) & zero_mask
         if bad.any():
             i, j = (int(v) for v in np.argwhere(bad)[0])
-            raise VerificationError(f"non-finite logit {z[i, j]} at row {i}, column {j}")
+            raise VerificationError(f"non-finite logit {z_rows[i, j]} at row {lo + i}, column {j}")
+    zero_mask[local, cols] = False
 
-    z_zero_max = np.where(zero, z, -np.inf).max(axis=1)
-    z_nz_min = np.where(nz, z, np.inf).min(axis=1)
-    cond1_rows = np.where(
-        (zero_counts > 0) & (nz_counts > 0), z_zero_max - z_nz_min, -np.inf
+    nz_counts = target.nz_counts[lo:hi]
+    z_nz = z_rows[local, cols]
+    t = z_nz - target.log_vals[start:end]
+    z_nz_min = np.full(hi - lo, np.inf)
+    t_max = np.full(hi - lo, -np.inf)
+    t_min = np.full(hi - lo, np.inf)
+    has_nz = nz_counts > 0
+    # Segment starts of the rows with nonzeros; empty rows add no entries.
+    starts = target.row_ptr[lo:hi][has_nz] - start
+    z_nz_min[has_nz] = np.minimum.reduceat(z_nz, starts)
+    t_max[has_nz] = np.maximum.reduceat(t, starts)
+    t_min[has_nz] = np.minimum.reduceat(t, starts)
+    z_zero_max = np.max(z_rows, axis=1, where=zero_mask, initial=-np.inf)
+    cond1 = np.where(
+        (target.zero_counts[lo:hi] > 0) & has_nz, z_zero_max - z_nz_min, -np.inf
     )
-    worst_zero = float(cond1_rows.max()) if cond1_rows.size else -math.inf
+    cond2 = np.where(nz_counts >= 2, t_max - t_min, -np.inf)
+    return cond1, cond2
 
-    t = np.where(nz, z - log_a, np.nan)
-    t_max = np.where(nz, t, -np.inf).max(axis=1)
-    t_min = np.where(nz, t, np.inf).min(axis=1)
-    cond2_rows = np.where(nz_counts >= 2, t_max - t_min, -np.inf)
-    worst_dev = float(cond2_rows.max()) if cond2_rows.size else -math.inf
 
+def margin_report(
+    z: np.ndarray, target: CompiledTarget, cond1: np.ndarray, cond2: np.ndarray,
+    eps1: float, eps2: float,
+) -> ApproxReport:
+    """The report of logits ``z`` from its per-row condition values
+    (``row_margins`` over every row).  The first violation is located in
+    the first failing row of ``z``, in the canonical scan order."""
+    worst_zero = float(cond1.max())
+    worst_dev = float(cond2.max())
     log_eps1 = math.log(eps1)
     passed = worst_zero < log_eps1 and worst_dev < eps2
 
     first_violation = None
     if not passed:
-        fail1 = cond1_rows >= log_eps1
-        fail2 = cond2_rows >= eps2
-        i = int(np.argmax(fail1 | fail2))
+        fail1 = cond1 >= log_eps1
+        i = int(np.argmax(fail1 | (cond2 >= eps2)))
+        lo, hi = target.row_ptr[i], target.row_ptr[i + 1]
+        cols = target.cols[lo:hi]  # ascending
+        z_row, z_nz = z[i], z[i, cols]
         if fail1[i]:
             # First zero column whose logit is large enough to violate
             # against the row's smallest nonzero logit, then the first
             # nonzero column it actually violates against.
-            j1_candidates = zero[i] & (z[i] - z_nz_min[i] >= log_eps1)
-            j1 = int(np.argmax(j1_candidates))
-            j2_candidates = nz[i] & (z[i, j1] - z[i] >= log_eps1)
-            j2 = int(np.argmax(j2_candidates))
+            zero_row = np.ones(target.L, dtype=bool)
+            zero_row[cols] = False
+            if target.causal:
+                zero_row[i + 1:] = False
+            j1 = int(np.argmax(zero_row & (z_row - z_nz.min() >= log_eps1)))
+            j2 = int(cols[np.argmax(z_row[j1] - z_nz >= log_eps1)])
             first_violation = (i, j1, j2, KIND_ZERO_RATIO)
         else:
-            dev_up = np.where(nz[i], t[i] - t_min[i], -np.inf)
-            dev_down = np.where(nz[i], t_max[i] - t[i], -np.inf)
-            j1 = int(np.argmax(np.maximum(dev_up, dev_down) >= eps2))
-            j2_candidates = nz[i] & (np.abs(t[i, j1] - t[i]) >= eps2)
-            j2 = int(np.argmax(j2_candidates))
-            first_violation = (i, j1, j2, KIND_NONZERO_DEV)
+            t = z_nz - target.log_vals[lo:hi]
+            dev = np.maximum(t - t.min(), t.max() - t)
+            k1 = int(np.argmax(dev >= eps2))
+            k2 = int(np.argmax(np.abs(t[k1] - t) >= eps2))
+            first_violation = (i, int(cols[k1]), int(cols[k2]), KIND_NONZERO_DEV)
 
     return ApproxReport(
         passed=passed,
@@ -196,19 +246,20 @@ def check_direct(
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (A.L, A.L):
         raise VerificationError(f"matrix shape {m.shape} does not match L={A.L}")
-    compiled = compile_target(A, causal)
-    nz, zero = compiled.nz, compiled.zero
     a_dense = A.to_dense()
 
     worst_zero = -math.inf
     worst_dev = -math.inf
+    n_triples = 0
     first_violation = None
     log_eps1 = math.log(eps1)
     lo, hi = math.exp(-eps2), math.exp(eps2)
 
     for i in range(A.L):
-        nz_j = np.nonzero(nz[i])[0]
-        zero_j = np.nonzero(zero[i])[0]
+        considered = a_dense[i, : i + 1] if causal else a_dense[i]
+        nz_j = np.nonzero(considered != 0.0)[0]
+        zero_j = np.nonzero(considered == 0.0)[0]
+        n_triples += len(zero_j) * len(nz_j) + len(nz_j) * (len(nz_j) - 1)
         row_violation = None
         for j1 in zero_j:
             for j2 in nz_j:
@@ -248,6 +299,6 @@ def check_direct(
         passed=passed,
         worst_zero_ratio_log=worst_zero,
         worst_nonzero_dev=worst_dev,
-        n_triples_checked=compiled.n_triples,
+        n_triples_checked=n_triples,
         first_violation=first_violation,
     )

@@ -3,10 +3,11 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_causal_matrix
 from sparseattn import cli, sweep
@@ -23,7 +24,7 @@ from sparseattn.sweep import (
     search_width,
     theoretical_d,
 )
-from sparseattn.verify import check_conditions, compile_target
+from sparseattn.verify import VerificationError, check_conditions, compile_target
 
 
 def small_params(L=32):
@@ -199,12 +200,15 @@ def test_found_record_replays_through_cli_approx(tmp_path):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    L=st.integers(4, 12),
-    half_d=st.integers(1, 12),
+    # Up to 80 rows, so redraws reach the later row blocks (16, 32, 64 rows).
+    L=st.integers(4, 80),
+    half_d=st.integers(1, 80),
     n_redraws=st.integers(1, 6),
     seed=st.integers(0, 2**32),
     causal=st.booleans(),
 )
+@example(L=80, half_d=30, n_redraws=4, seed=7, causal=False)
+@example(L=80, half_d=30, n_redraws=4, seed=7, causal=True)
 def test_search_width_matches_reference_loop(L, half_d, n_redraws, seed, causal):
     d = 2 * min(half_d, L)
     params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=causal)
@@ -220,6 +224,41 @@ def test_search_width_matches_reference_loop(L, half_d, n_redraws, seed, causal)
         factors, A, d, n_redraws, seed, params.eps1, params.eps2
     )
     assert report == check_conditions(z, A, params.eps1, params.eps2, causal=causal)
+
+
+def last_row_violation_instance(L=64):
+    """Factors whose full-width logits are the exact log-gap logits plus a
+    bump at (L - 1, j), j a zero column of the last row, so that row is the
+    only one violating; with ``right`` the identity and d = 2L the logits are
+    ``left @ y @ y.T`` = ``left`` up to roundoff."""
+    params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41)
+    A = generate(params, 3)
+    z = build_log_gap(A, params.eps1, params.eps2).values.copy()
+    j = int(np.flatnonzero(A.to_dense()[L - 1] == 0.0)[0])
+    z[L - 1, j] += 10.0
+    factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
+    factors = replace(factors, left=z, right=np.eye(L))
+    return params, A, factors, j
+
+
+@pytest.mark.parametrize("n_redraws", [1, 3])
+def test_search_width_finds_a_violation_in_the_last_row(n_redraws):
+    L = 64  # row blocks [0, 16), [16, 48), [48, 64)
+    params, A, factors, j = last_row_violation_instance(L)
+    passing, used, z, report = search_width(
+        factors, compile_target(A), 2 * L, n_redraws, 5, params.eps1, params.eps2
+    )
+    assert (passing, used) == (None, n_redraws)
+    assert report == check_conditions(z, A, params.eps1, params.eps2)
+    assert report.first_violation[:2] == (L - 1, j)
+    assert report.first_violation[3] == "zero_ratio"
+
+
+def test_search_width_rejects_nonfinite_logit_in_the_last_row():
+    params, A, factors, _ = last_row_violation_instance()
+    factors.left[-1, 0] = np.nan
+    with pytest.raises(VerificationError, match="non-finite logit"):
+        search_width(factors, compile_target(A), 2 * A.L, 1, 5, params.eps1, params.eps2)
 
 
 # ---------------------------------------------------------------- run_sweep
@@ -326,6 +365,50 @@ def test_run_sweep_resume_rejects_other_master_seed(tmp_path):
     before = path.read_bytes()
     with pytest.raises(ValueError, match="does not belong to this sweep"):
         run_sweep(small_cfg(master_seed=12), csv_path=path)
+    assert path.read_bytes() == before
+
+
+def test_run_sweep_resume_rejects_other_d_grid(tmp_path):
+    # Rows found on the grid 4..40 name widths (and redraw counts) that the
+    # grid [10, 28, 46, 64] cannot produce; merging them would mix grids.
+    path = tmp_path / "other.csv"
+    run_sweep(small_cfg(d_lower=4, d_upper=40, d_points=10), csv_path=path)
+    before = path.read_bytes()
+    other = small_cfg(d_lower=10, d_upper=64, d_points=4)
+    assert other.d_grid() == [10, 28, 46, 64]
+    with pytest.raises(ValueError, match="does not belong to this sweep.*d-grid"):
+        run_sweep(other, csv_path=path)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "16,0,1.0,30,{bound!r},32,{seed}",  # 30 is not a grid width
+        "16,0,1.0,28,{bound!r},16,{seed}",  # 28 is the second width: 17..32 redraws
+        "16,0,1.0,28,{bound!r},33,{seed}",
+        "16,0,1.0,-1,{bound!r},48,{seed}",  # not found needs 0 or 2 x 16 redraws
+        "32,0,1.0,64,{bound!r},96,{seed}",  # 64 <= 2L is the fourth width: 97..128
+    ],
+)
+def test_run_sweep_resume_rejects_rows_the_d_grid_cannot_produce(tmp_path, row):
+    cfg = small_cfg(d_lower=10, d_upper=64, d_points=4)  # widths 10, 28, 46, 64
+    L = int(row.split(",")[0])
+    line = row.format(bound=theoretical_d(cfg.params, L), seed=derive_seed(cfg.master_seed, L, 0))
+    path = tmp_path / "sweep.csv"
+    path.write_text(sweep.CSV_HEADER + "\n" + line + "\n")
+    with pytest.raises(ValueError, match=re.escape(line) + ".*d-grid"):
+        run_sweep(cfg, csv_path=path)
+
+
+def test_run_sweep_resume_accepts_rows_of_every_q(tmp_path):
+    # A q-sweep CSV holds rows of several redraw budgets; each row is judged
+    # by its own q.
+    cfg = small_cfg(L_grid=[16], trials_per_L=2, d_lower=4, d_upper=32, d_points=4)
+    path = tmp_path / "q.csv"
+    q_sweep(cfg, [0.5, 2.0], csv_path=path)
+    before = path.read_bytes()
+    q_sweep(cfg, [0.5, 2.0], csv_path=path)
     assert path.read_bytes() == before
 
 

@@ -16,6 +16,7 @@ from sparseattn.verify import (
     VerificationError,
     check_conditions,
     check_direct,
+    compile_target,
 )
 
 
@@ -269,6 +270,15 @@ def test_nonfinite_logits_rejected():
     # Above the diagonal a causal check judges nothing, finite or not.
     z[0, 0], z[0, 3] = 0.0, np.inf
     assert check_conditions(z, A, 0.15, 0.7, causal=True).passed
+
+
+def test_compiled_target_holds_no_dense_array():
+    # O(nnz + L): per-nonzero and per-row arrays only, no L x L mask.
+    for causal in (False, True):
+        A, _ = random_instance(40, 2, 2.0, seed=4, causal=causal)
+        target = compile_target(A, causal)
+        arrays = [v for v in vars(target).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(a.ndim == 1 and a.size <= A.nnz + A.L + 1 for a in arrays)
 
 
 def test_shape_mismatch_rejected():
