@@ -6,6 +6,12 @@ it with a full SVD; compress both factors with a shared Haar-orthogonal
 projection; and lay the compressed factors out as token embeddings together
 with fixed query/key weight matrices whose product recovers the compressed
 logits exactly.
+
+The redraw search (``sweep.search_width``) runs none of ``compress``,
+``assemble`` or, for widths ``d <= L``, ``sample_stiefel``: it forms the same
+logits from the factors and the projector of the Gaussian draw that
+``sample_stiefel`` would orthogonalize.  Wider widths still draw through
+``sample_stiefel``.
 """
 
 from __future__ import annotations

@@ -8,6 +8,15 @@ rows to a resumable CSV, and a least-squares fit of width against log L
 summarizes the growth rate.  ``search_width`` is the one redraw loop: the
 sweep runs it at every grid width and ``sparseattn approx`` at a single one.
 
+A redraw's logits depend on its orthogonal projection ``y`` only through the
+projector ``y y^T``, which equals ``G C^-1 G^T`` for the Gaussian draw ``G``
+that ``y`` orthogonalizes and ``C = G^T G``.  So ``search_width`` takes one of
+two routes, fixed by ``(L, d)`` alone: with ``h = d/2``, the Gram route when
+``2h <= L`` (draw ``G``, form ``C``, no QR) and the QR route through
+``sample_stiefel`` when ``2h > L``, because ``kappa(C) = kappa(G)^2`` blows
+up as h nears L.  The two give the same logits up to roundoff, and pass or
+fail is exactly the full check of the logits the search formed.
+
 Seeding: each (L, trial) record gets ``derive_seed(master_seed, L, trial)``.
 From that record seed, the target matrix uses ``derive_seed(record_seed, 0)``
 and redraw ``t`` at width ``d`` uses ``derive_seed(record_seed, 1, d, t)``,
@@ -142,6 +151,21 @@ def _row_blocks(L: int):
         lo, size = lo + size, 2 * size
 
 
+def _redraw_basis(L: int, h: int, seed: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The redraw's basis ``g`` (L x h) and Gram matrix ``c``, with
+    ``g c^-1 g^T = y y^T`` for ``y = sample_stiefel(L, h, seed)``.
+
+    The Gram route (``2h <= L``) returns the Gaussian draw that
+    ``sample_stiefel`` orthogonalizes, from the same stream, and ``g^T g``.
+    The QR route (``2h > L``) returns ``y`` and None, standing for the
+    identity.
+    """
+    if 2 * h <= L:
+        g = np.random.default_rng(seed).standard_normal((L, h))
+        return g, g.T @ g
+    return sample_stiefel(L, h, seed), None
+
+
 def search_width(
     factors: Factorization, target: CompiledTarget, d: int, n_redraws: int,
     seed: int, eps1: float, eps2: float,
@@ -155,40 +179,63 @@ def search_width(
     the passing redraw (None if none passed), the redraws used, and the
     logits and report of the last redraw checked.
 
-    Each redraw is evaluated in row blocks (``_row_blocks``): ``s F_R y`` is
-    formed once, then each block of rows of ``z`` is formed into one L x L
-    buffer and checked (``row_margins``) in turn, and a redraw that is not
-    the last one stops at the first block holding a violating row.  Pass or
-    fail is exactly that of the full check of these logits, which agree with
-    one unblocked product to roundoff (BLAS sums may depend on the operand
-    shape).  The last redraw is always evaluated in full, so the logits and
-    report returned are complete; a passing redraw's report is built from the
-    margins of its blocks.  A non-finite logit raises ``VerificationError``
-    in any row the search evaluates; rows after the failing block of an
-    earlier redraw are not evaluated.
+    ``z`` depends on ``y`` only through the projector ``y y^T``, and there are
+    two routes to it, chosen from ``(L, d)`` alone (``_redraw_basis``).  With
+    ``h = d/2`` and ``2h <= L``, the Gram route takes the Gaussian draw ``G``
+    that ``sample_stiefel`` would orthogonalize and uses
+    ``y y^T = G C^-1 G^T`` with ``C = G^T G``: no QR, no explicit basis, no
+    sign fix.  Wider redraws take the QR route through ``sample_stiefel``,
+    because ``kappa(C) = kappa(G)^2`` blows up as h nears L.  Both routes
+    give the same logits up to roundoff.
+
+    Each redraw is evaluated in row blocks (``_row_blocks``), each block
+    formed into one L x L buffer and checked (``row_margins``) in turn, and a
+    redraw that is not the last one stops at the first block holding a
+    violating row.  The first block is ``s^2 ((F_L[0:16] G) C^-1 G^T) F_R^T``,
+    with one solve against ``C``; only a redraw that survives it inverts ``C``
+    and forms the keys ``F_R G C^-1`` for the blocks after.  The QR route
+    takes the same steps with ``G = y`` and ``C`` the identity.  Pass or fail
+    is exactly that of the full check of the logits formed, which agree with
+    the QR route's unblocked product to roundoff (BLAS sums depend on the
+    operand shape).  The last redraw is always evaluated in full, so the
+    logits and report returned are complete; a passing redraw's report is
+    built from the margins of its blocks.  A non-finite logit raises
+    ``VerificationError`` in any row the search evaluates; rows after the
+    failing block of an earlier redraw are not evaluated.
     """
     if d % 2 != 0 or d <= 0:
         raise ValueError(f"d must be a positive even integer, got {d}")
     if n_redraws < 1:
         raise ValueError(f"n_redraws must be >= 1, got {n_redraws}")
-    L = target.L
-    scale = math.sqrt(2.0 * L / d)
+    L, h = target.L, d // 2
+    scale2 = 2.0 * L / d
     log_eps1 = math.log(eps1)
     z = np.empty((L, L))
     cond1, cond2 = np.empty(L), np.empty(L)
     for t in range(n_redraws):
-        y = sample_stiefel(L, d // 2, derive_seed(seed, 1, d, t))
-        right_t = (scale * (factors.right @ y)).T
+        g, c = _redraw_basis(L, h, derive_seed(seed, 1, d, t))
         # One L x d/2 array per redraw, filled block by block, rather than a
         # temporary per block: block-sized temporaries stayed resident in the
         # C heap and raised the peak memory of repeated approx calls at
         # L=2048 by about 18 MB.
-        left = np.empty((L, d // 2))
+        left = np.empty((L, h))
+        keys = None
         last = t == n_redraws - 1
         for lo, hi in _row_blocks(L):
-            np.matmul(factors.left[lo:hi], y, out=left[lo:hi])
-            left[lo:hi] *= scale
-            np.matmul(left[lo:hi], right_t, out=z[lo:hi])
+            np.matmul(factors.left[lo:hi], g, out=left[lo:hi])
+            left[lo:hi] *= scale2
+            if lo == 0:
+                rows = left[:hi] if c is None else np.linalg.solve(c, left[:hi].T).T
+                np.matmul(rows @ g.T, factors.right.T, out=z[:hi])
+            else:
+                if keys is None:
+                    keys = factors.right @ g
+                    if c is not None:
+                        # An explicit inverse, not a solve against L right-hand
+                        # sides: the solve's L x h buffers raised the peak
+                        # memory of repeated approx calls at L=2048 by 16 MB.
+                        keys = keys @ np.linalg.inv(c)
+                np.matmul(left[lo:hi], keys.T, out=z[lo:hi])
             cond1[lo:hi], cond2[lo:hi] = row_margins(z[lo:hi], target, lo)
             if not last and (
                 (cond1[lo:hi] >= log_eps1).any() or (cond2[lo:hi] >= eps2).any()

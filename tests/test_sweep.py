@@ -209,6 +209,8 @@ def test_found_record_replays_through_cli_approx(tmp_path):
 )
 @example(L=80, half_d=30, n_redraws=4, seed=7, causal=False)
 @example(L=80, half_d=30, n_redraws=4, seed=7, causal=True)
+@example(L=64, half_d=32, n_redraws=4, seed=7, causal=False)  # 2h = L: Gram route
+@example(L=64, half_d=33, n_redraws=4, seed=7, causal=True)  # 2h = L + 2: QR route
 def test_search_width_matches_reference_loop(L, half_d, n_redraws, seed, causal):
     d = 2 * min(half_d, L)
     params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=causal)
@@ -224,6 +226,59 @@ def test_search_width_matches_reference_loop(L, half_d, n_redraws, seed, causal)
         factors, A, d, n_redraws, seed, params.eps1, params.eps2
     )
     assert report == check_conditions(z, A, params.eps1, params.eps2, causal=causal)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.integers(2, 80),
+    half_d=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+    causal=st.booleans(),
+)
+@example(L=64, half_d=32, seed=7, causal=False)  # 2h = L
+@example(L=64, half_d=32, seed=7, causal=True)
+def test_gram_route_matches_stiefel_route(L, half_d, seed, causal):
+    """At 2h <= L the search takes the Gram route; its logits and report
+    match those of the sample_stiefel draw from the same stream."""
+    h = min(half_d, L // 2)
+    d = 2 * h
+    params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=causal)
+    A = random_causal_matrix(L, 2, 2.0, seed) if causal else generate(params, seed)
+    factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
+    _, _, z, report = search_width(
+        factors, compile_target(A, causal), d, 1, seed, params.eps1, params.eps2
+    )
+    scale = math.sqrt(2.0 * L / d)
+    y = sample_stiefel(L, h, derive_seed(seed, 1, d, 0))
+    z_qr = (scale * (factors.left @ y)) @ (scale * (factors.right @ y)).T
+    tol = 1e-10 * np.abs(z_qr).max()
+    assert np.abs(z - z_qr).max() <= tol
+    report_qr = check_conditions(z_qr, A, params.eps1, params.eps2, causal=causal)
+    assert (report.passed, report.first_violation, report.n_triples_checked) == (
+        report_qr.passed, report_qr.first_violation, report_qr.n_triples_checked
+    )
+    assert report.worst_zero_ratio_log == pytest.approx(report_qr.worst_zero_ratio_log, abs=tol)
+    assert report.worst_nonzero_dev == pytest.approx(report_qr.worst_nonzero_dev, abs=tol)
+
+
+@pytest.mark.parametrize(
+    "L, h", [(4, 1), (4, 2), (4, 3), (5, 2), (5, 3), (16, 8), (16, 9), (64, 32), (64, 33)]
+)
+def test_search_width_takes_the_qr_route_only_when_2h_exceeds_L(L, h, monkeypatch):
+    calls = []
+
+    def counting_stiefel(*args):
+        calls.append(args)
+        return sample_stiefel(*args)
+
+    monkeypatch.setattr(sweep, "sample_stiefel", counting_stiefel)
+    params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41)
+    A = generate(params, 1)
+    factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
+    _, used, _, _ = search_width(
+        factors, compile_target(A), 2 * h, 5, 3, params.eps1, params.eps2
+    )
+    assert len(calls) == (used if 2 * h > L else 0)
 
 
 def last_row_violation_instance(L=64):
