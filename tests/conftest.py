@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from sparseattn.matrices import SparseStochasticMatrix
+from sparseattn.matrices import GenerationError, SparseStochasticMatrix
 
 
 def random_causal_matrix(L, k, gamma, seed):
@@ -34,3 +34,70 @@ def random_causal_matrix(L, k, gamma, seed):
     np.add.at(sums, rows, vals)
     vals = vals / sums[rows]
     return SparseStochasticMatrix(L, rows, cols, vals, causal=True, k=k, gamma=gamma)
+
+
+def reference_generate(params, seed):
+    """Literal two-pass greedy loop that ``matrices.generate`` vectorizes.
+
+    One interpreted step per visited position and one scalar coin flip per
+    insertion, in the documented stream order.  ``generate`` must return
+    bit-equal ``rows``/``cols``/``vals``, or raise the same GenerationError.
+    """
+    L, k, gamma, causal = params.L, params.k, params.gamma, params.causal
+    rng = np.random.default_rng(seed)
+    row_counts = np.zeros(L, dtype=np.int64)
+    col_counts = np.zeros(L, dtype=np.int64)
+    raw: dict[tuple[int, int], float] = {}
+
+    def flip_value() -> float:
+        return gamma if rng.integers(0, 2) == 1 else 1.0
+
+    # Pass 1: rows outer, columns inner.
+    row_order = rng.permutation(L)
+    col_order = rng.permutation(L)
+    for i in row_order:
+        if causal:
+            candidates = col_order[col_order <= i]
+        else:
+            candidates = col_order
+        for j in candidates:
+            if row_counts[i] >= k:
+                break
+            if col_counts[j] >= k or (i, j) in raw:
+                continue
+            raw[(int(i), int(j))] = flip_value()
+            row_counts[i] += 1
+            col_counts[j] += 1
+
+    # Pass 2: columns outer, rows inner.
+    col_order2 = rng.permutation(L)
+    row_order2 = rng.permutation(L)
+    for j in col_order2:
+        if causal:
+            candidates = row_order2[row_order2 >= j]
+        else:
+            candidates = row_order2
+        for i in candidates:
+            if col_counts[j] >= k:
+                break
+            if row_counts[i] >= k or (i, j) in raw:
+                continue
+            raw[(int(i), int(j))] = flip_value()
+            row_counts[i] += 1
+            col_counts[j] += 1
+
+    if np.any(row_counts == 0):
+        empty = int(np.argmax(row_counts == 0))
+        raise GenerationError(
+            f"row {empty} received no nonzero entry (seed={seed}, causal={causal})"
+        )
+
+    rows = np.fromiter((ij[0] for ij in raw), dtype=np.int64, count=len(raw))
+    cols = np.fromiter((ij[1] for ij in raw), dtype=np.int64, count=len(raw))
+    vals = np.fromiter(raw.values(), dtype=np.float64, count=len(raw))
+    row_sums = np.zeros(L)
+    np.add.at(row_sums, rows, vals)
+    vals = vals / row_sums[rows]
+    return SparseStochasticMatrix(
+        L, rows, cols, vals, causal=causal, k=k, gamma=gamma
+    )

@@ -63,6 +63,14 @@ def test_generate_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_generate_at_scale(tmp_path):
+    out = tmp_path / "big.coo"
+    assert run("generate", "--L", 4096, "--k", 2, "--gamma", 2, "--seed", 3, "--out", out) == 0
+    params = ApproxParams(L=4096, k=2, gamma=2.0, eps1=0.5, eps2=0.5)
+    report = validate(read_coo(out), params)
+    assert report.passed, [v.detail for v in report.violations[:5]]
+
+
 # -------------------------------------------------------------------- approx
 
 

@@ -1,10 +1,12 @@
 """Generator, validator, and COO file format tests."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import reference_generate
+from hypothesis import example, given, settings, strategies as st
 
 from sparseattn.matrices import (
     ApproxParams,
@@ -134,8 +136,8 @@ def test_generate_deterministic():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    L=st.integers(2, 24),
-    k=st.integers(1, 3),
+    L=st.integers(2, 256),
+    k=st.integers(1, 5),
     gamma=st.sampled_from([1.0, 1.5, 2.0, 5.0]),
     causal=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
@@ -150,6 +152,50 @@ def test_generate_output_always_validates(L, k, gamma, causal, seed):
         return
     report = validate(A, params)
     assert report.passed, [v.detail for v in report.violations]
+
+
+@settings(deadline=None)
+@given(
+    L=st.integers(2, 150),
+    k=st.integers(1, 5),
+    gamma=st.sampled_from([1.0, 1.5, 2.0, 5.0]),
+    causal=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(L=2048, k=2, gamma=2.0, causal=False, seed=2024)
+@example(L=2048, k=2, gamma=2.0, causal=False, seed=11)
+def test_generate_matches_reference_loop(L, k, gamma, causal, seed):
+    k = min(k, L)
+    params = ApproxParams(L=L, k=k, gamma=gamma, eps1=0.5, eps2=0.5, causal=causal)
+    try:
+        expected = reference_generate(params, seed)
+    except GenerationError as exc:
+        with pytest.raises(GenerationError) as got:
+            generate(params, seed)
+        assert str(got.value) == str(exc)
+        return
+    A = generate(params, seed)
+    assert np.array_equal(A.rows, expected.rows)
+    assert np.array_equal(A.cols, expected.cols)
+    assert A.vals.tobytes() == expected.vals.tobytes()
+
+
+# sha256 of the write_coo text, recorded from the per-position loop.  A
+# change to the generator's stream must update these on purpose.
+RECORDED_DIGESTS = [
+    (256, 1, 1.0, False, 0, "6fb1f5c3ead16acd57a3573741dcec67a45e58659355d0f084cac9f430545637"),
+    (2048, 2, 2.0, False, 2024, "d443e904275f18020455b594871030533df53ac3c5f7478643dcc26d9cd76b06"),
+    (100, 3, 1.5, False, 5, "ac9653e37fdba7e996f477de74031a4185525ca47e745a009a944d3e9610e7ac"),
+    (16, 2, 2.0, True, 12, "3b12ca7ae6a2116d8941aa17a7e1e842b8a6b1232168f2346ecbc73fa2c3db7e"),
+]
+
+
+@pytest.mark.parametrize("L, k, gamma, causal, seed, digest", RECORDED_DIGESTS)
+def test_generate_matches_recorded_digests(tmp_path, L, k, gamma, causal, seed, digest):
+    params = ApproxParams(L=L, k=k, gamma=gamma, eps1=0.5, eps2=0.5, causal=causal)
+    path = tmp_path / "a.coo"
+    write_coo(generate(params, seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # ----------------------------------------------------------------- validator
