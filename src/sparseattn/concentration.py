@@ -11,6 +11,14 @@ carries the strictly smaller tail bound
 for the event |estimate - x.y| >= eps * ||x|| * ||y||, and a smaller mean
 squared error.  The benchmark measures empirical tail frequencies and
 squared errors against those bounds on a seeded Monte Carlo grid.
+
+An orthogonal draw ``R = sigma sqrt(p) y^T`` enters the estimate only through
+the projector ``y y^T = G C^-1 G^T`` of the Gaussian draw ``G`` that ``y``
+orthogonalizes, with ``C = G^T G``, so the estimate is
+``(p/m) (G^T x)^T C^-1 (G^T y)`` and sigma cancels.  The draw goes through
+``construct.projector_basis``: for ``2m <= p`` that is one ``G^T [x y]``, one
+Gram product and one m x m solve, with no QR; ``sample_stiefel``'s QR runs
+only for ``2m > p``.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import derive_seed
-from .construct import sample_stiefel
+from .construct import projector_basis
 
 MODE_ORTHOGONAL = "orthogonal"
 MODE_IID = "iid"
@@ -60,26 +68,28 @@ class JltParams:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
 
-def _projection_matrix(params: JltParams, seed: int) -> np.ndarray:
-    if params.mode == MODE_ORTHOGONAL:
-        # Rows are sigma * sqrt(p) times the rows of the transpose of a Haar
-        # p x m sample: exactly orthogonal, deterministic length, marginally
-        # a renormalized Gaussian direction.
-        y = sample_stiefel(params.p, params.m, seed)
-        return params.sigma * math.sqrt(params.p) * y.T
-    rng = np.random.default_rng(seed)
-    return params.sigma * rng.standard_normal((params.m, params.p))
-
-
 def project_pair(x: np.ndarray, y: np.ndarray, params: JltParams, seed: int) -> float:
-    """Dot-product estimate (Rx).(Ry) / (m sigma^2) from one projection draw."""
+    """Dot-product estimate (Rx).(Ry) / (m sigma^2) from one projection draw.
+
+    Orthogonal mode: ``R = sigma sqrt(p) y^T`` for the Haar p x m sample
+    ``y = sample_stiefel(p, m, seed)``, computed through its projector as
+    ``(p/m) (G^T x)^T C^-1 (G^T y)`` (``construct.projector_basis``), with no
+    QR unless ``2m > p``; it equals the explicit product up to roundoff.
+    Iid mode: ``R`` is ``sigma`` times an m x p standard Gaussian draw.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != (params.p,) or y.shape != (params.p,):
         raise ValueError(
             f"x and y must be vectors of length p={params.p}, got {x.shape}, {y.shape}"
         )
-    r = _projection_matrix(params, seed)
+    if params.mode == MODE_ORTHOGONAL:
+        g, c = projector_basis(params.p, params.m, seed)
+        gx, gy = np.stack([x, y]) @ g
+        if c is not None:
+            gx = np.linalg.solve(c, gx)
+        return float(params.p * (gx @ gy) / params.m)
+    r = params.sigma * np.random.default_rng(seed).standard_normal((params.m, params.p))
     return float((r @ x) @ (r @ y) / (params.m * params.sigma**2))
 
 
@@ -87,7 +97,9 @@ def estimate_errors(x: np.ndarray, y: np.ndarray, params: JltParams, seed: int =
     """Signed estimation errors over n_samples independent draws.
 
     Draw t uses ``derive_seed(seed, t)``; samples are independent of how
-    they are scheduled or batched.
+    they are scheduled or batched.  Each sample is one ``project_pair``, so
+    an orthogonal sample costs a Gaussian draw, a Gram product and an m x m
+    solve when ``2m <= p``, and a QR only when ``2m > p``.
     """
     exact = float(np.dot(x, y))
     return np.array(

@@ -7,11 +7,14 @@ projection; and lay the compressed factors out as token embeddings together
 with fixed query/key weight matrices whose product recovers the compressed
 logits exactly.
 
-The redraw search (``sweep.search_width``) runs none of ``compress``,
-``assemble`` or, for widths ``d <= L``, ``sample_stiefel``: it forms the same
-logits from the factors and the projector of the Gaussian draw that
-``sample_stiefel`` would orthogonalize.  Wider widths still draw through
-``sample_stiefel``.
+A Haar sample ``y`` enters the redraw search (``sweep.search_width``) and
+the orthogonal estimate of the concentration bench
+(``concentration.project_pair``) only through its projector ``y y^T``, which
+equals ``G C^-1 G^T`` for the Gaussian draw ``G`` that ``sample_stiefel``
+orthogonalizes and ``C = G^T G``.  Both draw through ``projector_basis``,
+which returns ``G`` and ``C`` when ``2h <= L`` (no QR) and runs
+``sample_stiefel``'s QR only when ``2h > L``, where ``kappa(C) = kappa(G)^2``
+blows up.  The search runs neither ``compress`` nor ``assemble``.
 """
 
 from __future__ import annotations
@@ -140,6 +143,22 @@ def sample_stiefel(L: int, half_d: int, seed: int) -> np.ndarray:
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
     return q * signs
+
+
+def projector_basis(L: int, h: int, seed: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Basis ``g`` (L x h) and Gram matrix ``c`` of the projector of
+    ``y = sample_stiefel(L, h, seed)``: ``g c^-1 g^T = y y^T``.
+
+    The route is fixed by ``(L, h)`` alone.  When ``2h <= L`` it returns the
+    Gaussian draw that ``sample_stiefel`` orthogonalizes, from the same
+    stream, and ``g^T g``: no QR, no sign fix.  When ``2h > L``, where
+    ``kappa(c) = kappa(g)^2`` blows up, it returns ``y`` and None, standing
+    for the identity.
+    """
+    if 2 * h <= L:
+        g = np.random.default_rng(seed).standard_normal((L, h))
+        return g, g.T @ g
+    return sample_stiefel(L, h, seed), None
 
 
 def compress(factors: Factorization, y: np.ndarray, d: int) -> ProjectionPair:

@@ -18,14 +18,22 @@ class RenderSpec:
     out_path: str = "attention.pgm"
 
     def __post_init__(self):
-        if self.pool < 1:
-            raise ValueError(f"pool must be >= 1, got {self.pool}")
-        if not 0.0 < self.clip <= 1.0:
-            raise ValueError(f"clip must lie in (0, 1], got {self.clip}")
+        _check_pool_clip(self.pool, self.clip)
+
+
+def _check_pool_clip(pool: int, clip: float) -> None:
+    if pool < 1:
+        raise ValueError(f"pool must be >= 1, got {pool}")
+    if not 0.0 < clip <= 1.0:
+        raise ValueError(f"clip must lie in (0, 1], got {clip}")
 
 
 def pooled_pixels(matrix, pool: int, clip: float) -> np.ndarray:
-    """Max-pool into (L/pool)^2 blocks, clip, and quantize to 0..255."""
+    """Max-pool into (L/pool)^2 blocks, clip, and quantize to 0..255.
+
+    ``pool`` and ``clip`` are checked as in ``RenderSpec``.
+    """
+    _check_pool_clip(pool, clip)
     if isinstance(matrix, SparseStochasticMatrix):
         matrix = matrix.to_dense()
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -70,6 +78,8 @@ def read_pgm(path) -> np.ndarray:
             tokens.extend(ln.split())
     if not tokens or tokens[0] != "P2":
         raise ValueError(f"{path}: not a plain PGM (P2) file")
+    if len(tokens) < 4:
+        raise ValueError(f"{path}: PGM header needs width, height and maxval")
     width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     pixels = np.array([int(t) for t in tokens[4:]], dtype=np.int64)
     if pixels.size != width * height:

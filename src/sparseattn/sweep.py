@@ -10,8 +10,9 @@ sweep runs it at every grid width and ``sparseattn approx`` at a single one.
 
 A redraw's logits depend on its orthogonal projection ``y`` only through the
 projector ``y y^T``, which equals ``G C^-1 G^T`` for the Gaussian draw ``G``
-that ``y`` orthogonalizes and ``C = G^T G``.  So ``search_width`` takes one of
-two routes, fixed by ``(L, d)`` alone: with ``h = d/2``, the Gram route when
+that ``y`` orthogonalizes and ``C = G^T G``.  So ``search_width`` draws each
+redraw through ``construct.projector_basis``, which takes one of two routes,
+fixed by ``(L, d)`` alone: with ``h = d/2``, the Gram route when
 ``2h <= L`` (draw ``G``, form ``C``, no QR) and the QR route through
 ``sample_stiefel`` when ``2h > L``, because ``kappa(C) = kappa(G)^2`` blows
 up as h nears L.  The two give the same logits up to roundoff, and pass or
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._seeds import derive_seed
-from .construct import Factorization, build_log_gap, sample_stiefel, svd_factor
+from .construct import Factorization, build_log_gap, projector_basis, svd_factor
 from .matrices import ApproxParams, GenerationError, SparseStochasticMatrix, generate
 from .verify import ApproxReport, CompiledTarget, compile_target, margin_report, row_margins
 
@@ -151,21 +152,6 @@ def _row_blocks(L: int):
         lo, size = lo + size, 2 * size
 
 
-def _redraw_basis(L: int, h: int, seed: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The redraw's basis ``g`` (L x h) and Gram matrix ``c``, with
-    ``g c^-1 g^T = y y^T`` for ``y = sample_stiefel(L, h, seed)``.
-
-    The Gram route (``2h <= L``) returns the Gaussian draw that
-    ``sample_stiefel`` orthogonalizes, from the same stream, and ``g^T g``.
-    The QR route (``2h > L``) returns ``y`` and None, standing for the
-    identity.
-    """
-    if 2 * h <= L:
-        g = np.random.default_rng(seed).standard_normal((L, h))
-        return g, g.T @ g
-    return sample_stiefel(L, h, seed), None
-
-
 def search_width(
     factors: Factorization, target: CompiledTarget, d: int, n_redraws: int,
     seed: int, eps1: float, eps2: float,
@@ -180,7 +166,7 @@ def search_width(
     logits and report of the last redraw checked.
 
     ``z`` depends on ``y`` only through the projector ``y y^T``, and there are
-    two routes to it, chosen from ``(L, d)`` alone (``_redraw_basis``).  With
+    two routes to it, chosen from ``(L, d)`` alone (``projector_basis``).  With
     ``h = d/2`` and ``2h <= L``, the Gram route takes the Gaussian draw ``G``
     that ``sample_stiefel`` would orthogonalize and uses
     ``y y^T = G C^-1 G^T`` with ``C = G^T G``: no QR, no explicit basis, no
@@ -213,7 +199,7 @@ def search_width(
     z = np.empty((L, L))
     cond1, cond2 = np.empty(L), np.empty(L)
     for t in range(n_redraws):
-        g, c = _redraw_basis(L, h, derive_seed(seed, 1, d, t))
+        g, c = projector_basis(L, h, derive_seed(seed, 1, d, t))
         # One L x d/2 array per redraw, filled block by block, rather than a
         # temporary per block: block-sized temporaries stayed resident in the
         # C heap and raised the peak memory of repeated approx calls at

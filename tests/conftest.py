@@ -1,7 +1,11 @@
 """Shared test helpers."""
 
+import math
+
 import numpy as np
 
+from sparseattn.concentration import MODE_ORTHOGONAL
+from sparseattn.construct import sample_stiefel
 from sparseattn.matrices import GenerationError, SparseStochasticMatrix
 
 
@@ -101,3 +105,18 @@ def reference_generate(params, seed):
     return SparseStochasticMatrix(
         L, rows, cols, vals, causal=causal, k=k, gamma=gamma
     )
+
+
+def reference_project_pair(x, y, params, seed):
+    """Explicit-matrix route that ``concentration.project_pair`` replaces.
+
+    Orthogonal mode forms ``R = sigma sqrt(p) y^T`` from the QR-and-sign-fix
+    sample ``y = sample_stiefel(p, m, seed)``; iid mode draws ``R`` as sigma
+    times an m x p Gaussian.  Returns ``(Rx).(Ry) / (m sigma^2)``.
+    """
+    if params.mode == MODE_ORTHOGONAL:
+        y_basis = sample_stiefel(params.p, params.m, seed)
+        r = params.sigma * math.sqrt(params.p) * y_basis.T
+    else:
+        r = params.sigma * np.random.default_rng(seed).standard_normal((params.m, params.p))
+    return float((r @ x) @ (r @ y) / (params.m * params.sigma**2))

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import reference_project_pair
+from sparseattn import construct
 from sparseattn._seeds import derive_seed
 from sparseattn.concentration import (
     MODE_IID,
@@ -16,6 +19,7 @@ from sparseattn.concentration import (
     tail_estimate,
     theoretical_tail,
 )
+from sparseattn.construct import sample_stiefel
 
 
 def unit_vectors(p, seed=0):
@@ -60,17 +64,45 @@ def test_self_estimate_is_nonnegative():
             assert project_pair(x, x, params, seed) >= 0.0
 
 
-def test_projection_rows_exactly_orthogonal_with_fixed_length():
-    from sparseattn.concentration import _projection_matrix
+dims = st.integers(2, 300).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p)))
 
-    params = JltParams(p=64, m=16, sigma=1.3, mode=MODE_ORTHOGONAL)
-    r = _projection_matrix(params, seed=9)
-    gram = r @ r.T
-    off = gram - np.diag(np.diag(gram))
-    assert np.abs(off).max() < 1e-10
-    np.testing.assert_allclose(
-        np.linalg.norm(r, axis=1), 1.3 * math.sqrt(64), atol=1e-10
-    )
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pm=dims,
+    sigma=st.floats(0.01, 100.0),
+    mode=st.sampled_from([MODE_ORTHOGONAL, MODE_IID]),
+    seed=st.integers(0, 2**32),
+)
+@example(pm=(64, 32), sigma=1.0, mode=MODE_ORTHOGONAL, seed=7)  # 2m = p: Gram
+@example(pm=(63, 32), sigma=1.0, mode=MODE_ORTHOGONAL, seed=7)  # 2m = p + 1: QR
+@example(pm=(300, 150), sigma=3.0, mode=MODE_ORTHOGONAL, seed=1)
+@example(pm=(299, 150), sigma=3.0, mode=MODE_ORTHOGONAL, seed=1)
+def test_project_pair_matches_explicit_projection(pm, sigma, mode, seed):
+    p, m = pm
+    x, y = unit_vectors(p, seed=seed % 1000)
+    params = JltParams(p=p, m=m, sigma=sigma, mode=mode)
+    got = project_pair(x, y, params, seed)
+    want = reference_project_pair(x, y, params, seed)
+    if mode == MODE_IID:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (8, 4), (8, 5), (9, 4), (9, 5), (16, 16)])
+def test_orthogonal_samples_take_the_qr_route_only_when_2m_exceeds_p(p, m, monkeypatch):
+    calls = []
+
+    def counting_stiefel(*args):
+        calls.append(args)
+        return sample_stiefel(*args)
+
+    monkeypatch.setattr(construct, "sample_stiefel", counting_stiefel)
+    x, y = unit_vectors(p, seed=8)
+    params = JltParams(p=p, m=m, mode=MODE_ORTHOGONAL, n_samples=6)
+    estimate_errors(x, y, params, seed=2)
+    assert len(calls) == (params.n_samples if 2 * m > p else 0)
 
 
 def test_dimension_mismatch_rejected():

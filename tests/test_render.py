@@ -66,3 +66,22 @@ def test_pgm_is_plain_text_with_short_lines(tmp_path):
     text = out.read_text()
     assert text.startswith("P2\n64 64\n255\n")
     assert all(len(line) <= 70 for line in text.splitlines())
+
+
+def test_read_pgm_rejects_a_truncated_header(tmp_path):
+    out = tmp_path / "short.pgm"
+    out.write_text("P2\n4\n")
+    with pytest.raises(ValueError, match="short.pgm"):
+        read_pgm(out)
+
+
+@pytest.mark.parametrize("pool", [0, -2])
+def test_pooled_pixels_rejects_a_nonpositive_pool(pool):
+    with pytest.raises(ValueError, match="pool"):
+        pooled_pixels(np.zeros((4, 4)), pool=pool, clip=0.5)
+
+
+@pytest.mark.parametrize("clip", [0.0, -0.1, 1.5, float("nan")])
+def test_pooled_pixels_rejects_a_clip_outside_0_1(clip):
+    with pytest.raises(ValueError, match="clip"):
+        pooled_pixels(np.zeros((4, 4)), pool=2, clip=clip)

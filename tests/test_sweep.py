@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_causal_matrix
-from sparseattn import cli, sweep
+from sparseattn import cli, construct, sweep
 from sparseattn._seeds import derive_seed
 from sparseattn.construct import build_log_gap, sample_stiefel, svd_factor
 from sparseattn.matrices import ApproxParams, generate, write_coo
@@ -271,7 +271,7 @@ def test_search_width_takes_the_qr_route_only_when_2h_exceeds_L(L, h, monkeypatc
         calls.append(args)
         return sample_stiefel(*args)
 
-    monkeypatch.setattr(sweep, "sample_stiefel", counting_stiefel)
+    monkeypatch.setattr(construct, "sample_stiefel", counting_stiefel)
     params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41)
     A = generate(params, 1)
     factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
