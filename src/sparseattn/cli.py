@@ -6,7 +6,8 @@ Subcommands: ``generate`` (draw a target matrix to a COO file), ``approx``
 PGM attention maps), and ``jlt-bench`` (projection tail benchmark).
 ``approx`` and the sweeps share one redraw loop, ``sweep.search_width``, so a
 sweep CSV row replays through ``approx`` at its ``d_min`` and ``seed``.  The
-sweeps run their records one at a time, in grid order.
+sweeps run their records in one spawned worker process per usable CPU, each
+with one BLAS thread, and write the rows in grid order.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage or validation error.
@@ -76,10 +77,11 @@ def load_sweep_config(path) -> tuple[sweep_mod.SweepConfig, list[float]]:
     """Parse the flat ``key = value`` config into a SweepConfig.
 
     Returns the config and the optional ``q_values`` list (empty when the
-    key is absent).  Every malformed or unknown key is reported in a single
-    error message.
+    key is absent).  Every malformed, unknown or repeated key is reported in
+    a single error message.
     """
     values: dict[str, object] = {}
+    seen: dict[str, int] = {}  # key -> the line it was first set on
     problems: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for n, raw in enumerate(fh, start=1):
@@ -94,6 +96,10 @@ def load_sweep_config(path) -> tuple[sweep_mod.SweepConfig, list[float]]:
             if key not in CONFIG_KEYS:
                 problems.append(f"line {n}: unknown key {key!r}")
                 continue
+            if key in seen:
+                problems.append(f"line {n}: repeated key {key!r} (first on line {seen[key]})")
+                continue
+            seen[key] = n
             try:
                 if key == "causal":
                     values[key] = _parse_bool(text)

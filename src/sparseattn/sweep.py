@@ -23,6 +23,12 @@ From that record seed, the target matrix uses ``derive_seed(record_seed, 0)``
 and redraw ``t`` at width ``d`` uses ``derive_seed(record_seed, 1, d, t)``,
 so every (L, trial, d, t) combination has its own stream and results do not
 depend on scheduling.  A record can be replayed from its CSV row alone.
+
+``run_sweep`` computes the missing records in a pool of spawned worker
+processes, one per usable CPU, each started with one BLAS thread, and writes
+the rows in grid order: the CSV bytes do not depend on the CPU count.  Under
+``spawn`` each worker re-imports the main script, so a script that calls
+``run_sweep`` must do so under ``if __name__ == "__main__":``.
 """
 
 from __future__ import annotations
@@ -39,6 +45,10 @@ from .matrices import ApproxParams, GenerationError, SparseStochasticMatrix, gen
 from .verify import ApproxReport, CompiledTarget, compile_target, margin_report, row_margins
 
 CSV_HEADER = "L,trial,q,d_min,theoretical_d,redraws_used,seed"
+# Set to 1 while the record pool's workers start, so each loads its BLAS with
+# one thread: two processes sharing two cores lose to the serial loop when
+# each runs a multithreaded BLAS.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Rows in the first block of a redraw's logits; each next block doubles.
 # Failing redraws mostly fail within the first few dozen rows.
 FIRST_BLOCK_ROWS = 16
@@ -104,6 +114,8 @@ class SweepConfig:
             raise ValueError("L_grid must not be empty")
         if any(L <= 1 for L in self.L_grid):
             raise ValueError("every L in L_grid must be > 1")
+        if len(set(self.L_grid)) != len(self.L_grid):
+            raise ValueError(f"L_grid must not repeat a value, got {self.L_grid}")
         if not 2 <= self.d_lower <= self.d_upper:
             raise ValueError(
                 f"need 2 <= d_lower <= d_upper, got ({self.d_lower}, {self.d_upper})"
@@ -365,33 +377,92 @@ def _open_for_append(csv_path):
     return fh
 
 
+def _worker_count(n_cells: int) -> int:
+    """Worker processes for ``n_cells`` records: one per usable CPU, at most
+    one per record."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_cells)
+
+
+def _record_pool(n: int, jobs):
+    """Submit each job ``(fn, *args)`` to a new spawn pool of ``n`` worker
+    processes; return the pool and the jobs' futures, in job order.
+
+    The workers start on submit, so every job is submitted while the
+    ``BLAS_THREAD_VARS`` read 1, and each worker loads its BLAS with one
+    thread.  The parent's environment is then restored exactly; its BLAS,
+    already loaded, keeps its threads.  The caller shuts the pool down.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {key: os.environ.get(key) for key in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        return pool, [pool.submit(*job) for job in jobs]
+    except BaseException:
+        pool.shutdown(wait=True, cancel_futures=True)
+        raise
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
 def run_sweep(cfg: SweepConfig, csv_path=None) -> list[SweepRecord]:
     """Run every (L, trial) cell of the sweep, streaming rows to ``csv_path``.
 
-    Records run one at a time in grid order, each row written and flushed as
-    soon as it is computed, so reruns produce byte-identical files.  Cells
-    whose (L, trial, q) row is already in the CSV are taken from it, not
-    recomputed, so an interrupted sweep resumes where it stopped.  Returns
-    all records for this config, including previously completed ones.
+    Cells whose (L, trial, q) row is already in the CSV are taken from it,
+    not recomputed, so an interrupted sweep resumes where it stopped.  The
+    missing records run in ``_worker_count`` spawned worker processes with
+    one BLAS thread each (in-process when that is one), submitted largest L
+    first so that a long record does not start last.  Rows are written in
+    grid order, each flushed as soon as every row before it is known, so the
+    CSV bytes do not depend on the worker count.  A record's exception is
+    raised at its grid position: the rows before it are written, the rows
+    after it are not.  No worker outlives the call.  Returns all records for
+    this config, including previously completed ones.
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     done = {(r.L, r.trial, r.q): r for r in _read_existing(csv_path, cfg)}
-    fh = None
+    cells = [(L, trial) for L in cfg.L_grid for trial in range(cfg.trials_per_L)]
+    missing = [cell for cell in cells if (*cell, cfg.q) not in done]
+    n_workers = _worker_count(len(missing))
+    pool = fh = None
     records: list[SweepRecord] = []
     try:
-        for L in cfg.L_grid:
-            for trial in range(cfg.trials_per_L):
-                record = done.get((L, trial, cfg.q))
-                if record is None:
-                    record = _run_record(cfg, L, trial)
-                    if csv_path is not None:
-                        if fh is None:
-                            fh = _open_for_append(csv_path)
-                        fh.write(record.to_csv_row() + "\n")
-                        fh.flush()
-                records.append(record)
+        if n_workers > 1:
+            order = sorted(missing, key=lambda cell: -cell[0])
+            pool, futures = _record_pool(n_workers, [(_run_record, cfg, *cell) for cell in order])
+            pending = dict(zip(order, futures))
+        for L, trial in cells:
+            record = done.get((L, trial, cfg.q))
+            if record is None:
+                record = pending[L, trial].result() if pool else _run_record(cfg, L, trial)
+                if csv_path is not None:
+                    if fh is None:
+                        fh = _open_for_append(csv_path)
+                    fh.write(record.to_csv_row() + "\n")
+                    fh.flush()
+            records.append(record)
+    except BrokenProcessPool as exc:
+        raise RuntimeError(
+            "a sweep worker process died.  Workers are spawned and re-import the "
+            "main script, so a script that runs a sweep must call it under "
+            'if __name__ == "__main__":'
+        ) from exc
     finally:
         if fh is not None:
             fh.close()
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
     return records
 
 
@@ -405,6 +476,8 @@ def q_sweep(cfg: SweepConfig, q_values: list[float], csv_path=None) -> list[Swee
     for q in q_values:
         if not 0.1 <= q <= 5.0:
             raise ValueError(f"q values must lie in [0.1, 5.0], got {q}")
+    if len(set(q_values)) != len(q_values):
+        raise ValueError(f"q values must not repeat, got {q_values}")
     records: list[SweepRecord] = []
     for q in q_values:
         records.extend(run_sweep(replace(cfg, q=q), csv_path=csv_path))

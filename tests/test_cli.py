@@ -176,6 +176,16 @@ def test_sweep_bad_keys_listed_individually(tmp_path, capsys):
     assert "bogus" in err and "d_points" in err
 
 
+def test_sweep_repeated_key_reported_with_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(sweep_config_text(k=1) + "bogus = 1\nk = 2\n")
+    out = tmp_path / "r.csv"
+    assert run("sweep", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err and "repeated key 'k'" in err
+    assert not out.exists()
+
+
 def test_qsweep_uses_config_q_values(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(sweep_config_text(q_values="0.5,1.0"))

@@ -2,8 +2,16 @@
 
 import json
 import math
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import textwrap
+import time
+import uuid
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,6 +381,8 @@ def test_run_sweep_resume_computes_only_missing_cells(tmp_path, monkeypatch):
         return run_record(cfg, L, trial)
 
     monkeypatch.setattr(sweep, "_run_record", counting_run_record)
+    # Spawned workers cannot see the patch; records must run in-process.
+    monkeypatch.setattr(sweep, "_worker_count", lambda n_cells: 1)
     partial = tmp_path / "partial.csv"
     partial.write_text("\n".join(lines[:3]) + "\n")  # header and two rows
     run_sweep(cfg, csv_path=partial)
@@ -467,6 +477,124 @@ def test_run_sweep_resume_accepts_rows_of_every_q(tmp_path):
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("causal", [False, True])
+def test_run_sweep_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, causal):
+    # Causal targets almost never generate, so their rows record d_min = -1.
+    cfg = small_cfg(
+        params=replace(small_params(), causal=causal), L_grid=[16, 32], trials_per_L=3
+    )
+    outputs = {}
+    for n in (1, 2, 3):
+        monkeypatch.setattr(sweep, "_worker_count", lambda n_cells, n=n: n)
+        fresh = tmp_path / f"fresh-{n}.csv"
+        run_sweep(cfg, csv_path=fresh)
+        lines = fresh.read_text().splitlines()
+        resumed = tmp_path / f"resumed-{n}.csv"
+        resumed.write_text("\n".join(lines[:3]) + "\n")  # header and two rows
+        run_sweep(cfg, csv_path=resumed)
+        outputs[n] = (fresh.read_bytes(), resumed.read_bytes())
+    assert len(outputs[1][0].splitlines()) == 1 + 6
+    assert outputs[1][0] == outputs[1][1]
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
+
+
+def test_record_pool_workers_start_with_one_blas_thread(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+    pool, futures = sweep._record_pool(2, [(os.getenv, name) for name in names])
+    try:
+        seen = [f.result(timeout=60) for f in futures]
+    finally:
+        pool.shutdown()
+    assert seen == ["1", "1", "1"]
+    assert dict(os.environ) == before
+    assert list(os.environ) == list(before)
+
+
+def test_run_sweep_leaves_no_worker_running(monkeypatch):
+    monkeypatch.setattr(sweep, "_worker_count", lambda n_cells: 2)
+    run_sweep(small_cfg())
+    assert multiprocessing.active_children() == []
+
+
+_REAL_RUN_RECORD = sweep._run_record
+
+
+def _record_failing_at_32_0(cfg, L, trial):
+    """A module-level stand-in for ``_run_record``, so spawned workers can
+    unpickle it."""
+    if (L, trial) == (32, 0):
+        raise ArithmeticError("record (32, 0) failed")
+    return _REAL_RUN_RECORD(cfg, L, trial)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_sweep_reraises_a_record_error_at_its_grid_position(tmp_path, monkeypatch, workers):
+    cfg = small_cfg(L_grid=[16, 32], trials_per_L=2)
+    full = tmp_path / "full.csv"
+    run_sweep(cfg, csv_path=full)
+    monkeypatch.setattr(sweep, "_run_record", _record_failing_at_32_0)
+    monkeypatch.setattr(sweep, "_worker_count", lambda n_cells: workers)
+    path = tmp_path / "failed.csv"
+    with pytest.raises(ArithmeticError, match=re.escape("record (32, 0) failed")):
+        run_sweep(cfg, csv_path=path)
+    # The rows before the failing cell are written; none after it.
+    assert path.read_text().splitlines() == full.read_text().splitlines()[:3]
+    assert multiprocessing.active_children() == []
+
+
+def _pids_with_env_marker(marker: bytes) -> list[int]:
+    pids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/environ", "rb") as fh:
+                    if marker in fh.read():
+                        pids.append(int(entry))
+            except OSError:
+                pass
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc to find stray processes")
+def test_unguarded_script_fails_naming_the_main_guard(tmp_path):
+    # Spawned workers re-import the main script; without a main guard its
+    # run_sweep call runs again in each worker, which breaks the pool.
+    script = tmp_path / "unguarded.py"
+    script.write_text(textwrap.dedent("""\
+        from sparseattn import ApproxParams, SweepConfig, run_sweep, sweep
+
+        sweep._worker_count = lambda n_cells: 2  # a pool even on one CPU
+        run_sweep(SweepConfig(
+            params=ApproxParams(L=16, k=1, gamma=1.0, eps1=0.15, eps2=1.41),
+            L_grid=[16], d_lower=4, d_upper=32, d_points=4, trials_per_L=2,
+        ))
+    """))
+    marker = f"unguarded-{uuid.uuid4().hex}"
+    src = str(Path(sweep.__file__).resolve().parents[1])
+    env = dict(os.environ, UNGUARDED_SCRIPT_MARKER=marker)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True, text=True,
+            timeout=60, cwd=tmp_path,
+        )
+        deadline = time.monotonic() + 10
+        while _pids_with_env_marker(marker.encode()) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        left = _pids_with_env_marker(marker.encode())
+    finally:
+        for pid in _pids_with_env_marker(marker.encode()):
+            os.kill(pid, 9)
+    assert proc.returncode != 0
+    assert 'if __name__ == "__main__":' in proc.stderr
+    assert proc.stdout == ""
+    assert left == []
+
+
 def test_csv_round_trip_not_found_sentinel():
     rec = SweepRecord(L=16, trial=1, q=0.5, d_min=None,
                       theoretical_d=123.456, redraws_used=8, seed=77)
@@ -489,6 +617,12 @@ def test_q_sweep_shares_matrix_draws_across_q():
     cfg = small_cfg(L_grid=[16], trials_per_L=1, d_lower=4, d_upper=32, d_points=4)
     records = q_sweep(cfg, [0.5, 2.0])
     assert records[0].seed == records[1].seed  # same (L, trial) record seed
+
+
+def test_q_sweep_rejects_repeated_q():
+    cfg = small_cfg(L_grid=[16], trials_per_L=1, d_lower=4, d_upper=32, d_points=4)
+    with pytest.raises(ValueError, match="repeat"):
+        q_sweep(cfg, [0.5, 1.0, 0.5])
 
 
 def test_q_sweep_range_check():
@@ -561,6 +695,14 @@ def test_sweep_config_validation():
         small_cfg(q=0.0)
     with pytest.raises(ValueError):
         small_cfg(trials_per_L=0)
+
+
+def test_sweep_config_rejects_repeated_L():
+    # A repeated L would compute its records twice and write every row twice.
+    with pytest.raises(ValueError, match="repeat"):
+        small_cfg(L_grid=[16, 16], trials_per_L=1)
+    with pytest.raises(ValueError, match="repeat"):
+        small_cfg(L_grid=[16, 32, 16])
 
 
 def test_sweep_config_rejects_zero_redraw_budget():
