@@ -8,7 +8,7 @@ the harness walks an ascending width grid until some redraw passes.
 Finishes by rendering the target and the matched attention matrix as pooled
 PGM images whose bright blocks coincide.
 
-Runs in about a minute on a desktop CPU.
+Runs in a few seconds on a desktop CPU.
 """
 
 import numpy as np
@@ -37,15 +37,15 @@ params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=0.9)
 A = generate(params, seed=42)
 print(f"target: L={L}, {A.nnz} nonzeros, k={params.k}, gamma={params.gamma}")
 
-gap = build_log_gap(A, params.eps1, params.eps2)
-factors = svd_factor(gap)
+B = build_log_gap(A, params.eps1, params.eps2)
+factors = svd_factor(B)
 target = compile_target(A)
 print(f"largest singular value of the log-gap matrix: {factors.singular_values[0]:.3f}")
 
-# At full width the embeddings and fixed weights reproduce the log-gap matrix.
+# At full width the embeddings and fixed weights reproduce the log-gap matrix B.
 inputs = assemble(compress(factors, sample_stiefel(L, L, seed=7), 2 * L))
 print(f"full width d = {2 * L}: X is {inputs.x.shape[0]} x {inputs.x.shape[1]}, "
-      f"max |logits - log-gap| = {np.abs(logits(inputs) - gap.values).max():.1e}")
+      f"max |logits - B| = {np.abs(logits(inputs) - B).max():.1e}")
 
 print("\nwidth sweep (single projection draw each):")
 for d in (32, 64, 128, 192, 2 * L):

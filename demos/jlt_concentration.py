@@ -7,8 +7,6 @@ tabulates empirical tail frequencies against both bounds and finishes with
 the paired squared-error comparison.
 """
 
-import math
-
 import numpy as np
 
 from sparseattn import JltParams, run_bench

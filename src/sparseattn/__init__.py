@@ -12,18 +12,15 @@ from .concentration import (
     JltParams,
     project_pair,
     run_bench,
-    tail_estimate,
     theoretical_tail,
 )
 from .construct import (
     AttentionInputs,
     Factorization,
-    LogGapMatrix,
     ProjectionPair,
     assemble,
     build_log_gap,
     compress,
-    reconstruct_target,
     sample_stiefel,
     svd_factor,
 )
@@ -56,7 +53,6 @@ __all__ = [
     "AttentionInputs",
     "Factorization",
     "JltParams",
-    "LogGapMatrix",
     "ProjectionPair",
     "RenderSpec",
     "SparseStochasticMatrix",
@@ -80,7 +76,6 @@ __all__ = [
     "q_sweep",
     "read_coo",
     "read_pgm",
-    "reconstruct_target",
     "render_pgm",
     "run_bench",
     "run_sweep",
@@ -88,7 +83,6 @@ __all__ = [
     "sample_stiefel",
     "search_width",
     "svd_factor",
-    "tail_estimate",
     "theoretical_d",
     "theoretical_tail",
     "validate",

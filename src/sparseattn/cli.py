@@ -129,16 +129,10 @@ def load_sweep_config(path) -> tuple[sweep_mod.SweepConfig, list[float]]:
         eps2=values["eps2"],
         causal=values.get("causal", False),
     )
-    cfg = sweep_mod.SweepConfig(
-        params=params,
-        L_grid=l_grid,
-        d_lower=values.get("d_lower", 200),
-        d_upper=values.get("d_upper", 600),
-        d_points=values.get("d_points", 30),
-        q=values.get("q", 1.0),
-        trials_per_L=values.get("trials_per_L", 5),
-        master_seed=values.get("master_seed", 0),
-    )
+    # Keys the file leaves out take SweepConfig's defaults.
+    optional = ("d_lower", "d_upper", "d_points", "q", "trials_per_L", "master_seed")
+    grid = {key: values[key] for key in optional if key in values}
+    cfg = sweep_mod.SweepConfig(params=params, L_grid=l_grid, **grid)
     return cfg, values.get("q_values", [])
 
 
@@ -201,7 +195,7 @@ def cmd_approx(args) -> int:
         "causal": A.causal,
         "report": json.loads(report.to_json()),
     }
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if args.report is not None:
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
@@ -249,25 +243,11 @@ def cmd_render(args) -> int:
 
 
 def cmd_jlt_bench(args) -> int:
-    if args.n_samples < 1:
-        raise UsageError(f"--n-samples must be >= 1, got {args.n_samples}")
-    p_values = _int_list(args.p_values)
-    m_values = _int_list(args.m_values)
-    eps_values = _float_list(args.eps_values)
-    if not p_values or not m_values or not eps_values:
-        raise UsageError("p, m, and epsilon grids must not be empty")
-    for m in m_values:
-        if m > min(p_values):
-            raise UsageError(f"m={m} exceeds the smallest ambient dimension {min(p_values)}")
-    for eps in eps_values:
-        if not 0.0 < eps < 1.0:
-            raise UsageError(f"epsilon values must lie in (0, 1), got {eps}")
     rows = concentration.run_bench(
-        p_values=p_values,
-        m_values=m_values,
-        eps_values=eps_values,
+        p_values=_int_list(args.p_values),
+        m_values=_int_list(args.m_values),
+        eps_values=_float_list(args.eps_values),
         n_samples=args.n_samples,
-        sigma=args.sigma,
         seed=args.seed,
     )
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -333,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-values", default="8,16,32,64")
     p.add_argument("--eps-values", default="0.1,0.25,0.5")
     p.add_argument("--n-samples", type=int, default=10_000)
-    p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_jlt_bench)

@@ -2,20 +2,22 @@
 
 Compares two projection ensembles for estimating x.y from m-dimensional
 sketches of p-dimensional vectors: mutually orthogonal rows of fixed length
-sigma * sqrt(p) (drawn from the rows of a Haar orthogonal sample), and the
-classical ensemble of independent Gaussian rows.  The orthogonal ensemble
-carries the strictly smaller tail bound
+sqrt(p) (drawn from the rows of a Haar orthogonal sample), and the classical
+ensemble of independent standard Gaussian rows.  A common row scale would
+cancel in the estimate, so neither ensemble takes one.  The orthogonal
+ensemble carries the strictly smaller tail bound
 
     (2 - 2/(p + 2)) * exp(-m eps^2 / 8)   vs.   2 * exp(-m eps^2 / 8)
 
 for the event |estimate - x.y| >= eps * ||x|| * ||y||, and a smaller mean
 squared error.  The benchmark measures empirical tail frequencies and
-squared errors against those bounds on a seeded Monte Carlo grid.
+squared errors against those bounds on a seeded Monte Carlo grid; one
+error sample per (p, m, mode) serves every eps.
 
-An orthogonal draw ``R = sigma sqrt(p) y^T`` enters the estimate only through
-the projector ``y y^T = G C^-1 G^T`` of the Gaussian draw ``G`` that ``y``
+An orthogonal draw ``R = sqrt(p) y^T`` enters the estimate only through the
+projector ``y y^T = G C^-1 G^T`` of the Gaussian draw ``G`` that ``y``
 orthogonalizes, with ``C = G^T G``, so the estimate is
-``(p/m) (G^T x)^T C^-1 (G^T y)`` and sigma cancels.  The draw goes through
+``(p/m) (G^T x)^T C^-1 (G^T y)``.  The draw goes through
 ``construct.projector_basis``: for ``2m <= p`` that is one ``G^T [x y]``, one
 Gram product and one m x m solve, with no QR; ``sample_stiefel``'s QR runs
 only for ``2m > p``.
@@ -43,39 +45,32 @@ DEFAULT_EPS_VALUES = (0.1, 0.25, 0.5)
 class JltParams:
     """Projection benchmark parameters.
 
-    p: ambient dimension; m: number of projections (m <= p); sigma: row
-    scale; mode: 'orthogonal' or 'iid'; epsilon: relative deviation in
-    (0, 1); n_samples: Monte Carlo draws.
+    p: ambient dimension; m: number of projections (1 <= m <= p); mode:
+    'orthogonal' or 'iid'; n_samples: Monte Carlo draws (>= 1).
     """
 
     p: int
     m: int
-    sigma: float = 1.0
     mode: str = MODE_ORTHOGONAL
-    epsilon: float = 0.5
     n_samples: int = 10_000
 
     def __post_init__(self):
         if not 1 <= self.m <= self.p:
             raise ValueError(f"need 1 <= m <= p, got m={self.m}, p={self.p}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.mode not in (MODE_ORTHOGONAL, MODE_IID):
             raise ValueError(f"mode must be 'orthogonal' or 'iid', got {self.mode!r}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
 
 def project_pair(x: np.ndarray, y: np.ndarray, params: JltParams, seed: int) -> float:
-    """Dot-product estimate (Rx).(Ry) / (m sigma^2) from one projection draw.
+    """Dot-product estimate (Rx).(Ry) / m from one projection draw.
 
-    Orthogonal mode: ``R = sigma sqrt(p) y^T`` for the Haar p x m sample
+    Orthogonal mode: ``R = sqrt(p) y^T`` for the Haar p x m sample
     ``y = sample_stiefel(p, m, seed)``, computed through its projector as
     ``(p/m) (G^T x)^T C^-1 (G^T y)`` (``construct.projector_basis``), with no
     QR unless ``2m > p``; it equals the explicit product up to roundoff.
-    Iid mode: ``R`` is ``sigma`` times an m x p standard Gaussian draw.
+    Iid mode: ``R`` is an m x p standard Gaussian draw.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -89,8 +84,8 @@ def project_pair(x: np.ndarray, y: np.ndarray, params: JltParams, seed: int) -> 
         if c is not None:
             gx = np.linalg.solve(c, gx)
         return float(params.p * (gx @ gy) / params.m)
-    r = params.sigma * np.random.default_rng(seed).standard_normal((params.m, params.p))
-    return float((r @ x) @ (r @ y) / (params.m * params.sigma**2))
+    r = np.random.default_rng(seed).standard_normal((params.m, params.p))
+    return float((r @ x) @ (r @ y) / params.m)
 
 
 def estimate_errors(x: np.ndarray, y: np.ndarray, params: JltParams, seed: int = 0) -> np.ndarray:
@@ -108,13 +103,6 @@ def estimate_errors(x: np.ndarray, y: np.ndarray, params: JltParams, seed: int =
             for t in range(params.n_samples)
         ]
     )
-
-
-def tail_estimate(x: np.ndarray, y: np.ndarray, params: JltParams, seed: int = 0) -> float:
-    """Empirical frequency of |estimate - x.y| >= eps ||x|| ||y||."""
-    errors = estimate_errors(x, y, params, seed=seed)
-    threshold = params.epsilon * float(np.linalg.norm(x) * np.linalg.norm(y))
-    return float(np.mean(np.abs(errors) >= threshold))
 
 
 def theoretical_tail(p: int, m: int, epsilon: float, mode: str) -> float:
@@ -153,14 +141,24 @@ def run_bench(
     m_values=DEFAULT_M_VALUES,
     eps_values=DEFAULT_EPS_VALUES,
     n_samples: int = 10_000,
-    sigma: float = 1.0,
     seed: int = 0,
 ) -> list[BenchRow]:
     """Tail frequencies over the full (p, m, eps, mode) grid.
 
     The probed vector pair for each p is a fixed Gaussian draw from
-    ``derive_seed(seed, p)``; the bounds hold for any pair.
+    ``derive_seed(seed, p)``; the bounds hold for any pair.  The whole grid
+    is validated before anything is drawn: every grid must be non-empty,
+    every (p, m) pair must make valid ``JltParams`` with ``n_samples``, and
+    every eps must lie in (0, 1).
     """
+    if not (p_values and m_values and eps_values):
+        raise ValueError("p, m, and epsilon grids must not be empty")
+    for p in p_values:
+        for m in m_values:
+            JltParams(p=p, m=m, n_samples=n_samples)
+    for eps in eps_values:
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"epsilon values must lie in (0, 1), got {eps}")
     rows = []
     for p in p_values:
         rng = np.random.default_rng(derive_seed(seed, p))
@@ -169,10 +167,7 @@ def run_bench(
         norm_product = float(np.linalg.norm(x) * np.linalg.norm(y))
         for m in m_values:
             for mode in (MODE_ORTHOGONAL, MODE_IID):
-                params = JltParams(
-                    p=p, m=m, sigma=sigma, mode=mode,
-                    epsilon=eps_values[0], n_samples=n_samples,
-                )
+                params = JltParams(p=p, m=m, mode=mode, n_samples=n_samples)
                 # One error sample per draw serves every epsilon threshold.
                 errors = np.abs(estimate_errors(x, y, params, seed=derive_seed(seed, p, m)))
                 for eps in eps_values:

@@ -1,11 +1,11 @@
 """Constructive pipeline from a target matrix to self-attention inputs.
 
-The route: shift the log of the target into a nonnegative "log-gap" matrix
-whose elementwise exponential is a row-rescaled copy of the target; factor
-it with a full SVD; compress both factors with a shared Haar-orthogonal
-projection; and lay the compressed factors out as token embeddings together
-with fixed query/key weight matrices whose product recovers the compressed
-logits exactly.
+The route: shift the log of the target into a dense, nonnegative L x L
+"log-gap" matrix ``B`` (``build_log_gap``) whose elementwise exponential is
+a row-rescaled copy of the target; factor it with a full SVD; compress both
+factors with a shared Haar-orthogonal projection; and lay the compressed
+factors out as token embeddings together with fixed query/key weight
+matrices whose product recovers the compressed logits exactly.
 
 A Haar sample ``y`` enters the redraw search (``sweep.search_width``) and
 the orthogonal estimate of the concentration bench
@@ -24,28 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import SparseStochasticMatrix, min_nonzero_rows
+from .matrices import SparseStochasticMatrix, check_tolerances, min_nonzero_rows
 
 
 class FactorizationError(RuntimeError):
     """SVD backend failed to converge."""
-
-
-@dataclass
-class LogGapMatrix:
-    """Dense nonnegative matrix of log-domain gaps.
-
-    ``values[i, j]`` is 0 where the target is 0, and otherwise
-    ``log A[i, j] - log(row_min_nonzero[i]) - log(eps1) + eps2``, which is
-    strictly positive and at most ``log(gamma / eps1) + eps2`` for a
-    gamma-variation-bounded target.
-    """
-
-    L: int
-    values: np.ndarray
-    row_min_nonzero: np.ndarray
-    eps1: float
-    eps2: float
 
 
 @dataclass
@@ -85,37 +68,28 @@ class AttentionInputs:
     d: int
 
 
-def build_log_gap(A: SparseStochasticMatrix, eps1: float, eps2: float) -> LogGapMatrix:
-    """Shifted log transform of the target; zeros map to exact 0.0."""
-    if not 0.0 < eps1 < 1.0:
-        raise ValueError(f"eps1 must lie in (0, 1), got {eps1}")
-    if eps2 <= 0.0:
-        raise ValueError(f"eps2 must be positive, got {eps2}")
-    row_min = min_nonzero_rows(A)
-    values = np.zeros((A.L, A.L))
-    values[A.rows, A.cols] = (
-        np.log(A.vals) - np.log(row_min[A.rows]) - math.log(eps1) + eps2
-    )
-    return LogGapMatrix(A.L, values, row_min, eps1, eps2)
+def build_log_gap(A: SparseStochasticMatrix, eps1: float, eps2: float) -> np.ndarray:
+    """Dense log-gap matrix ``B`` of the target.
 
-
-def reconstruct_target(gap: LogGapMatrix) -> np.ndarray:
-    """Invert the log-gap transform into an approximation of the target.
-
-    Equals the target (up to roundoff) at every nonzero position; at zero
-    positions it leaves ``eps1 * exp(-eps2) * row_min_nonzero[i] <= eps1``.
+    ``B[i, j]`` is 0 where the target is 0, and otherwise
+    ``log A[i, j] - log(row_min_nonzero[i]) - log(eps1) + eps2``, which is
+    strictly positive and at most ``log(gamma / eps1) + eps2`` for a
+    gamma-variation-bounded target.  The tolerances must lie in the range
+    ``ApproxParams`` accepts (``check_tolerances``).
     """
-    scale = gap.eps1 * math.exp(-gap.eps2)
-    return scale * gap.row_min_nonzero[:, None] * np.exp(gap.values)
+    check_tolerances(eps1, eps2)
+    row_min = min_nonzero_rows(A)
+    B = np.zeros((A.L, A.L))
+    B[A.rows, A.cols] = np.log(A.vals) - np.log(row_min[A.rows]) - math.log(eps1) + eps2
+    return B
 
 
-def svd_factor(gap: LogGapMatrix) -> Factorization:
-    """Full dense SVD of the log-gap matrix.
+def svd_factor(B: np.ndarray) -> Factorization:
+    """Full dense SVD of the log-gap matrix ``B``.
 
     Returns the scaled left factor (U * sigma), the right factor V, and the
     singular values.  ``left @ right.T`` reproduces the input to roundoff.
     """
-    B = gap.values
     if not np.all(np.isfinite(B)):
         raise FactorizationError("log-gap matrix has non-finite entries")
     try:

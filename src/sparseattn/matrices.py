@@ -56,10 +56,15 @@ class ApproxParams:
             raise ValueError(f"k must satisfy 1 <= k <= L, got k={self.k}, L={self.L}")
         if self.gamma < 1.0:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if not 0.0 < self.eps1 < 1.0:
-            raise ValueError(f"eps1 must lie in (0, 1), got {self.eps1}")
-        if not 0.0 < self.eps2 < math.sqrt(2.0):
-            raise ValueError(f"eps2 must lie in (0, sqrt(2)), got {self.eps2}")
+        check_tolerances(self.eps1, self.eps2)
+
+
+def check_tolerances(eps1: float, eps2: float) -> None:
+    """Raise ValueError unless eps1 lies in (0, 1) and eps2 in (0, sqrt(2))."""
+    if not 0.0 < eps1 < 1.0:
+        raise ValueError(f"eps1 must lie in (0, 1), got {eps1}")
+    if not 0.0 < eps2 < math.sqrt(2.0):
+        raise ValueError(f"eps2 must lie in (0, sqrt(2)), got {eps2}")
 
 
 @dataclass

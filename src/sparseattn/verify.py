@@ -10,10 +10,10 @@ softmax row ratio equals the exponential of the logit difference, both
 conditions reduce to differences of logits, which stay finite where the
 attention entries themselves would overflow or underflow.  It compiles the
 target once (``compile_target``) to its per-row nonzero columns and
-log-values, in O(nnz + L) with no L x L array, and checks against it
-(``check_compiled``).  ``row_margins`` gives each row's two condition values
-for any block of rows and ``margin_report`` turns them into the report, so
-a redraw search checks each block of logits as it forms it and stops at the
+log-values, in O(nnz + L) with no L x L array.  ``row_margins`` gives each
+row's two condition values for any block of rows and ``margin_report`` turns
+them into the report; ``check_conditions`` runs both over every row, and a
+redraw search checks each block of logits as it forms it and stops at the
 first violating row.  ``check_direct`` evaluates the same conditions
 literally on attention-matrix entries, with its own masks built from the
 target, and is the small-instance oracle the log-domain path is tested
@@ -50,8 +50,9 @@ class ApproxReport:
     (zero, nonzero) column pairs, to compare with log(eps1);
     ``worst_nonzero_dev`` the largest absolute mismatch between logit
     differences and target log-ratios over nonzero pairs, to compare with
-    eps2.  Either is -inf when no pair of its kind exists.  ``passed`` is
-    the conjunction of the two strict inequalities.
+    eps2.  Either is -inf when no pair of its kind exists, which
+    ``to_json`` writes as null.  ``passed`` is the conjunction of the two
+    strict inequalities.
     """
 
     passed: bool
@@ -63,12 +64,16 @@ class ApproxReport:
     def to_json(self) -> str:
         payload = {
             "passed": self.passed,
-            "worst_zero_ratio_log": self.worst_zero_ratio_log,
-            "worst_nonzero_dev": self.worst_nonzero_dev,
+            "worst_zero_ratio_log": _null_if_no_pairs(self.worst_zero_ratio_log),
+            "worst_nonzero_dev": _null_if_no_pairs(self.worst_nonzero_dev),
             "n_triples_checked": self.n_triples_checked,
             "first_violation": list(self.first_violation) if self.first_violation else None,
         }
         return json.dumps(payload)
+
+
+def _null_if_no_pairs(worst: float) -> float | None:
+    return None if worst == -math.inf else worst
 
 
 @dataclass
@@ -118,20 +123,14 @@ def check_conditions(
     eps2: float,
     causal: bool = False,
 ) -> ApproxReport:
-    """Log-domain check of both ratio conditions on the logit matrix."""
-    return check_compiled(z, compile_target(A, causal), eps1, eps2)
-
-
-def check_compiled(
-    z: np.ndarray, target: CompiledTarget, eps1: float, eps2: float
-) -> ApproxReport:
-    """Log-domain check of both ratio conditions against a compiled target:
-    ``row_margins`` over every row, then ``margin_report``.  Raises on
-    non-finite logits at considered positions, where the softmax is
-    undefined."""
+    """Log-domain check of both ratio conditions on the logit matrix:
+    ``row_margins`` over every row of the compiled target, then
+    ``margin_report``.  Raises on non-finite logits at considered positions,
+    where the softmax is undefined."""
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != (target.L, target.L):
-        raise VerificationError(f"logits shape {z.shape} does not match L={target.L}")
+    if z.shape != (A.L, A.L):
+        raise VerificationError(f"logits shape {z.shape} does not match L={A.L}")
+    target = compile_target(A, causal)
     cond1, cond2 = row_margins(z, target, 0)
     return margin_report(z, target, cond1, cond2, eps1, eps2)
 

@@ -110,13 +110,12 @@ def reference_generate(params, seed):
 def reference_project_pair(x, y, params, seed):
     """Explicit-matrix route that ``concentration.project_pair`` replaces.
 
-    Orthogonal mode forms ``R = sigma sqrt(p) y^T`` from the QR-and-sign-fix
-    sample ``y = sample_stiefel(p, m, seed)``; iid mode draws ``R`` as sigma
-    times an m x p Gaussian.  Returns ``(Rx).(Ry) / (m sigma^2)``.
+    Orthogonal mode forms ``R = sqrt(p) y^T`` from the QR-and-sign-fix
+    sample ``y = sample_stiefel(p, m, seed)``; iid mode draws ``R`` as an
+    m x p standard Gaussian.  Returns ``(Rx).(Ry) / m``.
     """
     if params.mode == MODE_ORTHOGONAL:
-        y_basis = sample_stiefel(params.p, params.m, seed)
-        r = params.sigma * math.sqrt(params.p) * y_basis.T
+        r = math.sqrt(params.p) * sample_stiefel(params.p, params.m, seed).T
     else:
-        r = params.sigma * np.random.default_rng(seed).standard_normal((params.m, params.p))
-    return float((r @ x) @ (r @ y) / (params.m * params.sigma**2))
+        r = np.random.default_rng(seed).standard_normal((params.m, params.p))
+    return float((r @ x) @ (r @ y) / params.m)

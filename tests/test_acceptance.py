@@ -62,7 +62,7 @@ def run_exact_projection(params, A):
     inputs = assemble(compress(factors, y, d))
     z = logits(inputs)
     report = check_conditions(z, A, params.eps1, params.eps2, causal=params.causal)
-    gap_error = float(np.abs(z - gap.values).max())
+    gap_error = float(np.abs(z - gap).max())
     return z, report, gap_error
 
 
@@ -202,19 +202,23 @@ def test_criterion_06_spectral_bound():
 
 
 def test_criterion_07_unbiasedness():
+    # Each sample is the logits the redraw search forms for one redraw,
+    # s^2 F_L G C^-1 G^T F_R^T (Gram route at L=32, d=8); a single-redraw
+    # search evaluates its only redraw in full.
     params = ApproxParams(L=32, k=2, gamma=2.0, eps1=0.15, eps2=0.7)
     A = generate(params, seed=7)
     gap = build_log_gap(A, params.eps1, params.eps2)
     factors = svd_factor(gap)
+    target = compile_target(A)
     n, d = 2000, 8
     samples = np.empty((n, 32, 32))
     for t in range(n):
-        y = sample_stiefel(32, d // 2, derive_seed(700, t))
-        pair = compress(factors, y, d)
-        samples[t] = pair.left @ pair.right.T
+        _, _, samples[t], _ = search_width(
+            factors, target, d, 1, derive_seed(700, t), params.eps1, params.eps2
+        )
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / math.sqrt(n)
-    inside = np.abs(mean - gap.values) <= 3.0 * se
+    inside = np.abs(mean - gap) <= 3.0 * se
     frac = float(np.mean(inside))
     print(f"  unbiasedness: {frac:.4f} of entries within 3 SE")
     violations = [] if frac >= 0.99 else [f"only {frac:.4f} of entries within 3 SE"]

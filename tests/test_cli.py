@@ -113,6 +113,27 @@ def test_approx_rejects_zero_redraw_budget(tmp_path, capsys):
     assert "0 redraws" in capsys.readouterr().err
 
 
+def test_approx_rejects_eps2_outside_the_params_range(tmp_path, capsys):
+    coo = tmp_path / "id.coo"
+    write_identity_coo(coo, L=8)
+    assert run("approx", "--input", coo, "--d", 16, "--eps2", 1.5) == 2
+    assert "eps2 must lie in (0, sqrt(2))" in capsys.readouterr().err
+
+
+def test_approx_prints_strict_json_when_a_condition_has_no_pairs(tmp_path, capsys):
+    # A k=1 target has no row with two nonzeros, so no nonzero pair exists.
+    coo = tmp_path / "k1.coo"
+    assert run("generate", "--L", 64, "--k", 1, "--seed", 3, "--out", coo) == 0
+    capsys.readouterr()
+    run("approx", "--input", coo, "--d", 128, "--q", 0.1)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payload["report"]["worst_nonzero_dev"] is None
+
+
 def test_approx_dumps_are_loadable(tmp_path):
     coo = tmp_path / "id.coo"
     write_identity_coo(coo, L=8)
@@ -160,6 +181,17 @@ def test_sweep_default_grid_spans_200_600(tmp_path):
     parsed, _ = load_sweep_config(cfg)
     grid = parsed.d_grid()
     assert len(grid) == 30 and grid[0] == 200 and grid[-1] == 600
+
+
+def test_sweep_config_keys_left_out_take_the_sweep_defaults(tmp_path):
+    from sparseattn.cli import load_sweep_config
+    from sparseattn.sweep import SweepConfig
+
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("k = 1\ngamma = 1.0\neps1 = 0.15\neps2 = 1.41\nL_grid = 16,32\n")
+    parsed, q_values = load_sweep_config(cfg)
+    assert parsed == SweepConfig(params=parsed.params, L_grid=[16, 32])
+    assert q_values == []
 
 
 def test_sweep_empty_L_grid_rejected(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import reference_project_pair
-from sparseattn import construct
+from sparseattn import concentration, construct
 from sparseattn._seeds import derive_seed
 from sparseattn.concentration import (
     MODE_IID,
@@ -16,7 +16,6 @@ from sparseattn.concentration import (
     estimate_errors,
     project_pair,
     run_bench,
-    tail_estimate,
     theoretical_tail,
 )
 from sparseattn.construct import sample_stiefel
@@ -35,7 +34,7 @@ def unit_vectors(p, seed=0):
 def test_full_dimension_orthogonal_is_exact():
     p = 32
     x, y = unit_vectors(p, seed=1)
-    params = JltParams(p=p, m=p, sigma=0.7, mode=MODE_ORTHOGONAL)
+    params = JltParams(p=p, m=p, mode=MODE_ORTHOGONAL)
     for seed in range(5):
         est = project_pair(x, y, params, seed)
         assert est == pytest.approx(float(x @ y), abs=1e-10)
@@ -70,18 +69,17 @@ dims = st.integers(2, 300).flatmap(lambda p: st.tuples(st.just(p), st.integers(1
 @settings(max_examples=60, deadline=None)
 @given(
     pm=dims,
-    sigma=st.floats(0.01, 100.0),
     mode=st.sampled_from([MODE_ORTHOGONAL, MODE_IID]),
     seed=st.integers(0, 2**32),
 )
-@example(pm=(64, 32), sigma=1.0, mode=MODE_ORTHOGONAL, seed=7)  # 2m = p: Gram
-@example(pm=(63, 32), sigma=1.0, mode=MODE_ORTHOGONAL, seed=7)  # 2m = p + 1: QR
-@example(pm=(300, 150), sigma=3.0, mode=MODE_ORTHOGONAL, seed=1)
-@example(pm=(299, 150), sigma=3.0, mode=MODE_ORTHOGONAL, seed=1)
-def test_project_pair_matches_explicit_projection(pm, sigma, mode, seed):
+@example(pm=(64, 32), mode=MODE_ORTHOGONAL, seed=7)  # 2m = p: Gram
+@example(pm=(63, 32), mode=MODE_ORTHOGONAL, seed=7)  # 2m = p + 1: QR
+@example(pm=(300, 150), mode=MODE_ORTHOGONAL, seed=1)
+@example(pm=(299, 150), mode=MODE_ORTHOGONAL, seed=1)
+def test_project_pair_matches_explicit_projection(pm, mode, seed):
     p, m = pm
     x, y = unit_vectors(p, seed=seed % 1000)
-    params = JltParams(p=p, m=m, sigma=sigma, mode=mode)
+    params = JltParams(p=p, m=m, mode=mode)
     got = project_pair(x, y, params, seed)
     want = reference_project_pair(x, y, params, seed)
     if mode == MODE_IID:
@@ -142,11 +140,17 @@ def test_theoretical_tail_rejects_unknown_mode():
 # -------------------------------------------------------------------- tails
 
 
+def empirical_tail(x, y, params, eps, seed):
+    """Frequency of |estimate - x.y| >= eps ||x|| ||y||, as run_bench counts it."""
+    errors = np.abs(estimate_errors(x, y, params, seed=seed))
+    return float(np.mean(errors >= eps * float(np.linalg.norm(x) * np.linalg.norm(y))))
+
+
 def test_tail_zero_at_full_dimension():
     p = 16
     x, y = unit_vectors(p, seed=3)
-    params = JltParams(p=p, m=p, mode=MODE_ORTHOGONAL, epsilon=0.25, n_samples=200)
-    assert tail_estimate(x, y, params, seed=5) == 0.0
+    params = JltParams(p=p, m=p, mode=MODE_ORTHOGONAL, n_samples=200)
+    assert empirical_tail(x, y, params, 0.25, seed=5) == 0.0
 
 
 def test_tail_small_for_wide_epsilon():
@@ -155,8 +159,8 @@ def test_tail_small_for_wide_epsilon():
     y = np.zeros(p)
     x[0] = 1.0
     y[1] = 1.0
-    params = JltParams(p=p, m=32, mode=MODE_ORTHOGONAL, epsilon=0.9, n_samples=2000)
-    emp = tail_estimate(x, y, params, seed=1)
+    params = JltParams(p=p, m=32, mode=MODE_ORTHOGONAL, n_samples=2000)
+    emp = empirical_tail(x, y, params, 0.9, seed=1)
     bound = theoretical_tail(p, 32, 0.9, MODE_ORTHOGONAL)
     se = math.sqrt(bound * (1 - bound) / 2000)
     assert emp <= bound + 3 * se
@@ -168,8 +172,8 @@ def test_tail_nonincreasing_in_m_aggregate():
     x, y = unit_vectors(p, seed=4)
     tails = []
     for m in (4, 16, 64):
-        params = JltParams(p=p, m=m, mode=MODE_ORTHOGONAL, epsilon=0.5, n_samples=n)
-        tails.append(tail_estimate(x, y, params, seed=m))
+        params = JltParams(p=p, m=m, mode=MODE_ORTHOGONAL, n_samples=n)
+        tails.append(empirical_tail(x, y, params, 0.5, seed=m))
     slack = 3.0 * math.sqrt(0.25 / n)
     assert tails[1] <= tails[0] + slack
     assert tails[2] <= tails[1] + slack
@@ -208,14 +212,37 @@ def test_run_bench_grid_cardinality_and_bounds():
         assert row.theoretical_tail == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        dict(eps_values=(0.5, 1.5, -2.0)),  # only a later epsilon is bad
+        dict(eps_values=(1.5, 0.5)),
+        dict(eps_values=(0.5, 1.0)),
+        dict(p_values=(16, 4)),  # m=8 exceeds only the second p
+        dict(m_values=(4, 0)),
+        dict(n_samples=0),
+        dict(p_values=()),
+        dict(m_values=()),
+        dict(eps_values=()),
+    ],
+    ids=["later-eps", "first-eps", "eps-one", "m-above-second-p", "m-zero",
+         "no-samples", "empty-p", "empty-m", "empty-eps"],
+)
+def test_run_bench_validates_the_whole_grid_before_drawing(grid, monkeypatch):
+    draws = []
+    monkeypatch.setattr(
+        concentration, "estimate_errors", lambda *args, **kwargs: draws.append(args)
+    )
+    kwargs = dict(p_values=(16,), m_values=(8,), eps_values=(0.5,), n_samples=5)
+    with pytest.raises(ValueError):
+        run_bench(**{**kwargs, **grid})
+    assert draws == []
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         JltParams(p=8, m=9)
     with pytest.raises(ValueError):
-        JltParams(p=8, m=4, sigma=0.0)
-    with pytest.raises(ValueError):
         JltParams(p=8, m=4, mode="other")
-    with pytest.raises(ValueError):
-        JltParams(p=8, m=4, epsilon=1.0)
     with pytest.raises(ValueError):
         JltParams(p=8, m=4, n_samples=0)

@@ -9,7 +9,6 @@ from sparseattn.construct import (
     assemble,
     build_log_gap,
     compress,
-    reconstruct_target,
     sample_stiefel,
     svd_factor,
 )
@@ -28,7 +27,7 @@ def test_log_gap_single_entry_row():
     A = matrix_from_rows([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
     gap = build_log_gap(A, 0.1, 0.5)
     expected = -math.log(0.1) + 0.5
-    np.testing.assert_allclose(np.diag(gap.values), expected, rtol=1e-15)
+    np.testing.assert_allclose(np.diag(gap), expected, rtol=1e-15)
     assert expected == pytest.approx(2.802585092994046)
 
 
@@ -37,17 +36,17 @@ def test_log_gap_two_entry_row():
     gap = build_log_gap(A, 0.15, 1.41)
     want0 = math.log(2 / 3) - math.log(1 / 3) - math.log(0.15) + 1.41
     want1 = -math.log(0.15) + 1.41
-    np.testing.assert_allclose(gap.values[0, :2], [want0, want1], rtol=1e-12)
+    np.testing.assert_allclose(gap[0, :2], [want0, want1], rtol=1e-12)
     assert want0 == pytest.approx(4.0003, abs=1e-4)
     assert want1 == pytest.approx(3.3071, abs=1e-4)
-    assert gap.values[0, 2] == 0.0
+    assert gap[0, 2] == 0.0
 
 
 def test_log_gap_identity_scaled():
     A = matrix_from_rows(np.eye(4))
     gap = build_log_gap(A, 0.5, 0.1)
     np.testing.assert_allclose(
-        gap.values, (math.log(2.0) + 0.1) * np.eye(4), rtol=1e-15, atol=0
+        gap, (math.log(2.0) + 0.1) * np.eye(4), rtol=1e-15, atol=0
     )
 
 
@@ -56,8 +55,8 @@ def test_log_gap_zero_pattern_and_bounds():
     A = generate(params, seed=9)
     gap = build_log_gap(A, params.eps1, params.eps2)
     dense = A.to_dense()
-    assert np.all((gap.values == 0.0) == (dense == 0.0))
-    nz = gap.values[dense != 0.0]
+    assert np.all((gap == 0.0) == (dense == 0.0))
+    nz = gap[dense != 0.0]
     assert np.all(nz >= -math.log(params.eps1) + params.eps2 - 1e-12)
     assert np.all(nz <= math.log(params.gamma / params.eps1) + params.eps2 + 1e-12)
 
@@ -68,46 +67,17 @@ def test_log_gap_rejects_bad_eps():
         build_log_gap(A, 1.5, 0.5)
     with pytest.raises(ValueError):
         build_log_gap(A, 0.5, 0.0)
-
-
-# ------------------------------------------------------------ reconstruction
-
-
-def test_reconstruct_identity():
-    A = matrix_from_rows(np.eye(3))
-    gap = build_log_gap(A, 0.15, 1.41)
-    c = reconstruct_target(gap)
-    np.testing.assert_allclose(np.diag(c), 1.0, rtol=1e-12)
-    off = c[~np.eye(3, dtype=bool)]
-    np.testing.assert_allclose(off, 0.15 * math.exp(-1.41), rtol=1e-12)
-
-
-def test_reconstruct_two_entry_row():
-    A = matrix_from_rows([[2 / 3, 1 / 3, 0], [0, 1, 0], [0, 0, 1]])
-    c = reconstruct_target(build_log_gap(A, 0.15, 1.41))
-    filler = 0.15 * math.exp(-1.41) * (1 / 3)
-    np.testing.assert_allclose(c[0], [2 / 3, 1 / 3, filler], rtol=1e-12)
-    assert filler == pytest.approx(0.0122, abs=1e-4)
-
-
-def test_reconstruct_matches_target_at_nonzeros():
-    params = ApproxParams(L=48, k=2, gamma=2.0, eps1=0.2, eps2=0.7)
-    A = generate(params, seed=21)
-    c = reconstruct_target(build_log_gap(A, params.eps1, params.eps2))
-    dense = A.to_dense()
-    nz = dense != 0
-    np.testing.assert_allclose(c[nz], dense[nz], rtol=1e-12)
-    assert c[~nz].max() <= params.eps1
+    # The eps2 range is ApproxParams': (0, sqrt(2)).
+    build_log_gap(A, 0.5, 1.41)
+    with pytest.raises(ValueError, match=r"\(0, sqrt\(2\)\)"):
+        build_log_gap(A, 0.5, math.sqrt(2.0))
 
 
 # ----------------------------------------------------------------------- SVD
 
 
 def test_svd_zero_matrix():
-    A = matrix_from_rows(np.eye(3))
-    gap = build_log_gap(A, 0.5, 0.1)
-    gap.values = np.zeros((3, 3))
-    f = svd_factor(gap)
+    f = svd_factor(np.zeros((3, 3)))
     assert np.all(f.singular_values == 0.0)
     np.testing.assert_array_equal(f.left, np.zeros((3, 3)))
 
@@ -118,7 +88,7 @@ def test_svd_scaled_identity():
     c = math.log(2.0) + 0.1
     f = svd_factor(gap)
     np.testing.assert_allclose(f.singular_values, c, rtol=1e-14)
-    np.testing.assert_allclose(f.left @ f.right.T, gap.values, atol=1e-14)
+    np.testing.assert_allclose(f.left @ f.right.T, gap, atol=1e-14)
 
 
 def test_svd_reconstruction_and_spectral_bound():
@@ -127,7 +97,7 @@ def test_svd_reconstruction_and_spectral_bound():
     gap = build_log_gap(A, params.eps1, params.eps2)
     f = svd_factor(gap)
     sigma1_cap = params.k * max(math.log(params.gamma / params.eps1) + params.eps2, 1.0)
-    assert np.abs(f.left @ f.right.T - gap.values).max() < 1e-8
+    assert np.abs(f.left @ f.right.T - gap).max() < 1e-8
     assert f.singular_values[0] <= sigma1_cap
     assert sigma1_cap == pytest.approx(2 * 3.0903, abs=1e-3)
     # Factorization invariants.
@@ -193,14 +163,11 @@ def test_compress_full_dimension_reproduces_gap_matrix():
     _, gap, f = full_pipeline_matrices()
     y = sample_stiefel(16, 16, seed=1)
     pair = compress(f, y, 32)
-    np.testing.assert_allclose(pair.left @ pair.right.T, gap.values, atol=1e-8)
+    np.testing.assert_allclose(pair.left @ pair.right.T, gap, atol=1e-8)
 
 
 def test_compress_zero_factorization():
-    A = matrix_from_rows(np.eye(3))
-    gap = build_log_gap(A, 0.5, 0.1)
-    gap.values = np.zeros((3, 3))
-    f = svd_factor(gap)
+    f = svd_factor(np.zeros((3, 3)))
     pair = compress(f, sample_stiefel(3, 1, seed=0), 2)
     np.testing.assert_array_equal(pair.left, np.zeros((3, 1)))
     np.testing.assert_array_equal(pair.left @ pair.right.T, np.zeros((3, 3)))
@@ -226,7 +193,7 @@ def test_compress_unbiased():
         samples[t] = pair.left @ pair.right.T
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / math.sqrt(n)
-    frac = np.mean(np.abs(mean - gap.values) <= 3.0 * se + 1e-12)
+    frac = np.mean(np.abs(mean - gap) <= 3.0 * se + 1e-12)
     assert frac >= 0.99
 
 

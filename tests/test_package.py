@@ -1,0 +1,35 @@
+"""The public surface of the package and the demos that use it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sparseattn
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_public_names_resolve_once_each():
+    assert len(set(sparseattn.__all__)) == len(sparseattn.__all__)
+    for name in sparseattn.__all__:
+        assert getattr(sparseattn, name) is not None, name
+    for module, gone in [
+        (sparseattn.construct, "LogGapMatrix"),
+        (sparseattn.construct, "reconstruct_target"),
+        (sparseattn.concentration, "tail_estimate"),
+    ]:
+        assert not hasattr(sparseattn, gone) and not hasattr(module, gone)
+
+
+@pytest.mark.parametrize("demo", ["approximate_sparse_matrix.py", "jlt_concentration.py"])
+def test_demo_runs(demo, tmp_path):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]

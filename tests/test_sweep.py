@@ -296,7 +296,7 @@ def last_row_violation_instance(L=64):
     ``left @ y @ y.T`` = ``left`` up to roundoff."""
     params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41)
     A = generate(params, 3)
-    z = build_log_gap(A, params.eps1, params.eps2).values.copy()
+    z = build_log_gap(A, params.eps1, params.eps2)
     j = int(np.flatnonzero(A.to_dense()[L - 1] == 0.0)[0])
     z[L - 1, j] += 10.0
     factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))

@@ -82,7 +82,7 @@ def exact_logit_instance(L=12, k=2, gamma=2.0, seed=5, causal=False):
 
 def test_exact_logits_pass_with_margin():
     params, A, gap = exact_logit_instance()
-    report = check_conditions(gap.values, A, params.eps1, params.eps2)
+    report = check_conditions(gap, A, params.eps1, params.eps2)
     assert report.passed
     # Substituting the log-gap definition leaves at least eps2 of headroom.
     assert report.worst_zero_ratio_log <= math.log(params.eps1) - params.eps2 + 1e-12
@@ -230,8 +230,7 @@ def test_causal_check_ignores_upper_triangle():
     # Plant a blatant violation strictly above the diagonal; the causal
     # check must not see it.
     A = random_causal_matrix(6, 2, 2.0, seed=3)
-    gap = build_log_gap(A, 0.15, 0.7)
-    z = gap.values.copy()
+    z = build_log_gap(A, 0.15, 0.7)
     z[0, 5] = 50.0
     assert check_conditions(z, A, 0.15, 0.7, causal=True).passed
     assert not check_conditions(z, A, 0.15, 0.7, causal=False).passed
@@ -249,7 +248,7 @@ def test_report_json_round_trip():
     assert back == {
         "passed": False,
         "worst_zero_ratio_log": -0.25,
-        "worst_nonzero_dev": -math.inf,
+        "worst_nonzero_dev": None,  # no pair of its kind
         "n_triples_checked": 42,
         "first_violation": [1, 2, 3, "zero_ratio"],
     }
@@ -298,6 +297,6 @@ def test_causal_generation_failureproof_instances_pass():
         except GenerationError:
             continue
         gap = build_log_gap(A, params.eps1, params.eps2)
-        assert check_conditions(gap.values, A, params.eps1, params.eps2, causal=True).passed
+        assert check_conditions(gap, A, params.eps1, params.eps2, causal=True).passed
         checked += 1
     assert checked >= 3
