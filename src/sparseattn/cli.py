@@ -118,21 +118,20 @@ def load_sweep_config(path) -> tuple[sweep_mod.SweepConfig, list[float]]:
     if problems:
         raise UsageError("config errors:\n  " + "\n  ".join(problems))
 
+    def given(*keys):
+        # Keys the file leaves out take ApproxParams' and SweepConfig's defaults.
+        return {key: values[key] for key in keys if key in values}
+
     l_grid = values["L_grid"]
-    if not l_grid:
-        raise UsageError("L_grid must not be empty")
+    # params.L is a placeholder that each record overrides.  The largest L
+    # admits every k the grid does; an empty grid is SweepConfig's to reject.
     params = ApproxParams(
-        L=max(l_grid),
-        k=values["k"],
-        gamma=values["gamma"],
-        eps1=values["eps1"],
-        eps2=values["eps2"],
-        causal=values.get("causal", False),
+        L=max(l_grid, default=max(values["k"], 2)), **given("k", "gamma", "eps1", "eps2", "causal")
     )
-    # Keys the file leaves out take SweepConfig's defaults.
-    optional = ("d_lower", "d_upper", "d_points", "q", "trials_per_L", "master_seed")
-    grid = {key: values[key] for key in optional if key in values}
-    cfg = sweep_mod.SweepConfig(params=params, L_grid=l_grid, **grid)
+    cfg = sweep_mod.SweepConfig(
+        params=params, L_grid=l_grid,
+        **given("d_lower", "d_upper", "d_points", "q", "trials_per_L", "master_seed"),
+    )
     return cfg, values.get("q_values", [])
 
 
@@ -168,11 +167,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    if args.d % 2 != 0 or args.d <= 0:
-        raise UsageError(f"--d must be a positive even integer, got {args.d}")
     A = read_coo(args.input)
-    if args.d > 2 * A.L:
-        raise UsageError(f"need d <= 2L, got d={args.d}, L={A.L}")
+    sweep_mod.check_width(args.d, A.L)
     n_redraws = int(round(args.q * A.L))
     if n_redraws < 1:
         raise UsageError(f"--q {args.q} gives round(q * L) = {n_redraws} redraws at L={A.L}")

@@ -49,9 +49,12 @@ CSV_HEADER = "L,trial,q,d_min,theoretical_d,redraws_used,seed"
 # one thread: two processes sharing two cores lose to the serial loop when
 # each runs a multithreaded BLAS.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# Rows in the first block of a redraw's logits; each next block doubles.
-# Failing redraws mostly fail within the first few dozen rows.
-FIRST_BLOCK_ROWS = 16
+# How a redraw forms its logit rows.  Each key of SOLVE_SPANS starts a span of
+# rows, ending at its value, that one solve against C turns into
+# s^2 ((F_L G) C^-1 G^T) F_R^T: rows [0, 16) and [16, 48).  Rows from
+# KEYS_FROM on use the keys F_R G C^-1, which cost one L^2 h product.
+SOLVE_SPANS = {0: 16, 16: 48}
+KEYS_FROM = max(SOLVE_SPANS.values())
 
 
 @dataclass
@@ -155,13 +158,22 @@ def theoretical_d(params: ApproxParams, L: int) -> float:
     )
 
 
-def _row_blocks(L: int):
-    """Row ranges [lo, hi) covering 0 .. L - 1: FIRST_BLOCK_ROWS rows, then
-    each block twice the size of the one before."""
-    lo, size = 0, FIRST_BLOCK_ROWS
-    while lo < L:
-        yield lo, min(lo + size, L)
-        lo, size = lo + size, 2 * size
+def check_width(d: int, L: int) -> None:
+    """Raise ValueError unless ``d`` is a width the redraw search can realize
+    at length ``L``: a positive even integer, at most ``2L``."""
+    if d % 2 != 0 or d <= 0:
+        raise ValueError(f"d must be a positive even integer, got {d}")
+    if d > 2 * L:
+        raise ValueError(f"need d <= 2L, got d={d}, L={L}")
+
+
+def _scaled_left(factors: Factorization, g: np.ndarray, scale2: float, left: np.ndarray,
+                 lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo .. hi - 1`` of ``s^2 F_L G``, written into ``left``."""
+    out = left[lo:hi]
+    np.matmul(factors.left[lo:hi], g, out=out)
+    out *= scale2
+    return out
 
 
 def search_width(
@@ -186,23 +198,25 @@ def search_width(
     because ``kappa(C) = kappa(G)^2`` blows up as h nears L.  Both routes
     give the same logits up to roundoff.
 
-    Each redraw is evaluated in row blocks (``_row_blocks``), each block
+    Each redraw is evaluated in the row blocks of ``target.blocks``
+    (``verify.row_blocks``: rows 0-3, 4-15, 16-47, then doubling), each block
     formed into one L x L buffer and checked (``row_margins``) in turn, and a
     redraw that is not the last one stops at the first block holding a
-    violating row.  The first block is ``s^2 ((F_L[0:16] G) C^-1 G^T) F_R^T``,
-    with one solve against ``C``; only a redraw that survives it inverts ``C``
-    and forms the keys ``F_R G C^-1`` for the blocks after.  The QR route
-    takes the same steps with ``G = y`` and ``C`` the identity.  Pass or fail
-    is exactly that of the full check of the logits formed, which agree with
-    the QR route's unblocked product to roundoff (BLAS sums depend on the
-    operand shape).  The last redraw is always evaluated in full, so the
-    logits and report returned are complete; a passing redraw's report is
-    built from the margins of its blocks.  A non-finite logit raises
-    ``VerificationError`` in any row the search evaluates; rows after the
-    failing block of an earlier redraw are not evaluated.
+    violating row.  Rows 0-15 are ``s^2 ((F_L[0:16] G) C^-1 G^T) F_R^T`` from
+    one solve against ``C``, formed and checked as rows 0-3 and then 4-15;
+    rows 16-47 take the same route with a second solve.  Only a redraw that
+    survives row 47 inverts ``C`` and forms the keys ``F_R G C^-1``, the one
+    ``L^2 h`` product, for the blocks after.  The QR route takes the same
+    steps with ``G = y`` and ``C`` the identity.  Pass or fail is exactly that
+    of the full check of the logits formed, which agree with the QR route's
+    unblocked product to roundoff (BLAS sums depend on the operand shape).
+    The last redraw is always evaluated in full, so the logits and report
+    returned are complete; a passing redraw's report is built from the
+    margins of its blocks.  A non-finite logit raises ``VerificationError``
+    in any row the search evaluates; rows after the failing block of an
+    earlier redraw are not evaluated.
     """
-    if d % 2 != 0 or d <= 0:
-        raise ValueError(f"d must be a positive even integer, got {d}")
+    check_width(d, target.L)
     if n_redraws < 1:
         raise ValueError(f"n_redraws must be >= 1, got {n_redraws}")
     L, h = target.L, d // 2
@@ -212,19 +226,21 @@ def search_width(
     cond1, cond2 = np.empty(L), np.empty(L)
     for t in range(n_redraws):
         g, c = projector_basis(L, h, derive_seed(seed, 1, d, t))
-        # One L x d/2 array per redraw, filled block by block, rather than a
+        # One L x d/2 array per redraw, filled span by span, rather than a
         # temporary per block: block-sized temporaries stayed resident in the
         # C heap and raised the peak memory of repeated approx calls at
         # L=2048 by about 18 MB.
         left = np.empty((L, h))
         keys = None
         last = t == n_redraws - 1
-        for lo, hi in _row_blocks(L):
-            np.matmul(factors.left[lo:hi], g, out=left[lo:hi])
-            left[lo:hi] *= scale2
-            if lo == 0:
-                rows = left[:hi] if c is None else np.linalg.solve(c, left[:hi].T).T
-                np.matmul(rows @ g.T, factors.right.T, out=z[:hi])
+        for lo, hi in target.blocks:
+            if lo in SOLVE_SPANS:  # s^2 (F_L G) C^-1 for the span's rows
+                span_lo = lo
+                x = _scaled_left(factors, g, scale2, left, lo, min(SOLVE_SPANS[lo], L))
+                if c is not None:
+                    x = np.linalg.solve(c, x.T).T
+            if lo < KEYS_FROM:
+                np.matmul(x[lo - span_lo:hi - span_lo] @ g.T, factors.right.T, out=z[lo:hi])
             else:
                 if keys is None:
                     keys = factors.right @ g
@@ -233,11 +249,9 @@ def search_width(
                         # sides: the solve's L x h buffers raised the peak
                         # memory of repeated approx calls at L=2048 by 16 MB.
                         keys = keys @ np.linalg.inv(c)
-                np.matmul(left[lo:hi], keys.T, out=z[lo:hi])
+                np.matmul(_scaled_left(factors, g, scale2, left, lo, hi), keys.T, out=z[lo:hi])
             cond1[lo:hi], cond2[lo:hi] = row_margins(z[lo:hi], target, lo)
-            if not last and (
-                (cond1[lo:hi] >= log_eps1).any() or (cond2[lo:hi] >= eps2).any()
-            ):
+            if not last and (cond1[lo:hi].max() >= log_eps1 or cond2[lo:hi].max() >= eps2):
                 break
         else:  # every block evaluated: a pass, or the last redraw
             report = margin_report(z, target, cond1, cond2, eps1, eps2)

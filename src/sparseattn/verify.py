@@ -10,11 +10,13 @@ softmax row ratio equals the exponential of the logit difference, both
 conditions reduce to differences of logits, which stay finite where the
 attention entries themselves would overflow or underflow.  It compiles the
 target once (``compile_target``) to its per-row nonzero columns and
-log-values, in O(nnz + L) with no L x L array.  ``row_margins`` gives each
-row's two condition values for any block of rows and ``margin_report`` turns
-them into the report; ``check_conditions`` runs both over every row, and a
-redraw search checks each block of logits as it forms it and stops at the
-first violating row.  ``check_direct`` evaluates the same conditions
+log-values, in O(nnz + L) with no L x L array, and to one gather plan per
+row block of a redraw search (``row_blocks``: rows 0-3, 4-15, 16-47, then
+doubling).  ``row_margins`` gives each row's two condition values for any
+block of rows and ``margin_report`` turns them into the report;
+``check_conditions`` runs both over every row, and a redraw search checks
+each block of logits as it forms it and stops at the first block holding a
+violating row.  ``check_direct`` evaluates the same conditions
 literally on attention-matrix entries, with its own masks built from the
 target, and is the small-instance oracle the log-domain path is tested
 against.
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,6 +78,39 @@ def _null_if_no_pairs(worst: float) -> float | None:
     return None if worst == -math.inf else worst
 
 
+def row_blocks(L: int) -> list[tuple[int, int]]:
+    """The row blocks ``[lo, hi)`` in which a redraw search forms and checks
+    logits: ``[0, 4)``, ``[4, 16)``, ``[16, 48)``, then each block twice the
+    size of the one before, cut at ``L``.  Failing redraws mostly fail
+    within the first few rows."""
+    bounds, size = [0, 4, 16], 32
+    while bounds[-1] < L:
+        bounds.append(bounds[-1] + size)
+        size *= 2
+    return [(lo, min(hi, L)) for lo, hi in zip(bounds, bounds[1:]) if lo < L]
+
+
+@dataclass
+class BlockPlan:
+    """What ``row_margins`` gathers for the rows ``lo .. hi - 1``.
+
+    ``flat`` holds the block's considered nonzeros as offsets into its
+    row-major ``(hi - lo) x L`` logits, in row-major order, and ``log_vals``
+    their target log-values.  ``nz_rows`` selects the block's rows that hold
+    a considered nonzero (a full slice when every row does), ``starts`` gives
+    their segments of ``flat``, and ``valid1`` / ``valid2`` mark which of
+    them have pairs for condition 1 (a zero position) and condition 2 (a
+    second nonzero).
+    """
+
+    flat: np.ndarray
+    log_vals: np.ndarray
+    nz_rows: np.ndarray | slice
+    starts: np.ndarray
+    valid1: np.ndarray
+    valid2: np.ndarray
+
+
 @dataclass
 class CompiledTarget:
     """The target as the log-domain check reads it, built once per matrix in
@@ -87,6 +122,8 @@ class CompiledTarget:
     ``nz_counts`` and ``zero_counts`` count each row's considered nonzero and
     zero positions (in causal mode only columns ``j <= i`` are considered),
     and ``n_triples`` is the number of (j1, j2) pairs the conditions cover.
+    ``blocks`` maps each row block of ``row_blocks(L)`` to its ``BlockPlan``,
+    so the search's margin calls gather without rebuilding any index.
     """
 
     L: int
@@ -98,6 +135,7 @@ class CompiledTarget:
     nz_counts: np.ndarray
     zero_counts: np.ndarray
     n_triples: int
+    blocks: dict[tuple[int, int], BlockPlan] = field(default_factory=dict)
 
 
 def compile_target(A: SparseStochasticMatrix, causal: bool = False) -> CompiledTarget:
@@ -111,8 +149,25 @@ def compile_target(A: SparseStochasticMatrix, causal: bool = False) -> CompiledT
     zero_counts = considered - nz_counts
     # Zero/nonzero pairs for condition 1, distinct nonzero pairs for condition 2.
     n_triples = int(np.sum(zero_counts * nz_counts) + np.sum(nz_counts * (nz_counts - 1)))
-    return CompiledTarget(
+    target = CompiledTarget(
         L, causal, rows, cols, np.log(A.vals[keep]), row_ptr, nz_counts, zero_counts, n_triples
+    )
+    target.blocks = {(lo, hi): _block_plan(target, lo, hi) for lo, hi in row_blocks(L)}
+    return target
+
+
+def _block_plan(target: CompiledTarget, lo: int, hi: int) -> BlockPlan:
+    """The ``BlockPlan`` of the rows ``lo .. hi - 1``, in O(nnz of the rows)."""
+    start, end = target.row_ptr[lo], target.row_ptr[hi]
+    flat = (target.rows[start:end] - lo) * target.L + target.cols[start:end]
+    nz_counts = target.nz_counts[lo:hi]
+    has_nz = nz_counts > 0
+    return BlockPlan(
+        flat, target.log_vals[start:end],
+        slice(None) if has_nz.all() else np.flatnonzero(has_nz),
+        target.row_ptr[lo:hi][has_nz] - start,
+        (target.zero_counts[lo:hi] > 0)[has_nz],
+        (nz_counts >= 2)[has_nz],
     )
 
 
@@ -143,44 +198,51 @@ def row_margins(
     Per row, condition 1 reduces to max(z over zeros) - min(z over
     nonzeros), to compare with log(eps1), and condition 2 to the spread of
     ``z - log(target)`` over nonzeros, to compare with eps2, so the work is
-    one masked row-max plus O(nnz) gathers while agreeing exactly with full
-    pair enumeration.  A row without pairs of a kind gets -inf for it.
-    Raises on a non-finite logit at a considered position of these rows.
+    one row-max plus O(nnz) gathers while agreeing exactly with full pair
+    enumeration.  A row without pairs of a kind gets -inf for it.  Raises on
+    a non-finite logit at a considered position of these rows.
+
+    The gathers come from the block's ``BlockPlan``, built on the spot for a
+    range that is not one of ``target.blocks``.  In non-causal mode the
+    zero-position maximum needs no mask: the block's nonzero cells are set
+    to -inf for one plain row-max and then restored, so ``z_rows`` reads
+    bit-identical after the call (a read-only block is copied first).
+    Causal mode masks the positions above the diagonal.
     """
     hi = lo + z_rows.shape[0]
-    start, end = target.row_ptr[lo], target.row_ptr[hi]
-    local, cols = target.rows[start:end] - lo, target.cols[start:end]
-    # The considered positions of these rows; clearing the nonzeros from it
-    # below leaves the zero positions.
-    if target.causal:
-        zero_mask = np.arange(target.L) <= np.arange(lo, hi)[:, None]
-    else:
-        zero_mask = np.ones(z_rows.shape, dtype=bool)
+    plan = target.blocks.get((lo, hi)) or _block_plan(target, lo, hi)
     if not np.isfinite(z_rows).all():
-        bad = ~np.isfinite(z_rows) & zero_mask
+        bad = ~np.isfinite(z_rows)
+        if target.causal:
+            bad &= np.arange(target.L) <= np.arange(lo, hi)[:, None]
         if bad.any():
             i, j = (int(v) for v in np.argwhere(bad)[0])
             raise VerificationError(f"non-finite logit {z_rows[i, j]} at row {lo + i}, column {j}")
-    zero_mask[local, cols] = False
+    z_flat = z_rows.reshape(-1)
+    z_nz = z_flat[plan.flat]
+    if target.causal:
+        zero_mask = np.arange(target.L) <= np.arange(lo, hi)[:, None]
+        zero_mask.reshape(-1)[plan.flat] = False
+        z_zero_max = np.max(z_rows, axis=1, where=zero_mask, initial=-np.inf)
+    else:
+        if not z_flat.flags.writeable:
+            z_flat = z_flat.copy()
+        z_flat[plan.flat] = -np.inf
+        z_zero_max = z_flat.reshape(z_rows.shape).max(axis=1)
+        z_flat[plan.flat] = z_nz
 
-    nz_counts = target.nz_counts[lo:hi]
-    z_nz = z_rows[local, cols]
-    t = z_nz - target.log_vals[start:end]
-    z_nz_min = np.full(hi - lo, np.inf)
-    t_max = np.full(hi - lo, -np.inf)
-    t_min = np.full(hi - lo, np.inf)
-    has_nz = nz_counts > 0
-    # Segment starts of the rows with nonzeros; empty rows add no entries.
-    starts = target.row_ptr[lo:hi][has_nz] - start
-    z_nz_min[has_nz] = np.minimum.reduceat(z_nz, starts)
-    t_max[has_nz] = np.maximum.reduceat(t, starts)
-    t_min[has_nz] = np.minimum.reduceat(t, starts)
-    z_zero_max = np.max(z_rows, axis=1, where=zero_mask, initial=-np.inf)
-    cond1 = np.where(
-        (target.zero_counts[lo:hi] > 0) & has_nz, z_zero_max - z_nz_min, -np.inf
-    )
-    cond2 = np.where(nz_counts >= 2, t_max - t_min, -np.inf)
-    return cond1, cond2
+    t = z_nz - plan.log_vals
+    starts, nz_rows = plan.starts, plan.nz_rows
+    gap = z_zero_max[nz_rows] - np.minimum.reduceat(z_nz, starts)
+    spread = np.maximum.reduceat(t, starts) - np.minimum.reduceat(t, starts)
+    cond1 = np.where(plan.valid1, gap, -np.inf)
+    cond2 = np.where(plan.valid2, spread, -np.inf)
+    if isinstance(nz_rows, slice):
+        return cond1, cond2
+    # A row without a considered nonzero has no pair of either kind.
+    all1, all2 = np.full(hi - lo, -np.inf), np.full(hi - lo, -np.inf)
+    all1[nz_rows], all2[nz_rows] = cond1, cond2
+    return all1, all2
 
 
 def margin_report(

@@ -7,6 +7,7 @@ import numpy as np
 from sparseattn.concentration import MODE_ORTHOGONAL
 from sparseattn.construct import sample_stiefel
 from sparseattn.matrices import GenerationError, SparseStochasticMatrix
+from sparseattn.verify import VerificationError
 
 
 def random_causal_matrix(L, k, gamma, seed):
@@ -119,3 +120,44 @@ def reference_project_pair(x, y, params, seed):
     else:
         r = np.random.default_rng(seed).standard_normal((params.m, params.p))
     return float((r @ x) @ (r @ y) / params.m)
+
+
+def reference_row_margins(z_rows, target, lo):
+    """Masked route that ``verify.row_margins`` replaces: one L-wide boolean
+    mask of the block's zero positions per call, the nonzeros gathered by
+    (row, column) pairs.  ``row_margins`` must return bit-equal condition
+    values, or raise the same VerificationError."""
+    hi = lo + z_rows.shape[0]
+    start, end = target.row_ptr[lo], target.row_ptr[hi]
+    local, cols = target.rows[start:end] - lo, target.cols[start:end]
+    # The considered positions of these rows; clearing the nonzeros from it
+    # below leaves the zero positions.
+    if target.causal:
+        zero_mask = np.arange(target.L) <= np.arange(lo, hi)[:, None]
+    else:
+        zero_mask = np.ones(z_rows.shape, dtype=bool)
+    if not np.isfinite(z_rows).all():
+        bad = ~np.isfinite(z_rows) & zero_mask
+        if bad.any():
+            i, j = (int(v) for v in np.argwhere(bad)[0])
+            raise VerificationError(f"non-finite logit {z_rows[i, j]} at row {lo + i}, column {j}")
+    zero_mask[local, cols] = False
+
+    nz_counts = target.nz_counts[lo:hi]
+    z_nz = z_rows[local, cols]
+    t = z_nz - target.log_vals[start:end]
+    z_nz_min = np.full(hi - lo, np.inf)
+    t_max = np.full(hi - lo, -np.inf)
+    t_min = np.full(hi - lo, np.inf)
+    has_nz = nz_counts > 0
+    # Segment starts of the rows with nonzeros; empty rows add no entries.
+    starts = target.row_ptr[lo:hi][has_nz] - start
+    z_nz_min[has_nz] = np.minimum.reduceat(z_nz, starts)
+    t_max[has_nz] = np.maximum.reduceat(t, starts)
+    t_min[has_nz] = np.minimum.reduceat(t, starts)
+    z_zero_max = np.max(z_rows, axis=1, where=zero_mask, initial=-np.inf)
+    cond1 = np.where(
+        (target.zero_counts[lo:hi] > 0) & has_nz, z_zero_max - z_nz_min, -np.inf
+    )
+    cond2 = np.where(nz_counts >= 2, t_max - t_min, -np.inf)
+    return cond1, cond2

@@ -112,6 +112,14 @@ def test_criterion_02_fig3_reproduction():
     _verdict(2, "fig3 reproduction", violations)
 
 
+# (L, trial, d_min, redraws_used) of the smoke sweep at master seed 2024.
+SMOKE_RECORDS_2024 = [
+    (64, 0, 98, 194), (64, 1, 98, 193), (64, 2, 98, 198),
+    (128, 0, 156, 774), (128, 1, 156, 772), (128, 2, 156, 774),
+    (256, 0, 214, 2312), (256, 1, 214, 2487), (256, 2, 214, 2324),
+]
+
+
 def test_criterion_03_logarithmic_growth():
     l_grid = [128, 256, 512, 1024] if FULL else [64, 128, 256]
     params = ApproxParams(L=max(l_grid), k=1, gamma=1.0, eps1=0.15, eps2=1.41)
@@ -121,6 +129,12 @@ def test_criterion_03_logarithmic_growth():
     )
     records = run_sweep(cfg)
     violations = []
+    if not FULL:
+        # The smoke sweep is the benchmark's sweep_growth at seed 2024; its
+        # records must not move when the redraw loop is optimized.
+        got = [(r.L, r.trial, r.d_min, r.redraws_used) for r in records]
+        if got != SMOKE_RECORDS_2024:
+            violations.append(f"records {got} differ from {SMOKE_RECORDS_2024}")
     found = [r for r in records if r.d_min is not None]
     if len({r.L for r in found}) < 2:
         violations.append("not enough found widths to fit")

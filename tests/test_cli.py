@@ -96,6 +96,23 @@ def test_approx_rejects_odd_width(tmp_path, capsys):
     assert "even" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "d, message",
+    [(15, "even"), (0, "even"), (-4, "even"), (18, "need d <= 2L, got d=18, L=8")],
+    ids=["odd", "zero", "negative", "wider_than_2L"],
+)
+def test_approx_rejects_bad_width_before_the_svd(tmp_path, capsys, monkeypatch, d, message):
+    from sparseattn import cli
+
+    coo = tmp_path / "id.coo"
+    write_identity_coo(coo, L=8)
+    factored = []
+    monkeypatch.setattr(cli, "svd_factor", lambda B: factored.append(B))
+    assert run("approx", "--input", coo, "--d", d) == 2
+    assert message in capsys.readouterr().err
+    assert factored == []
+
+
 def test_approx_failure_exits_one(tmp_path, capsys):
     coo = tmp_path / "id.coo"
     write_identity_coo(coo, L=16)
@@ -196,8 +213,22 @@ def test_sweep_config_keys_left_out_take_the_sweep_defaults(tmp_path):
 
 def test_sweep_empty_L_grid_rejected(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(sweep_config_text(L_grid=""))
-    assert run("sweep", cfg, "--out", tmp_path / "r.csv") == 2
+    for k in (1, 3):  # SweepConfig's message, whatever k is
+        cfg.write_text(sweep_config_text(L_grid="", k=k))
+        assert run("sweep", cfg, "--out", tmp_path / "r.csv") == 2
+        assert "L_grid must not be empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, causal", [("", False), ("causal = 1\n", True)])
+def test_sweep_config_causal_only_when_set(tmp_path, line, causal):
+    from sparseattn.cli import load_sweep_config
+
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("k = 2\ngamma = 2.0\neps1 = 0.15\neps2 = 1.41\nL_grid = 32,16\n" + line)
+    parsed, _ = load_sweep_config(cfg)
+    assert parsed.params == ApproxParams(
+        L=32, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=causal
+    )
 
 
 def test_sweep_bad_keys_listed_individually(tmp_path, capsys):

@@ -304,9 +304,13 @@ def last_row_violation_instance(L=64):
     return params, A, factors, j
 
 
+# Row counts around the search's block edges (rows 0-3, 4-15, 16-47, 48-111).
+BLOCK_EDGE_LENGTHS = [4, 5, 16, 17, 48, 49, 64]
+
+
+@pytest.mark.parametrize("L", BLOCK_EDGE_LENGTHS)
 @pytest.mark.parametrize("n_redraws", [1, 3])
-def test_search_width_finds_a_violation_in_the_last_row(n_redraws):
-    L = 64  # row blocks [0, 16), [16, 48), [48, 64)
+def test_search_width_finds_a_violation_in_the_last_row(n_redraws, L):
     params, A, factors, j = last_row_violation_instance(L)
     passing, used, z, report = search_width(
         factors, compile_target(A), 2 * L, n_redraws, 5, params.eps1, params.eps2
@@ -317,11 +321,49 @@ def test_search_width_finds_a_violation_in_the_last_row(n_redraws):
     assert report.first_violation[3] == "zero_ratio"
 
 
-def test_search_width_rejects_nonfinite_logit_in_the_last_row():
-    params, A, factors, _ = last_row_violation_instance()
+@pytest.mark.parametrize("L", BLOCK_EDGE_LENGTHS)
+def test_search_width_rejects_nonfinite_logit_in_the_last_row(L):
+    params, A, factors, _ = last_row_violation_instance(L)
     factors.left[-1, 0] = np.nan
-    with pytest.raises(VerificationError, match="non-finite logit"):
+    with pytest.raises(VerificationError, match=f"non-finite logit nan at row {L - 1}, column"):
         search_width(factors, compile_target(A), 2 * A.L, 1, 5, params.eps1, params.eps2)
+
+
+def test_search_width_forms_keys_only_for_redraws_that_pass_row_47(monkeypatch):
+    """The keys F_R G C^-1 (one inverse of C) are formed only by a redraw
+    whose rows 0-47 hold no violation; the last redraw is checked in full."""
+    checked = []
+    inverses = []
+    margins, inv = sweep.row_margins, np.linalg.inv
+
+    def recording_margins(z_rows, target, lo):
+        checked.append(lo)
+        return margins(z_rows, target, lo)
+
+    def counting_inv(c):
+        inverses.append(len(checked))
+        return inv(c)
+
+    monkeypatch.setattr(sweep, "row_margins", recording_margins)
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    params = ApproxParams(L=128, k=1, gamma=1.0, eps1=0.15, eps2=1.41)
+    A = generate(params, 4)
+    factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
+    _, used, _, _ = search_width(
+        factors, compile_target(A), 120, 12, 0, params.eps1, params.eps2
+    )
+    # Split the checked blocks by redraw: each redraw starts at row 0.
+    starts = [n for n, lo in enumerate(checked) if lo == 0] + [len(checked)]
+    redraws = [checked[a:b] for a, b in zip(starts, starts[1:])]
+    assert len(redraws) == used
+    reached = [n for n, blocks in enumerate(redraws) if 48 in blocks]
+    assert [sum(a <= n < b for n in inverses) for a, b in zip(starts, starts[1:])] == [
+        int(r in reached) for r in range(used)
+    ]
+    # Observed: the earlier redraws stop in each of the first four blocks,
+    # on the Gram route (2h = 120 <= L).
+    assert {blocks[-1] for blocks in redraws[:-1]} == {0, 4, 16, 48}
+    assert redraws[-1] == [0, 4, 16, 48, 112]
 
 
 # ---------------------------------------------------------------- run_sweep

@@ -5,9 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_causal_matrix
+from conftest import random_causal_matrix, reference_row_margins
 from sparseattn.attention import csam, sam
 from sparseattn.construct import build_log_gap, compress, sample_stiefel, svd_factor
 from sparseattn.matrices import ApproxParams, GenerationError, generate
@@ -17,6 +17,8 @@ from sparseattn.verify import (
     check_conditions,
     check_direct,
     compile_target,
+    row_blocks,
+    row_margins,
 )
 
 
@@ -271,13 +273,115 @@ def test_nonfinite_logits_rejected():
     assert check_conditions(z, A, 0.15, 0.7, causal=True).passed
 
 
+def _arrays_inside(value):
+    """Every array held by ``value``, looking inside dataclasses, lists,
+    tuples and dict values."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays_inside(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays_inside(item)
+    elif hasattr(value, "__dataclass_fields__"):
+        for item in vars(value).values():
+            yield from _arrays_inside(item)
+
+
 def test_compiled_target_holds_no_dense_array():
-    # O(nnz + L): per-nonzero and per-row arrays only, no L x L mask.
+    # O(nnz + L): per-nonzero and per-row arrays only, no L x L mask, also
+    # inside the per-block plans.
     for causal in (False, True):
         A, _ = random_instance(40, 2, 2.0, seed=4, causal=causal)
         target = compile_target(A, causal)
-        arrays = [v for v in vars(target).values() if isinstance(v, np.ndarray)]
-        assert arrays and all(a.ndim == 1 and a.size <= A.nnz + A.L + 1 for a in arrays)
+        assert list(target.blocks) == row_blocks(40)
+        arrays = list(_arrays_inside(target))
+        assert len(arrays) > len(vars(target))  # the plans' arrays were walked
+        assert all(a.ndim == 1 and a.size <= A.nnz + A.L + 1 for a in arrays)
+
+
+@pytest.mark.parametrize(
+    "L, blocks",
+    [
+        (2, [(0, 2)]),
+        (4, [(0, 4)]),
+        (5, [(0, 4), (4, 5)]),
+        (17, [(0, 4), (4, 16), (16, 17)]),
+        (64, [(0, 4), (4, 16), (16, 48), (48, 64)]),
+        (256, [(0, 4), (4, 16), (16, 48), (48, 112), (112, 240), (240, 256)]),
+    ],
+)
+def test_row_blocks_schedule(L, blocks):
+    assert row_blocks(L) == blocks
+
+
+SPECIALS = (math.nan, math.inf, -math.inf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    L=st.integers(2, 80),
+    k=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    source=st.sampled_from(["general", "causal", "general_read_causally"]),
+    ties=st.booleans(),
+    placements=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 10**6), st.sampled_from(SPECIALS)), max_size=3
+    ),
+)
+@example(L=48, k=2, seed=1, source="general_read_causally", ties=False, placements=[])
+@example(L=49, k=3, seed=2, source="general", ties=True, placements=[(True, 5, math.nan)])
+@example(L=17, k=2, seed=3, source="causal", ties=False, placements=[(False, 7, -math.inf)])
+def test_row_margins_match_the_masked_reference(L, k, seed, source, ties, placements):
+    """Bit-equal condition values, or the same error, on every block of the
+    search's schedule and on the whole matrix; the logits stay untouched."""
+    k = min(k, L)
+    causal = source != "general"
+    if source == "causal":
+        A = random_causal_matrix(L, k, 2.0, seed)
+    else:
+        try:
+            A = generate(ApproxParams(L=L, k=k, gamma=2.0, eps1=0.15, eps2=0.7), seed)
+        except GenerationError:
+            return
+    # Read causally, a general target has rows with no considered nonzero.
+    target = compile_target(A, causal)
+    rng = np.random.default_rng(seed)
+    if ties:  # few distinct values, signed zeros among them
+        z = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 2.0]), size=(L, L))
+    else:
+        z = rng.normal(0.0, 3.0, (L, L))
+    dense = A.to_dense()
+    for at_nonzero, index, value in placements:
+        cells = np.argwhere((dense != 0.0) == at_nonzero)
+        if len(cells):
+            i, j = cells[index % len(cells)]
+            z[i, j] = value
+    before = z.copy()
+    for lo, hi in [*target.blocks, (0, L)]:
+        try:
+            want = reference_row_margins(z[lo:hi].copy(), target, lo)
+        except VerificationError as exc:
+            with pytest.raises(VerificationError) as got:
+                row_margins(z[lo:hi], target, lo)
+            assert str(got.value) == str(exc)
+        else:
+            got = row_margins(z[lo:hi], target, lo)
+            for w, g in zip(want, got):
+                assert g.dtype == np.float64
+                assert np.array_equal(w.view(np.uint64), g.view(np.uint64))
+        assert np.array_equal(z.view(np.uint64), before.view(np.uint64))
+
+
+def test_row_margins_read_only_logits():
+    A, z = random_instance(20, 2, 2.0, seed=6)
+    target = compile_target(A)
+    z.setflags(write=False)
+    for lo, hi in target.blocks:
+        want = reference_row_margins(z[lo:hi], target, lo)
+        got = row_margins(z[lo:hi], target, lo)
+        assert all(np.array_equal(w, g) for w, g in zip(want, got))
 
 
 def test_shape_mismatch_rejected():
