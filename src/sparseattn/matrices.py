@@ -24,10 +24,6 @@ class MatrixError(ValueError):
     """Structurally invalid matrix data (bad indices, duplicates, ...)."""
 
 
-class GenerationError(MatrixError):
-    """The greedy sampler left a row without any nonzero entry."""
-
-
 class CooFormatError(MatrixError):
     """A COO text file violates the documented format."""
 
@@ -128,32 +124,6 @@ class SparseStochasticMatrix:
         dense[self.rows, self.cols] = self.vals
         return dense
 
-    @classmethod
-    def from_dense(
-        cls,
-        dense: np.ndarray,
-        causal: bool = False,
-        k: int | None = None,
-        gamma: float | None = None,
-    ) -> "SparseStochasticMatrix":
-        """Wrap a dense array, inferring tight k/gamma bounds when omitted."""
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise MatrixError(f"expected a square matrix, got shape {dense.shape}")
-        rows, cols = np.nonzero(dense)
-        vals = dense[rows, cols]
-        if k is None:
-            row_counts = np.bincount(rows, minlength=dense.shape[0])
-            col_counts = np.bincount(cols, minlength=dense.shape[0])
-            k = int(max(1, row_counts.max(initial=0), col_counts.max(initial=0)))
-        if gamma is None:
-            gamma = 1.0
-            for r in range(dense.shape[0]):
-                rv = vals[rows == r]
-                if rv.size >= 2:
-                    gamma = max(gamma, float(rv.max() / rv.min()))
-        return cls(dense.shape[0], rows, cols, vals, causal=causal, k=k, gamma=gamma)
-
 
 @dataclass(frozen=True)
 class InvariantViolation:
@@ -175,10 +145,10 @@ def _greedy_pass(outer_order, inner_order, outer_counts, inner_counts, k, admiss
     For each outer index ``a`` in ``outer_order`` the pass takes the first
     ``k - outer_counts[a]`` indices ``b`` of ``inner_order`` whose own count
     is below ``k``, with ``admissible(b, a)`` when that comparison is given
-    (the causal support), and not in ``taken(a)``.  This equals the scalar
-    scan that stops once ``a`` is full: an inner count changes only when its
-    entry is taken, and each inner index is seen once per outer step.  Both
-    count arrays are updated in place.
+    (the causal positions below the diagonal), and not in ``taken(a)``.
+    This equals the scalar scan that stops once ``a`` is full: an inner
+    count changes only when its entry is taken, and each inner index is seen
+    once per outer step.  Both count arrays are updated in place.
     """
     L = inner_order.size
     inner_pos = np.empty(L, dtype=np.int64)
@@ -215,30 +185,36 @@ def generate(params: ApproxParams, seed: int) -> SparseStochasticMatrix:
     visited position receives a raw value of 1 or ``gamma`` (fair coin flip)
     unless the insertion would push its row or column above ``k`` nonzeros.
     Rows are normalized to sum to one afterwards, which preserves within-row
-    ratios.  In causal mode only positions with column <= row are visited.
+    ratios.  In causal mode every diagonal cell is filled first, and the two
+    passes visit only positions strictly below the diagonal; at k=1 the
+    result is the identity.  No row is ever left empty: a causal row holds
+    its diagonal cell, and a non-causal row finds a free column in pass 1,
+    since fewer than kL entries are placed before its turn.
 
-    The generator stream is consumed in a fixed order: pass-1 row
-    permutation, pass-1 column permutation, pass-1 insertion flips (in visit
-    order), then pass-2 column permutation, pass-2 row permutation, pass-2
-    insertion flips.  Each pass's flips are drawn as one array of
-    ``rng.integers(0, 2)`` once its structure is fixed, which is the same
-    stream as one scalar draw per insertion.  Output is therefore a
-    deterministic function of ``(params, seed)``.
+    The generator stream is consumed in a fixed order: the diagonal flips
+    (one per row, causal mode only), pass-1 row permutation, pass-1 column
+    permutation, pass-1 insertion flips (in visit order), then pass-2 column
+    permutation, pass-2 row permutation, pass-2 insertion flips.  Each
+    group of flips is drawn as one array of ``rng.integers(0, 2)`` once its
+    structure is fixed, which is the same stream as one scalar draw per
+    insertion.  Output is therefore a deterministic function of
+    ``(params, seed)``.
 
     Each pass takes L vectorized steps of O(L) work, one per outer index:
     about 40 ms at L=2048 and 0.1 s at L=4096 on a 2-core Xeon.
-
-    Raises GenerationError if some row ends up with no nonzero entry.  In
-    causal mode this is the usual outcome: at k=2, 1 of 50 seeds succeeded
-    at L=16 and 0 of 50 at L=64 and L=256 (ROADMAP open item 4).
     """
     L, k, gamma, causal = params.L, params.k, params.gamma, params.causal
     rng = np.random.default_rng(seed)
-    row_counts = np.zeros(L, dtype=np.int64)
-    col_counts = np.zeros(L, dtype=np.int64)
 
     def flip_values(n: int) -> np.ndarray:
         return np.where(rng.integers(0, 2, size=n) == 1, gamma, 1.0)
+
+    # The causal diagonal: one entry per row and column.  A size-0 draw
+    # consumes nothing, so the non-causal stream starts at the permutations.
+    rows0 = cols0 = np.arange(L) if causal else np.empty(0, dtype=np.int64)
+    vals0 = flip_values(rows0.size)
+    row_counts = np.full(L, int(causal), dtype=np.int64)
+    col_counts = row_counts.copy()
 
     # Pass 1: rows outer, columns inner.  Each row is visited once, so no
     # position it meets is taken yet.
@@ -246,7 +222,7 @@ def generate(params: ApproxParams, seed: int) -> SparseStochasticMatrix:
     col_order = rng.permutation(L)
     rows1, cols1 = _greedy_pass(
         row_order, col_order, row_counts, col_counts, k,
-        np.less_equal if causal else None,
+        np.less if causal else None,
     )
     vals1 = flip_values(rows1.size)
 
@@ -258,22 +234,16 @@ def generate(params: ApproxParams, seed: int) -> SparseStochasticMatrix:
     row_order2 = rng.permutation(L)
     cols2, rows2 = _greedy_pass(
         col_order2, row_order2, col_counts, row_counts, k,
-        np.greater_equal if causal else None,
+        np.greater if causal else None,
         lambda j: rows1[by_col[col_ptr[j]:col_ptr[j + 1]]],
     )
     vals2 = flip_values(rows2.size)
 
-    if np.any(row_counts == 0):
-        empty = int(np.argmax(row_counts == 0))
-        raise GenerationError(
-            f"row {empty} received no nonzero entry (seed={seed}, causal={causal})"
-        )
-
     # Rows, columns and raw values in visit order, so np.add.at sums each
     # row in insertion order and rounds exactly as a per-entry loop would.
-    rows = np.concatenate((rows1, rows2))
-    cols = np.concatenate((cols1, cols2))
-    vals = np.concatenate((vals1, vals2))
+    rows = np.concatenate((rows0, rows1, rows2))
+    cols = np.concatenate((cols0, cols1, cols2))
+    vals = np.concatenate((vals0, vals1, vals2))
     row_sums = np.zeros(L)
     np.add.at(row_sums, rows, vals)
     vals = vals / row_sums[rows]

@@ -41,7 +41,7 @@ import numpy as np
 
 from ._seeds import derive_seed
 from .construct import Factorization, build_log_gap, projector_basis, svd_factor
-from .matrices import ApproxParams, GenerationError, SparseStochasticMatrix, generate
+from .matrices import ApproxParams, SparseStochasticMatrix, generate
 from .verify import ApproxReport, CompiledTarget, compile_target, margin_report, row_margins
 
 CSV_HEADER = "L,trial,q,d_min,theoretical_d,redraws_used,seed"
@@ -301,19 +301,7 @@ def _matrix_seed(record_seed: int) -> int:
 
 def _run_record(cfg: SweepConfig, L: int, trial: int) -> SweepRecord:
     record_seed = derive_seed(cfg.master_seed, L, trial)
-    params = replace(cfg.params, L=L)
-    try:
-        A = generate(params, _matrix_seed(record_seed))
-    except GenerationError:
-        return SweepRecord(
-            L=L,
-            trial=trial,
-            q=cfg.q,
-            d_min=None,
-            theoretical_d=theoretical_d(params, L),
-            redraws_used=0,
-            seed=record_seed,
-        )
+    A = generate(replace(cfg.params, L=L), _matrix_seed(record_seed))
     record = find_dmin(A, cfg, record_seed)
     record.trial = trial
     return record
@@ -365,12 +353,11 @@ def _grid_can_produce(record: SweepRecord, cfg: SweepConfig) -> bool:
     result, with n = round(q L) redraws per width at the row's own q: a found
     width must be a grid width w <= 2L, reached after the full budget at each
     of the e widths below it, so n e < redraws_used <= n (e + 1); a row that
-    found none spent n at every width <= 2L, or 0 if its target failed to
-    generate."""
+    found none spent n at every width <= 2L (0 when there is none)."""
     widths = [d for d in cfg.d_grid() if d <= 2 * record.L]
     n = int(round(record.q * record.L))
     if record.d_min is None:
-        return record.redraws_used in (0, n * len(widths))
+        return record.redraws_used == n * len(widths)
     if record.d_min not in widths:
         return False
     e = widths.index(record.d_min)

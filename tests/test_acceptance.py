@@ -9,10 +9,10 @@ set ``SPARSEATTN_FULL_ACCEPTANCE=1`` for the full grid
 import itertools
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 
-from conftest import random_causal_matrix
 from sparseattn._seeds import derive_seed
 from sparseattn.attention import csam, logits, sam
 from sparseattn.concentration import (
@@ -308,17 +308,9 @@ def test_criterion_09_concentration_bench():
 def test_criterion_10_causal_variant():
     violations = []
     for index, params in exact_projection_cases():
-        causal_params = ApproxParams(
-            L=params.L, k=params.k, gamma=params.gamma,
-            eps1=params.eps1, eps2=params.eps2, causal=True,
-        )
-        # The greedy sampler dead-ends almost surely on causal support at
-        # these sizes, so instances are built directly; at k=1 the identity
-        # is the only valid causal target.
-        A = random_causal_matrix(
-            causal_params.L, causal_params.k, causal_params.gamma,
-            seed=derive_seed(1000, index),
-        )
+        causal_params = replace(params, causal=True)
+        # At k=1 the draw is the identity, the only valid causal target.
+        A = generate(causal_params, seed=derive_seed(1000, index))
         z, report, gap_error = run_exact_projection(causal_params, A)
         if gap_error >= 1e-8:
             violations.append(f"case {index}: logits off by {gap_error:.2e}")

@@ -16,7 +16,9 @@ from sparseattn.matrices import ApproxParams, SparseStochasticMatrix, generate
 
 
 def matrix_from_rows(rows):
-    return SparseStochasticMatrix.from_dense(np.array(rows, dtype=np.float64))
+    dense = np.array(rows, dtype=np.float64)
+    r, c = np.nonzero(dense)
+    return SparseStochasticMatrix(dense.shape[0], r, c, dense[r, c])
 
 
 # -------------------------------------------------------------- log-gap map

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_causal_matrix
 from sparseattn import cli, construct, sweep
 from sparseattn._seeds import derive_seed
 from sparseattn.construct import build_log_gap, sample_stiefel, svd_factor
@@ -165,24 +164,25 @@ def found_records_and_targets(cfg):
     for rec in run_sweep(cfg):
         if rec.d_min is None:
             continue
-        params = ApproxParams(
-            L=rec.L, k=cfg.params.k, gamma=cfg.params.gamma,
-            eps1=cfg.params.eps1, eps2=cfg.params.eps2,
-        )
-        yield rec, generate(params, derive_seed(rec.seed, 0))
+        yield rec, generate(replace(cfg.params, L=rec.L), derive_seed(rec.seed, 0))
 
 
 def test_found_record_replays_to_a_passing_report():
-    cfg = small_cfg(L_grid=[16], trials_per_L=2, d_lower=4, d_upper=32, d_points=6)
-    replays = list(found_records_and_targets(cfg))
-    assert replays
-    eps1, eps2 = cfg.params.eps1, cfg.params.eps2
-    for rec, A in replays:
-        factors = svd_factor(build_log_gap(A, eps1, eps2))
-        passing, _ = reference_search(
-            factors, A, rec.d_min, int(round(rec.q * rec.L)), rec.seed, eps1, eps2
+    for causal in (False, True):
+        params = ApproxParams(L=16, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=causal)
+        cfg = small_cfg(
+            params=params, L_grid=[16], trials_per_L=2, d_lower=4, d_upper=32, d_points=6
         )
-        assert passing is not None
+        replays = list(found_records_and_targets(cfg))
+        assert replays
+        for rec, A in replays:
+            assert A.causal == causal
+            factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
+            passing, _ = reference_search(
+                factors, A, rec.d_min, int(round(rec.q * rec.L)), rec.seed,
+                params.eps1, params.eps2,
+            )
+            assert passing is not None
 
 
 def test_found_record_replays_through_cli_approx(tmp_path):
@@ -222,10 +222,7 @@ def test_found_record_replays_through_cli_approx(tmp_path):
 def test_search_width_matches_reference_loop(L, half_d, n_redraws, seed, causal):
     d = 2 * min(half_d, L)
     params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=causal)
-    if causal:
-        A = random_causal_matrix(L, 2, 2.0, seed)
-    else:
-        A = generate(params, seed)
+    A = generate(params, seed)
     factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
     passing, used, z, report = search_width(
         factors, compile_target(A, causal), d, n_redraws, seed, params.eps1, params.eps2
@@ -251,7 +248,7 @@ def test_gram_route_matches_stiefel_route(L, half_d, seed, causal):
     h = min(half_d, L // 2)
     d = 2 * h
     params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=causal)
-    A = random_causal_matrix(L, 2, 2.0, seed) if causal else generate(params, seed)
+    A = generate(params, seed)
     factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
     _, _, z, report = search_width(
         factors, compile_target(A, causal), d, 1, seed, params.eps1, params.eps2
@@ -494,7 +491,8 @@ def test_run_sweep_resume_rejects_other_d_grid(tmp_path):
         "16,0,1.0,30,{bound!r},32,{seed}",  # 30 is not a grid width
         "16,0,1.0,28,{bound!r},16,{seed}",  # 28 is the second width: 17..32 redraws
         "16,0,1.0,28,{bound!r},33,{seed}",
-        "16,0,1.0,-1,{bound!r},48,{seed}",  # not found needs 0 or 2 x 16 redraws
+        "16,0,1.0,-1,{bound!r},48,{seed}",  # not found needs 2 x 16 redraws
+        "16,0,1.0,-1,{bound!r},0,{seed}",  # every target generates, so 0 is too few
         "32,0,1.0,64,{bound!r},96,{seed}",  # 64 <= 2L is the fourth width: 97..128
     ],
 )
@@ -506,6 +504,18 @@ def test_run_sweep_resume_rejects_rows_the_d_grid_cannot_produce(tmp_path, row):
     path.write_text(sweep.CSV_HEADER + "\n" + line + "\n")
     with pytest.raises(ValueError, match=re.escape(line) + ".*d-grid"):
         run_sweep(cfg, csv_path=path)
+
+
+def test_run_sweep_resume_accepts_a_row_without_redraws_when_no_width_fits(tmp_path):
+    # d_lower > 2L: find_dmin tries no width, so the row spent no redraws.
+    cfg = small_cfg(L_grid=[8], trials_per_L=1, d_lower=18, d_upper=40, d_points=4)
+    line = f"8,0,1.0,-1,{theoretical_d(cfg.params, 8)!r},0,{derive_seed(cfg.master_seed, 8, 0)}"
+    path = tmp_path / "sweep.csv"
+    path.write_text(sweep.CSV_HEADER + "\n" + line + "\n")
+    before = path.read_bytes()
+    (record,) = run_sweep(cfg, csv_path=path)
+    assert record.to_csv_row() == line
+    assert path.read_bytes() == before
 
 
 def test_run_sweep_resume_accepts_rows_of_every_q(tmp_path):
@@ -521,10 +531,8 @@ def test_run_sweep_resume_accepts_rows_of_every_q(tmp_path):
 
 @pytest.mark.parametrize("causal", [False, True])
 def test_run_sweep_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, causal):
-    # Causal targets almost never generate, so their rows record d_min = -1.
-    cfg = small_cfg(
-        params=replace(small_params(), causal=causal), L_grid=[16, 32], trials_per_L=3
-    )
+    params = replace(small_params(), k=2, gamma=2.0, causal=True) if causal else small_params()
+    cfg = small_cfg(params=params, L_grid=[16, 32], trials_per_L=3)
     outputs = {}
     for n in (1, 2, 3):
         monkeypatch.setattr(sweep, "_worker_count", lambda n_cells, n=n: n)
@@ -536,6 +544,10 @@ def test_run_sweep_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, ca
         run_sweep(cfg, csv_path=resumed)
         outputs[n] = (fresh.read_bytes(), resumed.read_bytes())
     assert len(outputs[1][0].splitlines()) == 1 + 6
+    if causal:  # every causal target generates, and its search finds a width
+        rows = outputs[1][0].decode().splitlines()[1:]
+        records = [SweepRecord.from_csv_row(row) for row in rows]
+        assert all(r.d_min is not None and r.redraws_used > 0 for r in records)
     assert outputs[1][0] == outputs[1][1]
     assert outputs[2] == outputs[1]
     assert outputs[3] == outputs[1]
@@ -721,6 +733,18 @@ def test_log_fit_requires_two_distinct_L():
     )
     with pytest.raises(ValueError):
         log_fit(records)  # the second L never produced a width
+
+
+def test_causal_width_grows_with_L():
+    params = ApproxParams(L=64, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=True)
+    cfg = small_cfg(
+        params=params, L_grid=[16, 32, 64], d_lower=8, d_upper=160, d_points=20
+    )
+    records = run_sweep(cfg)
+    assert len(records) == 6
+    assert all(r.d_min is not None for r in records)
+    _, slope, _ = log_fit(records)
+    assert slope > 0
 
 
 # ------------------------------------------------------------- config checks

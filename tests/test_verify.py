@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_causal_matrix, reference_row_margins
+from conftest import reference_row_margins
 from sparseattn.attention import csam, sam
 from sparseattn.construct import build_log_gap, compress, sample_stiefel, svd_factor
-from sparseattn.matrices import ApproxParams, GenerationError, generate
+from sparseattn.matrices import ApproxParams, generate
 from sparseattn.verify import (
     ApproxReport,
     VerificationError,
@@ -63,10 +63,7 @@ def naive_log_check(z, A, eps1, eps2, causal=False):
 
 def random_instance(L, k, gamma, seed, causal=False):
     params = ApproxParams(L=L, k=k, gamma=gamma, eps1=0.15, eps2=0.7, causal=causal)
-    if causal:
-        A = random_causal_matrix(L, k, gamma, seed)
-    else:
-        A = generate(params, seed)
+    A = generate(params, seed)
     rng = np.random.default_rng(seed + 1)
     z = rng.uniform(-4.0, 4.0, (L, L))
     return A, z
@@ -77,7 +74,7 @@ def random_instance(L, k, gamma, seed, causal=False):
 
 def exact_logit_instance(L=12, k=2, gamma=2.0, seed=5, causal=False):
     params = ApproxParams(L=L, k=k, gamma=gamma, eps1=0.15, eps2=0.7, causal=causal)
-    A = random_causal_matrix(L, k, gamma, seed) if causal else generate(params, seed)
+    A = generate(params, seed)
     gap = build_log_gap(A, params.eps1, params.eps2)
     return params, A, gap
 
@@ -231,7 +228,7 @@ def test_monotone_in_tolerances():
 def test_causal_check_ignores_upper_triangle():
     # Plant a blatant violation strictly above the diagonal; the causal
     # check must not see it.
-    A = random_causal_matrix(6, 2, 2.0, seed=3)
+    A = generate(ApproxParams(L=6, k=2, gamma=2.0, eps1=0.15, eps2=0.7, causal=True), 3)
     z = build_log_gap(A, 0.15, 0.7)
     z[0, 5] = 50.0
     assert check_conditions(z, A, 0.15, 0.7, causal=True).passed
@@ -338,13 +335,8 @@ def test_row_margins_match_the_masked_reference(L, k, seed, source, ties, placem
     search's schedule and on the whole matrix; the logits stay untouched."""
     k = min(k, L)
     causal = source != "general"
-    if source == "causal":
-        A = random_causal_matrix(L, k, 2.0, seed)
-    else:
-        try:
-            A = generate(ApproxParams(L=L, k=k, gamma=2.0, eps1=0.15, eps2=0.7), seed)
-        except GenerationError:
-            return
+    params = ApproxParams(L=L, k=k, gamma=2.0, eps1=0.15, eps2=0.7, causal=source == "causal")
+    A = generate(params, seed)
     # Read causally, a general target has rows with no considered nonzero.
     target = compile_target(A, causal)
     rng = np.random.default_rng(seed)
@@ -391,16 +383,10 @@ def test_shape_mismatch_rejected():
 
 
 def test_causal_generation_failureproof_instances_pass():
-    # Sampler-drawn causal targets (when the draw succeeds) also verify at
-    # exact logits under the restricted triples.
+    # Sampler-drawn causal targets verify at exact logits under the
+    # restricted triples.
     params = ApproxParams(L=8, k=2, gamma=2.0, eps1=0.2, eps2=0.6, causal=True)
-    checked = 0
     for seed in range(60):
-        try:
-            A = generate(params, seed)
-        except GenerationError:
-            continue
+        A = generate(params, seed)
         gap = build_log_gap(A, params.eps1, params.eps2)
         assert check_conditions(gap, A, params.eps1, params.eps2, causal=True).passed
-        checked += 1
-    assert checked >= 3
