@@ -173,7 +173,7 @@ def cmd_approx(args) -> int:
         raise UsageError(f"--q {args.q} gives round(q * L) = {n_redraws} redraws at L={A.L}")
 
     factors = svd_factor(build_log_gap(A, args.eps1, args.eps2))
-    target = compile_target(A, causal=A.causal)
+    target = compile_target(A)
     passing, redraws_used, z, report = sweep_mod.search_width(
         factors, target, args.d, n_redraws, args.seed, args.eps1, args.eps2
     )

@@ -18,9 +18,8 @@ An orthogonal draw ``R = sqrt(p) y^T`` enters the estimate only through the
 projector ``y y^T = G C^-1 G^T`` of the Gaussian draw ``G`` that ``y``
 orthogonalizes, with ``C = G^T G``, so the estimate is
 ``(p/m) (G^T x)^T C^-1 (G^T y)``.  The draw goes through
-``construct.projector_basis``: for ``2m <= p`` that is one ``G^T [x y]``, one
-Gram product and one m x m solve, with no QR; ``sample_stiefel``'s QR runs
-only for ``2m > p``.
+``construct.projector_basis``: one ``G^T [x y]``, one Gram product and one
+m x m solve at every m, with no QR.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ def project_pair(x: np.ndarray, y: np.ndarray, params: JltParams, seed: int) -> 
     Orthogonal mode: ``R = sqrt(p) y^T`` for the Haar p x m sample
     ``y = sample_stiefel(p, m, seed)``, computed through its projector as
     ``(p/m) (G^T x)^T C^-1 (G^T y)`` (``construct.projector_basis``), with no
-    QR unless ``2m > p``; it equals the explicit product up to roundoff.
+    QR; it equals the explicit product up to roundoff.
     Iid mode: ``R`` is an m x p standard Gaussian draw.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -81,8 +80,7 @@ def project_pair(x: np.ndarray, y: np.ndarray, params: JltParams, seed: int) -> 
     if params.mode == MODE_ORTHOGONAL:
         g, c = projector_basis(params.p, params.m, seed)
         gx, gy = np.stack([x, y]) @ g
-        if c is not None:
-            gx = np.linalg.solve(c, gx)
+        gx = np.linalg.solve(c, gx)
         return float(params.p * (gx @ gy) / params.m)
     r = np.random.default_rng(seed).standard_normal((params.m, params.p))
     return float((r @ x) @ (r @ y) / params.m)
@@ -94,7 +92,7 @@ def estimate_errors(x: np.ndarray, y: np.ndarray, params: JltParams, seed: int =
     Draw t uses ``derive_seed(seed, t)``; samples are independent of how
     they are scheduled or batched.  Each sample is one ``project_pair``, so
     an orthogonal sample costs a Gaussian draw, a Gram product and an m x m
-    solve when ``2m <= p``, and a QR only when ``2m > p``.
+    solve, and no QR.
     """
     exact = float(np.dot(x, y))
     return np.array(

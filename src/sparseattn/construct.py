@@ -12,9 +12,8 @@ the orthogonal estimate of the concentration bench
 (``concentration.project_pair``) only through its projector ``y y^T``, which
 equals ``G C^-1 G^T`` for the Gaussian draw ``G`` that ``sample_stiefel``
 orthogonalizes and ``C = G^T G``.  Both draw through ``projector_basis``,
-which returns ``G`` and ``C`` when ``2h <= L`` (no QR) and runs
-``sample_stiefel``'s QR only when ``2h > L``, where ``kappa(C) = kappa(G)^2``
-blows up.  The search runs neither ``compress`` nor ``assemble``.
+one route at every width: ``G`` and ``C``, no QR.  The search runs neither
+``sample_stiefel``, ``compress`` nor ``assemble``.
 """
 
 from __future__ import annotations
@@ -35,13 +34,12 @@ class FactorizationError(RuntimeError):
 class Factorization:
     """SVD products: ``left @ right.T`` reconstructs the log-gap matrix.
 
-    ``left`` is the left singular vectors scaled by the singular values,
-    ``right`` the orthogonal right factor, ``singular_values`` descending.
+    ``left`` is the left singular vectors scaled by the singular values
+    (descending), ``right`` the orthogonal right factor.
     """
 
     left: np.ndarray
     right: np.ndarray
-    singular_values: np.ndarray
 
 
 @dataclass
@@ -87,8 +85,8 @@ def build_log_gap(A: SparseStochasticMatrix, eps1: float, eps2: float) -> np.nda
 def svd_factor(B: np.ndarray) -> Factorization:
     """Full dense SVD of the log-gap matrix ``B``.
 
-    Returns the scaled left factor (U * sigma), the right factor V, and the
-    singular values.  ``left @ right.T`` reproduces the input to roundoff.
+    Returns the scaled left factor (U * sigma) and the right factor V.
+    ``left @ right.T`` reproduces the input to roundoff.
     """
     if not np.all(np.isfinite(B)):
         raise FactorizationError("log-gap matrix has non-finite entries")
@@ -99,7 +97,7 @@ def svd_factor(B: np.ndarray) -> Factorization:
             f"SVD did not converge on a {B.shape[0]}x{B.shape[1]} matrix "
             f"(max |entry| = {np.abs(B).max():.3e}): {exc}"
         ) from exc
-    return Factorization(left=u * sigma, right=vt.T, singular_values=sigma)
+    return Factorization(left=u * sigma, right=vt.T)
 
 
 def sample_stiefel(L: int, half_d: int, seed: int) -> np.ndarray:
@@ -119,20 +117,20 @@ def sample_stiefel(L: int, half_d: int, seed: int) -> np.ndarray:
     return q * signs
 
 
-def projector_basis(L: int, h: int, seed: int) -> tuple[np.ndarray, np.ndarray | None]:
+def projector_basis(L: int, h: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis ``g`` (L x h) and Gram matrix ``c`` of the projector of
     ``y = sample_stiefel(L, h, seed)``: ``g c^-1 g^T = y y^T``.
 
-    The route is fixed by ``(L, h)`` alone.  When ``2h <= L`` it returns the
-    Gaussian draw that ``sample_stiefel`` orthogonalizes, from the same
-    stream, and ``g^T g``: no QR, no sign fix.  When ``2h > L``, where
-    ``kappa(c) = kappa(g)^2`` blows up, it returns ``y`` and None, standing
-    for the identity.
+    ``g`` is the Gaussian draw that ``sample_stiefel`` orthogonalizes, from
+    the same stream, and ``c = g^T g``: no QR, no sign fix.  The roundoff of
+    solves against ``c`` grows with ``kappa(c) = kappa(g)^2`` as h nears L,
+    and is largest at ``h == L``, where the projector is exactly the
+    identity; so there both are the identity.
     """
-    if 2 * h <= L:
-        g = np.random.default_rng(seed).standard_normal((L, h))
-        return g, g.T @ g
-    return sample_stiefel(L, h, seed), None
+    if h == L:
+        return np.eye(L), np.eye(L)
+    g = np.random.default_rng(seed).standard_normal((L, h))
+    return g, g.T @ g
 
 
 def compress(factors: Factorization, y: np.ndarray, d: int) -> ProjectionPair:

@@ -11,12 +11,10 @@ sweep runs it at every grid width and ``sparseattn approx`` at a single one.
 A redraw's logits depend on its orthogonal projection ``y`` only through the
 projector ``y y^T``, which equals ``G C^-1 G^T`` for the Gaussian draw ``G``
 that ``y`` orthogonalizes and ``C = G^T G``.  So ``search_width`` draws each
-redraw through ``construct.projector_basis``, which takes one of two routes,
-fixed by ``(L, d)`` alone: with ``h = d/2``, the Gram route when
-``2h <= L`` (draw ``G``, form ``C``, no QR) and the QR route through
-``sample_stiefel`` when ``2h > L``, because ``kappa(C) = kappa(G)^2`` blows
-up as h nears L.  The two give the same logits up to roundoff, and pass or
-fail is exactly the full check of the logits the search formed.
+redraw at every width through ``construct.projector_basis`` (draw ``G``, form
+``C``, no QR).  This gives the logits of ``y`` up to roundoff, and pass or
+fail is exactly the full check of the logits the search formed.  The check
+takes its mode, causal or not, from the target.
 
 Seeding: each (L, trial) record gets ``derive_seed(master_seed, L, trial)``.
 From that record seed, the target matrix uses ``derive_seed(record_seed, 0)``
@@ -189,14 +187,12 @@ def search_width(
     the passing redraw (None if none passed), the redraws used, and the
     logits and report of the last redraw checked.
 
-    ``z`` depends on ``y`` only through the projector ``y y^T``, and there are
-    two routes to it, chosen from ``(L, d)`` alone (``projector_basis``).  With
-    ``h = d/2`` and ``2h <= L``, the Gram route takes the Gaussian draw ``G``
-    that ``sample_stiefel`` would orthogonalize and uses
-    ``y y^T = G C^-1 G^T`` with ``C = G^T G``: no QR, no explicit basis, no
-    sign fix.  Wider redraws take the QR route through ``sample_stiefel``,
-    because ``kappa(C) = kappa(G)^2`` blows up as h nears L.  Both routes
-    give the same logits up to roundoff.
+    ``z`` depends on ``y`` only through the projector ``y y^T``, so the
+    search takes the Gaussian draw ``G`` that ``sample_stiefel`` would
+    orthogonalize and uses ``y y^T = G C^-1 G^T`` with ``C = G^T G``
+    (``projector_basis``): no QR, no explicit basis, no sign fix, at every
+    width.  At ``d = 2L`` both are the identity.  This gives the logits of
+    ``y`` up to roundoff.
 
     Each redraw is evaluated in the row blocks of ``target.blocks``
     (``verify.row_blocks``: rows 0-3, 4-15, 16-47, then doubling), each block
@@ -206,15 +202,13 @@ def search_width(
     one solve against ``C``, formed and checked as rows 0-3 and then 4-15;
     rows 16-47 take the same route with a second solve.  Only a redraw that
     survives row 47 inverts ``C`` and forms the keys ``F_R G C^-1``, the one
-    ``L^2 h`` product, for the blocks after.  The QR route takes the same
-    steps with ``G = y`` and ``C`` the identity.  Pass or fail is exactly that
-    of the full check of the logits formed, which agree with the QR route's
-    unblocked product to roundoff (BLAS sums depend on the operand shape).
-    The last redraw is always evaluated in full, so the logits and report
-    returned are complete; a passing redraw's report is built from the
-    margins of its blocks.  A non-finite logit raises ``VerificationError``
-    in any row the search evaluates; rows after the failing block of an
-    earlier redraw are not evaluated.
+    ``L^2 h`` product, for the blocks after.  Pass or fail is exactly that
+    of the full check of the logits formed.  The last redraw is always
+    evaluated in full, so the logits and report returned are complete; a
+    passing redraw's report is built from the margins of its blocks.  A
+    non-finite logit raises ``VerificationError`` in any row the search
+    evaluates; rows after the failing block of an earlier redraw are not
+    evaluated.
     """
     check_width(d, target.L)
     if n_redraws < 1:
@@ -237,18 +231,15 @@ def search_width(
             if lo in SOLVE_SPANS:  # s^2 (F_L G) C^-1 for the span's rows
                 span_lo = lo
                 x = _scaled_left(factors, g, scale2, left, lo, min(SOLVE_SPANS[lo], L))
-                if c is not None:
-                    x = np.linalg.solve(c, x.T).T
+                x = np.linalg.solve(c, x.T).T
             if lo < KEYS_FROM:
                 np.matmul(x[lo - span_lo:hi - span_lo] @ g.T, factors.right.T, out=z[lo:hi])
             else:
                 if keys is None:
-                    keys = factors.right @ g
-                    if c is not None:
-                        # An explicit inverse, not a solve against L right-hand
-                        # sides: the solve's L x h buffers raised the peak
-                        # memory of repeated approx calls at L=2048 by 16 MB.
-                        keys = keys @ np.linalg.inv(c)
+                    # An explicit inverse, not a solve against L right-hand
+                    # sides: the solve's L x h buffers raised the peak memory
+                    # of repeated approx calls at L=2048 by 16 MB.
+                    keys = (factors.right @ g) @ np.linalg.inv(c)
                 np.matmul(_scaled_left(factors, g, scale2, left, lo, hi), keys.T, out=z[lo:hi])
             cond1[lo:hi], cond2[lo:hi] = row_margins(z[lo:hi], target, lo)
             if not last and (cond1[lo:hi].max() >= log_eps1 or cond2[lo:hi].max() >= eps2):
@@ -268,10 +259,9 @@ def find_dmin(A: SparseStochasticMatrix, cfg: SweepConfig, seed: int) -> SweepRe
     each width until one passes.  The target is compiled once for all
     widths; ``redraws_used`` counts the redraws at every width tried.
     """
-    L = A.L
-    params = replace(cfg.params, L=L, causal=A.causal)
+    L, params = A.L, cfg.params
     factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
-    target = compile_target(A, causal=A.causal)
+    target = compile_target(A)
     n_redraws = int(round(cfg.q * L))
     record = SweepRecord(
         L=L,

@@ -21,6 +21,11 @@ literally on attention-matrix entries, with its own masks built from the
 target, and is the small-instance oracle the log-domain path is tested
 against.
 
+Both checks take their mode from the target: a causal target
+(``A.causal``) is judged on the positions at or below the diagonal only.
+``compile_target``, and so ``check_conditions``, rejects a target with a row
+that holds no nonzero, which no softmax row can approximate.
+
 Both functions report the same canonical first violation: triples are
 scanned row by row, zero/nonzero pairs before nonzero/nonzero pairs within
 a row, and lexicographically by (j1, j2) within a kind.
@@ -94,18 +99,15 @@ def row_blocks(L: int) -> list[tuple[int, int]]:
 class BlockPlan:
     """What ``row_margins`` gathers for the rows ``lo .. hi - 1``.
 
-    ``flat`` holds the block's considered nonzeros as offsets into its
-    row-major ``(hi - lo) x L`` logits, in row-major order, and ``log_vals``
-    their target log-values.  ``nz_rows`` selects the block's rows that hold
-    a considered nonzero (a full slice when every row does), ``starts`` gives
-    their segments of ``flat``, and ``valid1`` / ``valid2`` mark which of
-    them have pairs for condition 1 (a zero position) and condition 2 (a
-    second nonzero).
+    ``flat`` holds the block's nonzeros as offsets into its row-major
+    ``(hi - lo) x L`` logits, in row-major order, and ``log_vals`` their
+    target log-values.  ``starts`` gives each row's segment of ``flat``, and
+    ``valid1`` / ``valid2`` mark which rows have pairs for condition 1 (a
+    zero position) and condition 2 (a second nonzero).
     """
 
     flat: np.ndarray
     log_vals: np.ndarray
-    nz_rows: np.ndarray | slice
     starts: np.ndarray
     valid1: np.ndarray
     valid2: np.ndarray
@@ -116,12 +118,12 @@ class CompiledTarget:
     """The target as the log-domain check reads it, built once per matrix in
     O(nnz + L) and holding no L x L array.
 
-    ``rows``, ``cols`` and ``log_vals`` list the considered nonzeros in
-    row-major order (in causal mode entries above the diagonal are not
-    considered), and row ``i``'s entries are ``row_ptr[i]:row_ptr[i + 1]``.
-    ``nz_counts`` and ``zero_counts`` count each row's considered nonzero and
-    zero positions (in causal mode only columns ``j <= i`` are considered),
-    and ``n_triples`` is the number of (j1, j2) pairs the conditions cover.
+    ``causal`` is the target's own mode.  ``rows``, ``cols`` and
+    ``log_vals`` list the nonzeros in row-major order, and row ``i``'s
+    entries are ``row_ptr[i]:row_ptr[i + 1]``.  ``nz_counts`` and
+    ``zero_counts`` count each row's nonzero and considered zero positions
+    (in causal mode only columns ``j <= i`` are considered), and
+    ``n_triples`` is the number of (j1, j2) pairs the conditions cover.
     ``blocks`` maps each row block of ``row_blocks(L)`` to its ``BlockPlan``,
     so the search's margin calls gather without rebuilding any index.
     """
@@ -138,19 +140,20 @@ class CompiledTarget:
     blocks: dict[tuple[int, int], BlockPlan] = field(default_factory=dict)
 
 
-def compile_target(A: SparseStochasticMatrix, causal: bool = False) -> CompiledTarget:
-    """Compile ``A`` once for any number of checks against it."""
+def compile_target(A: SparseStochasticMatrix) -> CompiledTarget:
+    """Compile ``A`` once for any number of checks against it, in its own
+    mode.  Raises on a row with no nonzero."""
     L = A.L
-    keep = A.cols <= A.rows if causal else np.ones(A.nnz, dtype=bool)
-    rows, cols = A.rows[keep], A.cols[keep]
-    nz_counts = np.bincount(rows, minlength=L)
+    nz_counts = np.bincount(A.rows, minlength=L)
+    if not nz_counts.all():
+        raise VerificationError(f"target row {int(np.argmin(nz_counts))} has no nonzero")
     row_ptr = np.concatenate(([0], np.cumsum(nz_counts)))
-    considered = np.arange(1, L + 1) if causal else np.full(L, L)
+    considered = np.arange(1, L + 1) if A.causal else np.full(L, L)
     zero_counts = considered - nz_counts
     # Zero/nonzero pairs for condition 1, distinct nonzero pairs for condition 2.
     n_triples = int(np.sum(zero_counts * nz_counts) + np.sum(nz_counts * (nz_counts - 1)))
     target = CompiledTarget(
-        L, causal, rows, cols, np.log(A.vals[keep]), row_ptr, nz_counts, zero_counts, n_triples
+        L, A.causal, A.rows, A.cols, np.log(A.vals), row_ptr, nz_counts, zero_counts, n_triples
     )
     target.blocks = {(lo, hi): _block_plan(target, lo, hi) for lo, hi in row_blocks(L)}
     return target
@@ -160,14 +163,9 @@ def _block_plan(target: CompiledTarget, lo: int, hi: int) -> BlockPlan:
     """The ``BlockPlan`` of the rows ``lo .. hi - 1``, in O(nnz of the rows)."""
     start, end = target.row_ptr[lo], target.row_ptr[hi]
     flat = (target.rows[start:end] - lo) * target.L + target.cols[start:end]
-    nz_counts = target.nz_counts[lo:hi]
-    has_nz = nz_counts > 0
     return BlockPlan(
-        flat, target.log_vals[start:end],
-        slice(None) if has_nz.all() else np.flatnonzero(has_nz),
-        target.row_ptr[lo:hi][has_nz] - start,
-        (target.zero_counts[lo:hi] > 0)[has_nz],
-        (nz_counts >= 2)[has_nz],
+        flat, target.log_vals[start:end], target.row_ptr[lo:hi] - start,
+        target.zero_counts[lo:hi] > 0, target.nz_counts[lo:hi] >= 2,
     )
 
 
@@ -176,16 +174,16 @@ def check_conditions(
     A: SparseStochasticMatrix,
     eps1: float,
     eps2: float,
-    causal: bool = False,
 ) -> ApproxReport:
     """Log-domain check of both ratio conditions on the logit matrix:
     ``row_margins`` over every row of the compiled target, then
-    ``margin_report``.  Raises on non-finite logits at considered positions,
-    where the softmax is undefined."""
+    ``margin_report``, in the target's own mode.  Raises on a target row with
+    no nonzero and on non-finite logits at considered positions, where the
+    softmax is undefined."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (A.L, A.L):
         raise VerificationError(f"logits shape {z.shape} does not match L={A.L}")
-    target = compile_target(A, causal)
+    target = compile_target(A)
     cond1, cond2 = row_margins(z, target, 0)
     return margin_report(z, target, cond1, cond2, eps1, eps2)
 
@@ -232,17 +230,10 @@ def row_margins(
         z_flat[plan.flat] = z_nz
 
     t = z_nz - plan.log_vals
-    starts, nz_rows = plan.starts, plan.nz_rows
-    gap = z_zero_max[nz_rows] - np.minimum.reduceat(z_nz, starts)
+    starts = plan.starts
+    gap = z_zero_max - np.minimum.reduceat(z_nz, starts)
     spread = np.maximum.reduceat(t, starts) - np.minimum.reduceat(t, starts)
-    cond1 = np.where(plan.valid1, gap, -np.inf)
-    cond2 = np.where(plan.valid2, spread, -np.inf)
-    if isinstance(nz_rows, slice):
-        return cond1, cond2
-    # A row without a considered nonzero has no pair of either kind.
-    all1, all2 = np.full(hi - lo, -np.inf), np.full(hi - lo, -np.inf)
-    all1[nz_rows], all2[nz_rows] = cond1, cond2
-    return all1, all2
+    return np.where(plan.valid1, gap, -np.inf), np.where(plan.valid2, spread, -np.inf)
 
 
 def margin_report(
@@ -296,9 +287,9 @@ def check_direct(
     A: SparseStochasticMatrix,
     eps1: float,
     eps2: float,
-    causal: bool = False,
 ) -> ApproxReport:
-    """Literal evaluation of the ratio conditions on attention entries.
+    """Literal evaluation of the ratio conditions on attention entries, in
+    the target's own mode.
 
     Full pair enumeration per row; intended as an oracle for small L.
     Raises on non-finite ratios (a zero attention entry at a nonzero
@@ -317,7 +308,7 @@ def check_direct(
     lo, hi = math.exp(-eps2), math.exp(eps2)
 
     for i in range(A.L):
-        considered = a_dense[i, : i + 1] if causal else a_dense[i]
+        considered = a_dense[i, : i + 1] if A.causal else a_dense[i]
         nz_j = np.nonzero(considered != 0.0)[0]
         zero_j = np.nonzero(considered == 0.0)[0]
         n_triples += len(zero_j) * len(nz_j) + len(nz_j) * (len(nz_j) - 1)

@@ -72,10 +72,12 @@ dims = st.integers(2, 300).flatmap(lambda p: st.tuples(st.just(p), st.integers(1
     mode=st.sampled_from([MODE_ORTHOGONAL, MODE_IID]),
     seed=st.integers(0, 2**32),
 )
-@example(pm=(64, 32), mode=MODE_ORTHOGONAL, seed=7)  # 2m = p: Gram
-@example(pm=(63, 32), mode=MODE_ORTHOGONAL, seed=7)  # 2m = p + 1: QR
+@example(pm=(64, 32), mode=MODE_ORTHOGONAL, seed=7)  # 2m = p
+@example(pm=(63, 32), mode=MODE_ORTHOGONAL, seed=7)  # 2m = p + 1
 @example(pm=(300, 150), mode=MODE_ORTHOGONAL, seed=1)
 @example(pm=(299, 150), mode=MODE_ORTHOGONAL, seed=1)
+@example(pm=(64, 63), mode=MODE_ORTHOGONAL, seed=7)  # m = p - 1: kappa(C) is largest
+@example(pm=(16, 16), mode=MODE_ORTHOGONAL, seed=7)  # m = p: the identity
 def test_project_pair_matches_explicit_projection(pm, mode, seed):
     p, m = pm
     x, y = unit_vectors(p, seed=seed % 1000)
@@ -89,7 +91,7 @@ def test_project_pair_matches_explicit_projection(pm, mode, seed):
 
 
 @pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (8, 4), (8, 5), (9, 4), (9, 5), (16, 16)])
-def test_orthogonal_samples_take_the_qr_route_only_when_2m_exceeds_p(p, m, monkeypatch):
+def test_orthogonal_samples_never_call_sample_stiefel(p, m, monkeypatch):
     calls = []
 
     def counting_stiefel(*args):
@@ -99,8 +101,8 @@ def test_orthogonal_samples_take_the_qr_route_only_when_2m_exceeds_p(p, m, monke
     monkeypatch.setattr(construct, "sample_stiefel", counting_stiefel)
     x, y = unit_vectors(p, seed=8)
     params = JltParams(p=p, m=m, mode=MODE_ORTHOGONAL, n_samples=6)
-    estimate_errors(x, y, params, seed=2)
-    assert len(calls) == (params.n_samples if 2 * m > p else 0)
+    assert len(estimate_errors(x, y, params, seed=2)) == params.n_samples
+    assert calls == []
 
 
 def test_dimension_mismatch_rejected():

@@ -1,5 +1,7 @@
 """The public surface of the package and the demos that use it."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -22,6 +24,23 @@ def test_public_names_resolve_once_each():
         (sparseattn.concentration, "tail_estimate"),
     ]:
         assert not hasattr(sparseattn, gone) and not hasattr(module, gone)
+
+
+def test_traced_layers_resolve():
+    # The benchmark's tracer wraps these functions by name; a layer that no
+    # longer resolves makes its per-layer metrics null.  The list is read
+    # from the tracer's source, which is not imported here.
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    entries = next(
+        node.value.elts for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    )
+    layers = [(entry.elts[0].value, entry.elts[1].value) for entry in entries]
+    assert layers
+    for module, attr in layers:
+        layer = getattr(importlib.import_module(f"sparseattn.{module}"), attr, None)
+        assert callable(layer), f"{module}.{attr}"
 
 
 @pytest.mark.parametrize("demo", ["approximate_sparse_matrix.py", "jlt_concentration.py"])

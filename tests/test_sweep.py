@@ -155,7 +155,7 @@ def reference_search(factors, A, d, n_redraws, seed, eps1, eps2):
     for t in range(n_redraws):
         y = sample_stiefel(A.L, d // 2, derive_seed(seed, 1, d, t))
         z = (scale * (factors.left @ y)) @ (scale * (factors.right @ y)).T
-        if check_conditions(z, A, eps1, eps2, causal=A.causal).passed:
+        if check_conditions(z, A, eps1, eps2).passed:
             return t, t + 1
     return None, n_redraws
 
@@ -217,48 +217,51 @@ def test_found_record_replays_through_cli_approx(tmp_path):
 )
 @example(L=80, half_d=30, n_redraws=4, seed=7, causal=False)
 @example(L=80, half_d=30, n_redraws=4, seed=7, causal=True)
-@example(L=64, half_d=32, n_redraws=4, seed=7, causal=False)  # 2h = L: Gram route
-@example(L=64, half_d=33, n_redraws=4, seed=7, causal=True)  # 2h = L + 2: QR route
+@example(L=64, half_d=32, n_redraws=4, seed=7, causal=False)  # 2h = L
+@example(L=64, half_d=33, n_redraws=4, seed=7, causal=True)  # 2h = L + 2
 def test_search_width_matches_reference_loop(L, half_d, n_redraws, seed, causal):
     d = 2 * min(half_d, L)
     params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=causal)
     A = generate(params, seed)
     factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
     passing, used, z, report = search_width(
-        factors, compile_target(A, causal), d, n_redraws, seed, params.eps1, params.eps2
+        factors, compile_target(A), d, n_redraws, seed, params.eps1, params.eps2
     )
     assert (passing, used) == reference_search(
         factors, A, d, n_redraws, seed, params.eps1, params.eps2
     )
-    assert report == check_conditions(z, A, params.eps1, params.eps2, causal=causal)
+    assert report == check_conditions(z, A, params.eps1, params.eps2)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     L=st.integers(2, 80),
-    half_d=st.integers(1, 40),
+    half_d=st.integers(1, 80),
     seed=st.integers(0, 2**32),
     causal=st.booleans(),
 )
 @example(L=64, half_d=32, seed=7, causal=False)  # 2h = L
 @example(L=64, half_d=32, seed=7, causal=True)
+@example(L=64, half_d=33, seed=7, causal=False)  # 2h = L + 2
+@example(L=64, half_d=63, seed=7, causal=True)  # h = L - 1: kappa(C) is largest
+@example(L=64, half_d=64, seed=7, causal=False)  # h = L: the identity
 def test_gram_route_matches_stiefel_route(L, half_d, seed, causal):
-    """At 2h <= L the search takes the Gram route; its logits and report
-    match those of the sample_stiefel draw from the same stream."""
-    h = min(half_d, L // 2)
+    """At every h <= L the search's logits and report match those of the
+    sample_stiefel draw from the same stream."""
+    h = min(half_d, L)
     d = 2 * h
     params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=causal)
     A = generate(params, seed)
     factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
     _, _, z, report = search_width(
-        factors, compile_target(A, causal), d, 1, seed, params.eps1, params.eps2
+        factors, compile_target(A), d, 1, seed, params.eps1, params.eps2
     )
     scale = math.sqrt(2.0 * L / d)
     y = sample_stiefel(L, h, derive_seed(seed, 1, d, 0))
     z_qr = (scale * (factors.left @ y)) @ (scale * (factors.right @ y)).T
     tol = 1e-10 * np.abs(z_qr).max()
     assert np.abs(z - z_qr).max() <= tol
-    report_qr = check_conditions(z_qr, A, params.eps1, params.eps2, causal=causal)
+    report_qr = check_conditions(z_qr, A, params.eps1, params.eps2)
     assert (report.passed, report.first_violation, report.n_triples_checked) == (
         report_qr.passed, report_qr.first_violation, report_qr.n_triples_checked
     )
@@ -267,9 +270,11 @@ def test_gram_route_matches_stiefel_route(L, half_d, seed, causal):
 
 
 @pytest.mark.parametrize(
-    "L, h", [(4, 1), (4, 2), (4, 3), (5, 2), (5, 3), (16, 8), (16, 9), (64, 32), (64, 33)]
+    "L, h",
+    [(4, 1), (4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (16, 8), (16, 9), (16, 16), (64, 32),
+     (64, 33), (64, 64)],
 )
-def test_search_width_takes_the_qr_route_only_when_2h_exceeds_L(L, h, monkeypatch):
+def test_search_width_never_calls_sample_stiefel(L, h, monkeypatch):
     calls = []
 
     def counting_stiefel(*args):
@@ -283,7 +288,7 @@ def test_search_width_takes_the_qr_route_only_when_2h_exceeds_L(L, h, monkeypatc
     _, used, _, _ = search_width(
         factors, compile_target(A), 2 * h, 5, 3, params.eps1, params.eps2
     )
-    assert len(calls) == (used if 2 * h > L else 0)
+    assert used >= 1 and calls == []
 
 
 def last_row_violation_instance(L=64):
@@ -357,8 +362,7 @@ def test_search_width_forms_keys_only_for_redraws_that_pass_row_47(monkeypatch):
     assert [sum(a <= n < b for n in inverses) for a, b in zip(starts, starts[1:])] == [
         int(r in reached) for r in range(used)
     ]
-    # Observed: the earlier redraws stop in each of the first four blocks,
-    # on the Gram route (2h = 120 <= L).
+    # Observed: the earlier redraws stop in each of the first four blocks.
     assert {blocks[-1] for blocks in redraws[:-1]} == {0, 4, 16, 48}
     assert redraws[-1] == [0, 4, 16, 48, 112]
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import reference_row_margins
 from sparseattn.attention import csam, sam
 from sparseattn.construct import build_log_gap, compress, sample_stiefel, svd_factor
-from sparseattn.matrices import ApproxParams, generate
+from sparseattn.matrices import ApproxParams, SparseStochasticMatrix, generate
 from sparseattn.verify import (
     ApproxReport,
     VerificationError,
@@ -22,10 +23,10 @@ from sparseattn.verify import (
 )
 
 
-def naive_log_check(z, A, eps1, eps2, causal=False):
+def naive_log_check(z, A, eps1, eps2):
     """Independent oracle: full O(L^3) triple enumeration in the log domain,
-    in the documented scan order (rows, then zero/nonzero pairs, then
-    nonzero pairs, lexicographic)."""
+    in the target's own mode and the documented scan order (rows, then
+    zero/nonzero pairs, then nonzero pairs, lexicographic)."""
     dense = A.to_dense()
     L = A.L
     log_eps1 = math.log(eps1)
@@ -33,7 +34,7 @@ def naive_log_check(z, A, eps1, eps2, causal=False):
     n_triples = 0
     first = None
     for i in range(L):
-        limit = i + 1 if causal else L
+        limit = i + 1 if A.causal else L
         nz = [j for j in range(limit) if dense[i, j] != 0.0]
         zeros = [j for j in range(limit) if dense[i, j] == 0.0]
         row_first = None
@@ -122,10 +123,8 @@ def test_exact_projection_pass_through_pipeline():
 @pytest.mark.parametrize("seed", range(12))
 def test_check_conditions_matches_naive_enumeration(seed, causal):
     A, z = random_instance(8, 2, 2.0, seed, causal=causal)
-    report = check_conditions(z, A, 0.15, 0.7, causal=causal)
-    passed, worst_zero, worst_dev, n_triples, first = naive_log_check(
-        z, A, 0.15, 0.7, causal=causal
-    )
+    report = check_conditions(z, A, 0.15, 0.7)
+    passed, worst_zero, worst_dev, n_triples, first = naive_log_check(z, A, 0.15, 0.7)
     assert report.passed == passed
     assert report.worst_zero_ratio_log == pytest.approx(worst_zero, abs=1e-12)
     assert report.worst_nonzero_dev == pytest.approx(worst_dev, abs=1e-12)
@@ -170,8 +169,8 @@ def test_log_and_direct_checks_agree(seed, L):
 @pytest.mark.parametrize("seed", range(8))
 def test_log_and_direct_checks_agree_causal(seed):
     A, z = random_instance(8, 2, 2.0, seed, causal=True)
-    log_report = check_conditions(z, A, 0.15, 0.7, causal=True)
-    direct_report = check_direct(csam(z), A, 0.15, 0.7, causal=True)
+    log_report = check_conditions(z, A, 0.15, 0.7)
+    direct_report = check_direct(csam(z), A, 0.15, 0.7)
     assert log_report.passed == direct_report.passed
     assert log_report.first_violation == direct_report.first_violation
 
@@ -179,8 +178,6 @@ def test_log_and_direct_checks_agree_causal(seed):
 def test_check_direct_handcrafted_row():
     # Row of M = [0.9, 0.1, tiny] against target [0.9, 0.1, 0]: passes iff
     # tiny/0.9 < eps1, tiny/0.1 < eps1, and 9.0 within exp(+-eps2) of 9.0.
-    from sparseattn.matrices import SparseStochasticMatrix
-
     A = SparseStochasticMatrix(3, [0, 0, 1, 2], [0, 1, 1, 2], [0.9, 0.1, 1.0, 1.0])
     m = np.array([[0.9, 0.1, 1e-3], [0.01, 0.98, 0.01], [0.005, 0.005, 0.99]])
     ok = check_direct(m, A, 0.15, 0.5)
@@ -193,8 +190,6 @@ def test_check_direct_handcrafted_row():
 
 
 def test_direct_check_uniform_matrix_fails_condition_one():
-    from sparseattn.matrices import SparseStochasticMatrix
-
     A = SparseStochasticMatrix(4, np.arange(4), np.arange(4), np.ones(4))
     m = np.full((4, 4), 0.25)
     report = check_direct(m, A, 0.9, 0.5)
@@ -203,8 +198,6 @@ def test_direct_check_uniform_matrix_fails_condition_one():
 
 
 def test_direct_check_flags_nonfinite_ratios():
-    from sparseattn.matrices import SparseStochasticMatrix
-
     A = SparseStochasticMatrix(2, [0, 1], [0, 1], [1.0, 1.0])
     m = np.array([[0.0, 1.0], [0.5, 0.5]])
     with pytest.raises(VerificationError, match="non-finite"):
@@ -226,13 +219,27 @@ def test_monotone_in_tolerances():
 
 
 def test_causal_check_ignores_upper_triangle():
-    # Plant a blatant violation strictly above the diagonal; the causal
-    # check must not see it.
+    # Plant a blatant violation strictly above the diagonal.  Both checks
+    # take their mode from the target: a causal target does not see it, and
+    # the same entries read as a non-causal target do.
     A = generate(ApproxParams(L=6, k=2, gamma=2.0, eps1=0.15, eps2=0.7, causal=True), 3)
+    general = replace(A, causal=False)
     z = build_log_gap(A, 0.15, 0.7)
     z[0, 5] = 50.0
-    assert check_conditions(z, A, 0.15, 0.7, causal=True).passed
-    assert not check_conditions(z, A, 0.15, 0.7, causal=False).passed
+    assert check_conditions(z, A, 0.15, 0.7).passed
+    assert check_direct(sam(z), A, 0.15, 0.7).passed
+    assert not check_conditions(z, general, 0.15, 0.7).passed
+    assert not check_direct(sam(z), general, 0.15, 0.7).passed
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_target_row_without_nonzero_rejected(causal):
+    # Row 1 holds no nonzero: no softmax row can approximate it.
+    A = SparseStochasticMatrix(3, [0, 2], [0, 2], [1.0, 1.0], causal=causal)
+    with pytest.raises(VerificationError, match="row 1 has no nonzero"):
+        compile_target(A)
+    with pytest.raises(VerificationError, match="row 1 has no nonzero"):
+        check_conditions(np.zeros((3, 3)), A, 0.15, 0.7)
 
 
 def test_report_json_round_trip():
@@ -257,17 +264,17 @@ def test_report_json_round_trip():
 
 
 def test_nonfinite_logits_rejected():
-    from sparseattn.matrices import SparseStochasticMatrix
-
     A = SparseStochasticMatrix(4, np.arange(4), np.arange(4), np.ones(4))
     z = np.full((4, 4), -10.0)
     np.fill_diagonal(z, 0.0)
     z[0, 0] = np.inf  # sam(z)[0] is all NaN
     with pytest.raises(VerificationError, match="non-finite"):
         check_conditions(z, A, 0.15, 0.7)
-    # Above the diagonal a causal check judges nothing, finite or not.
+    # Above the diagonal a causal target's check judges nothing, finite or not.
     z[0, 0], z[0, 3] = 0.0, np.inf
-    assert check_conditions(z, A, 0.15, 0.7, causal=True).passed
+    assert check_conditions(z, replace(A, causal=True), 0.15, 0.7).passed
+    with pytest.raises(VerificationError, match="non-finite"):
+        check_conditions(z, A, 0.15, 0.7)
 
 
 def _arrays_inside(value):
@@ -291,7 +298,7 @@ def test_compiled_target_holds_no_dense_array():
     # inside the per-block plans.
     for causal in (False, True):
         A, _ = random_instance(40, 2, 2.0, seed=4, causal=causal)
-        target = compile_target(A, causal)
+        target = compile_target(A)
         assert list(target.blocks) == row_blocks(40)
         arrays = list(_arrays_inside(target))
         assert len(arrays) > len(vars(target))  # the plans' arrays were walked
@@ -321,24 +328,21 @@ SPECIALS = (math.nan, math.inf, -math.inf)
     L=st.integers(2, 80),
     k=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
-    source=st.sampled_from(["general", "causal", "general_read_causally"]),
+    causal=st.booleans(),
     ties=st.booleans(),
     placements=st.lists(
         st.tuples(st.booleans(), st.integers(0, 10**6), st.sampled_from(SPECIALS)), max_size=3
     ),
 )
-@example(L=48, k=2, seed=1, source="general_read_causally", ties=False, placements=[])
-@example(L=49, k=3, seed=2, source="general", ties=True, placements=[(True, 5, math.nan)])
-@example(L=17, k=2, seed=3, source="causal", ties=False, placements=[(False, 7, -math.inf)])
-def test_row_margins_match_the_masked_reference(L, k, seed, source, ties, placements):
+@example(L=49, k=3, seed=2, causal=False, ties=True, placements=[(True, 5, math.nan)])
+@example(L=17, k=2, seed=3, causal=True, ties=False, placements=[(False, 7, -math.inf)])
+def test_row_margins_match_the_masked_reference(L, k, seed, causal, ties, placements):
     """Bit-equal condition values, or the same error, on every block of the
     search's schedule and on the whole matrix; the logits stay untouched."""
     k = min(k, L)
-    causal = source != "general"
-    params = ApproxParams(L=L, k=k, gamma=2.0, eps1=0.15, eps2=0.7, causal=source == "causal")
+    params = ApproxParams(L=L, k=k, gamma=2.0, eps1=0.15, eps2=0.7, causal=causal)
     A = generate(params, seed)
-    # Read causally, a general target has rows with no considered nonzero.
-    target = compile_target(A, causal)
+    target = compile_target(A)
     rng = np.random.default_rng(seed)
     if ties:  # few distinct values, signed zeros among them
         z = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 2.0]), size=(L, L))
@@ -389,4 +393,4 @@ def test_causal_generation_failureproof_instances_pass():
     for seed in range(60):
         A = generate(params, seed)
         gap = build_log_gap(A, params.eps1, params.eps2)
-        assert check_conditions(gap, A, params.eps1, params.eps2, causal=True).passed
+        assert check_conditions(gap, A, params.eps1, params.eps2).passed
