@@ -123,9 +123,9 @@ def projector_basis(L: int, h: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
     ``g`` is the Gaussian draw that ``sample_stiefel`` orthogonalizes, from
     the same stream, and ``c = g^T g``: no QR, no sign fix.  The roundoff of
-    solves against ``c`` grows with ``kappa(c) = kappa(g)^2`` as h nears L,
-    and is largest at ``h == L``, where the projector is exactly the
-    identity; so there both are the identity.
+    solves against ``c`` grows with ``kappa(c) = kappa(g)^2`` as h nears L;
+    callers add a corrected seminormal step where it shows.  At ``h == L`` the
+    projector is exactly the identity, so there both are the identity.
     """
     if h == L:
         return np.eye(L), np.eye(L)

@@ -12,9 +12,9 @@ A redraw's logits depend on its orthogonal projection ``y`` only through the
 projector ``y y^T``, which equals ``G C^-1 G^T`` for the Gaussian draw ``G``
 that ``y`` orthogonalizes and ``C = G^T G``.  So ``search_width`` draws each
 redraw at every width through ``construct.projector_basis`` (draw ``G``, form
-``C``, no QR).  This gives the logits of ``y`` up to roundoff, and pass or
-fail is exactly the full check of the logits the search formed.  The check
-takes its mode, causal or not, from the target.
+``C``, no QR).  A redraw formed in full takes a corrected seminormal step
+where ``C`` is ill-conditioned, so the logits it reports match those of ``y``
+to about 1e-12.  The check takes its mode, causal or not, from the target.
 
 Seeding: each (L, trial) record gets ``derive_seed(master_seed, L, trial)``.
 From that record seed, the target matrix uses ``derive_seed(record_seed, 0)``
@@ -53,6 +53,10 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 # KEYS_FROM on use the keys F_R G C^-1, which cost one L^2 h product.
 SOLVE_SPANS = {0: 16, 16: 48}
 KEYS_FROM = max(SOLVE_SPANS.values())
+# Above this 1-norm condition number of C, a redraw evaluated in full takes a
+# corrected seminormal step.  Below it, plain solves missed the orthogonal
+# sample's logits by < 15 u kappa_1(C) and < 3.4e-14 of the largest logit.
+STEP_KAPPA = 1e4
 
 
 @dataclass
@@ -191,8 +195,7 @@ def search_width(
     search takes the Gaussian draw ``G`` that ``sample_stiefel`` would
     orthogonalize and uses ``y y^T = G C^-1 G^T`` with ``C = G^T G``
     (``projector_basis``): no QR, no explicit basis, no sign fix, at every
-    width.  At ``d = 2L`` both are the identity.  This gives the logits of
-    ``y`` up to roundoff.
+    width.  At ``d = 2L`` both are the identity.
 
     Each redraw is evaluated in the row blocks of ``target.blocks``
     (``verify.row_blocks``: rows 0-3, 4-15, 16-47, then doubling), each block
@@ -202,13 +205,16 @@ def search_width(
     one solve against ``C``, formed and checked as rows 0-3 and then 4-15;
     rows 16-47 take the same route with a second solve.  Only a redraw that
     survives row 47 inverts ``C`` and forms the keys ``F_R G C^-1``, the one
-    ``L^2 h`` product, for the blocks after.  Pass or fail is exactly that
-    of the full check of the logits formed.  The last redraw is always
-    evaluated in full, so the logits and report returned are complete; a
-    passing redraw's report is built from the margins of its blocks.  A
-    non-finite logit raises ``VerificationError`` in any row the search
-    evaluates; rows after the failing block of an earlier redraw are not
-    evaluated.
+    ``L^2 h`` product, for the blocks after.  A redraw evaluated in full (a
+    pass, or the last) whose ``kappa_1(C)`` exceeds ``STEP_KAPPA`` (h near L)
+    is formed and checked again from keys that take one corrected seminormal
+    step ``K += (F_R - K G^T) G C^-1``, which undoes the roundoff of ``C^-1``:
+    the logits then match ``y``'s to about 1e-12 at every width.  Pass or
+    fail is exactly that of the full check of the logits returned.  The last
+    redraw is always evaluated in full, so the logits and report returned
+    are complete.  A non-finite logit raises ``VerificationError`` in any
+    row the search evaluates; rows after the failing block of an earlier
+    redraw are not evaluated.
     """
     check_width(d, target.L)
     if n_redraws < 1:
@@ -225,7 +231,7 @@ def search_width(
         # C heap and raised the peak memory of repeated approx calls at
         # L=2048 by about 18 MB.
         left = np.empty((L, h))
-        keys = None
+        keys = c_inv = None
         last = t == n_redraws - 1
         for lo, hi in target.blocks:
             if lo in SOLVE_SPANS:  # s^2 (F_L G) C^-1 for the span's rows
@@ -239,12 +245,26 @@ def search_width(
                     # An explicit inverse, not a solve against L right-hand
                     # sides: the solve's L x h buffers raised the peak memory
                     # of repeated approx calls at L=2048 by 16 MB.
-                    keys = (factors.right @ g) @ np.linalg.inv(c)
+                    c_inv = np.linalg.inv(c)
+                    keys = (factors.right @ g) @ c_inv
                 np.matmul(_scaled_left(factors, g, scale2, left, lo, hi), keys.T, out=z[lo:hi])
             cond1[lo:hi], cond2[lo:hi] = row_margins(z[lo:hi], target, lo)
             if not last and (cond1[lo:hi].max() >= log_eps1 or cond2[lo:hi].max() >= eps2):
                 break
         else:  # every block evaluated: a pass, or the last redraw
+            if c_inv is None:  # L <= KEYS_FROM
+                c_inv = np.linalg.inv(c)
+            if np.abs(c).sum(0).max() * np.abs(c_inv).sum(0).max() > STEP_KAPPA:
+                # Every row again from keys after the step; F_R - K G^T goes
+                # through z, which the blocks below rewrite.
+                if keys is None:
+                    keys = (factors.right @ g) @ c_inv
+                np.matmul(keys, g.T, out=z)
+                np.subtract(factors.right, z, out=z)
+                keys += (z @ g) @ c_inv
+                for lo, hi in target.blocks:
+                    np.matmul(left[lo:hi], keys.T, out=z[lo:hi])
+                    cond1[lo:hi], cond2[lo:hi] = row_margins(z[lo:hi], target, lo)
             report = margin_report(z, target, cond1, cond2, eps1, eps2)
             if report.passed:
                 return t, t + 1, z, report

@@ -23,8 +23,8 @@ against.
 
 Both checks take their mode from the target: a causal target
 (``A.causal``) is judged on the positions at or below the diagonal only.
-``compile_target``, and so ``check_conditions``, rejects a target with a row
-that holds no nonzero, which no softmax row can approximate.
+Both reject a target with a row that holds no nonzero, which no softmax row
+can approximate (``compile_target`` does so for ``check_conditions``).
 
 Both functions report the same canonical first violation: triples are
 scanned row by row, zero/nonzero pairs before nonzero/nonzero pairs within
@@ -292,8 +292,8 @@ def check_direct(
     the target's own mode.
 
     Full pair enumeration per row; intended as an oracle for small L.
-    Raises on non-finite ratios (a zero attention entry at a nonzero
-    position of the target).
+    Raises on a target row with no nonzero and on non-finite ratios (a zero
+    attention entry at a nonzero position of the target).
     """
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (A.L, A.L):
@@ -310,6 +310,8 @@ def check_direct(
     for i in range(A.L):
         considered = a_dense[i, : i + 1] if A.causal else a_dense[i]
         nz_j = np.nonzero(considered != 0.0)[0]
+        if not len(nz_j):
+            raise VerificationError(f"target row {i} has no nonzero")
         zero_j = np.nonzero(considered == 0.0)[0]
         n_triples += len(zero_j) * len(nz_j) + len(nz_j) * (len(nz_j) - 1)
         row_violation = None

@@ -77,6 +77,11 @@ dims = st.integers(2, 300).flatmap(lambda p: st.tuples(st.just(p), st.integers(1
 @example(pm=(300, 150), mode=MODE_ORTHOGONAL, seed=1)
 @example(pm=(299, 150), mode=MODE_ORTHOGONAL, seed=1)
 @example(pm=(64, 63), mode=MODE_ORTHOGONAL, seed=7)  # m = p - 1: kappa(C) is largest
+# Draws with kappa(C) near 1e7, where one Gram solve alone misses the bound
+# (1.0e-12 of ||x|| ||y|| with one BLAS thread, and 5.0e-12) and the
+# seminormal step is needed.
+@example(pm=(254, 253), mode=MODE_ORTHOGONAL, seed=4076755860)
+@example(pm=(152, 151), mode=MODE_ORTHOGONAL, seed=1613619391)
 @example(pm=(16, 16), mode=MODE_ORTHOGONAL, seed=7)  # m = p: the identity
 def test_project_pair_matches_explicit_projection(pm, mode, seed):
     p, m = pm

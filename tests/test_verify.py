@@ -240,6 +240,8 @@ def test_target_row_without_nonzero_rejected(causal):
         compile_target(A)
     with pytest.raises(VerificationError, match="row 1 has no nonzero"):
         check_conditions(np.zeros((3, 3)), A, 0.15, 0.7)
+    with pytest.raises(VerificationError, match="row 1 has no nonzero"):
+        check_direct(np.full((3, 3), 1.0 / 3.0), A, 0.15, 0.7)
 
 
 def test_report_json_round_trip():
