@@ -16,6 +16,11 @@ redraw at every width through ``construct.projector_basis`` (draw ``G``, form
 where ``C`` is ill-conditioned, so the logits it reports match those of ``y``
 to about 1e-12.  The check takes its mode, causal or not, from the target.
 
+The search owns its row schedule: ``row_blocks`` splits a redraw's rows into
+the blocks it forms and checks in turn, and ``SOLVE_SPANS`` and
+``KEYS_FROM`` say how each block's rows are formed.  ``verify.row_margins``
+checks whatever range of rows it is given.
+
 Seeding: each (L, trial) record gets ``derive_seed(master_seed, L, trial)``.
 From that record seed, the target matrix uses ``derive_seed(record_seed, 0)``
 and redraw ``t`` at width ``d`` uses ``derive_seed(record_seed, 1, d, t)``,
@@ -47,16 +52,29 @@ CSV_HEADER = "L,trial,q,d_min,theoretical_d,redraws_used,seed"
 # one thread: two processes sharing two cores lose to the serial loop when
 # each runs a multithreaded BLAS.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# How a redraw forms its logit rows.  Each key of SOLVE_SPANS starts a span of
-# rows, ending at its value, that one solve against C turns into
-# s^2 ((F_L G) C^-1 G^T) F_R^T: rows [0, 16) and [16, 48).  Rows from
-# KEYS_FROM on use the keys F_R G C^-1, which cost one L^2 h product.
+# How a redraw forms its logit rows, block by block of ``row_blocks``.  Each
+# key of SOLVE_SPANS starts a span of rows, ending at its value, that one
+# solve against C turns into s^2 ((F_L G) C^-1 G^T) F_R^T: rows [0, 16) and
+# [16, 48), each a whole number of blocks.  Rows from KEYS_FROM on use the
+# keys F_R G C^-1, which cost one L^2 h product.
 SOLVE_SPANS = {0: 16, 16: 48}
 KEYS_FROM = max(SOLVE_SPANS.values())
 # Above this 1-norm condition number of C, a redraw evaluated in full takes a
 # corrected seminormal step.  Below it, plain solves missed the orthogonal
 # sample's logits by < 15 u kappa_1(C) and < 3.4e-14 of the largest logit.
 STEP_KAPPA = 1e4
+
+
+def row_blocks(L: int) -> list[tuple[int, int]]:
+    """The row blocks ``[lo, hi)`` in which a redraw search forms and checks
+    logits: ``[0, 4)``, ``[4, 16)``, ``[16, 48)``, then each block twice the
+    size of the one before, cut at ``L``.  Failing redraws mostly fail
+    within the first few rows."""
+    bounds, size = [0, 4, 16], 32
+    while bounds[-1] < L:
+        bounds.append(bounds[-1] + size)
+        size *= 2
+    return [(lo, min(hi, L)) for lo, hi in zip(bounds, bounds[1:]) if lo < L]
 
 
 @dataclass
@@ -197,11 +215,10 @@ def search_width(
     (``projector_basis``): no QR, no explicit basis, no sign fix, at every
     width.  At ``d = 2L`` both are the identity.
 
-    Each redraw is evaluated in the row blocks of ``target.blocks``
-    (``verify.row_blocks``: rows 0-3, 4-15, 16-47, then doubling), each block
-    formed into one L x L buffer and checked (``row_margins``) in turn, and a
-    redraw that is not the last one stops at the first block holding a
-    violating row.  Rows 0-15 are ``s^2 ((F_L[0:16] G) C^-1 G^T) F_R^T`` from
+    Each redraw is evaluated in the row blocks of ``row_blocks(L)`` (rows
+    0-3, 4-15, 16-47, then doubling), each block formed into one L x L
+    buffer and checked (``row_margins``) in turn, and a redraw that is not
+    the last one stops at the first block holding a violating row.  Rows 0-15 are ``s^2 ((F_L[0:16] G) C^-1 G^T) F_R^T`` from
     one solve against ``C``, formed and checked as rows 0-3 and then 4-15;
     rows 16-47 take the same route with a second solve.  Only a redraw that
     survives row 47 inverts ``C`` and forms the keys ``F_R G C^-1``, the one
@@ -222,6 +239,7 @@ def search_width(
     L, h = target.L, d // 2
     scale2 = 2.0 * L / d
     log_eps1 = math.log(eps1)
+    blocks = row_blocks(L)
     z = np.empty((L, L))
     cond1, cond2 = np.empty(L), np.empty(L)
     for t in range(n_redraws):
@@ -233,7 +251,7 @@ def search_width(
         left = np.empty((L, h))
         keys = c_inv = None
         last = t == n_redraws - 1
-        for lo, hi in target.blocks:
+        for lo, hi in blocks:
             if lo in SOLVE_SPANS:  # s^2 (F_L G) C^-1 for the span's rows
                 span_lo = lo
                 x = _scaled_left(factors, g, scale2, left, lo, min(SOLVE_SPANS[lo], L))
@@ -262,7 +280,7 @@ def search_width(
                 np.matmul(keys, g.T, out=z)
                 np.subtract(factors.right, z, out=z)
                 keys += (z @ g) @ c_inv
-                for lo, hi in target.blocks:
+                for lo, hi in blocks:
                     np.matmul(left[lo:hi], keys.T, out=z[lo:hi])
                     cond1[lo:hi], cond2[lo:hi] = row_margins(z[lo:hi], target, lo)
             report = margin_report(z, target, cond1, cond2, eps1, eps2)

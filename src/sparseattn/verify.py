@@ -10,16 +10,14 @@ softmax row ratio equals the exponential of the logit difference, both
 conditions reduce to differences of logits, which stay finite where the
 attention entries themselves would overflow or underflow.  It compiles the
 target once (``compile_target``) to its per-row nonzero columns and
-log-values, in O(nnz + L) with no L x L array, and to one gather plan per
-row block of a redraw search (``row_blocks``: rows 0-3, 4-15, 16-47, then
-doubling).  ``row_margins`` gives each row's two condition values for any
-block of rows and ``margin_report`` turns them into the report;
-``check_conditions`` runs both over every row, and a redraw search checks
-each block of logits as it forms it and stops at the first block holding a
-violating row.  ``check_direct`` evaluates the same conditions
-literally on attention-matrix entries, with its own masks built from the
-target, and is the small-instance oracle the log-domain path is tested
-against.
+log-values, in O(nnz + L) with no L x L array.  ``row_margins`` gives each
+row's two condition values for any range of rows, gathering from slices of
+those compiled arrays, and ``margin_report`` turns them into the report;
+``check_conditions`` runs both over every row, and a redraw search runs
+``row_margins`` on each block of logits it forms, in whatever row schedule
+it keeps.  ``check_direct`` evaluates the same conditions literally on
+attention-matrix entries, with its own masks built from the target, and is
+the small-instance oracle the log-domain path is tested against.
 
 Both checks take their mode from the target: a causal target
 (``A.causal``) is judged on the positions at or below the diagonal only.
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,36 +81,6 @@ def _null_if_no_pairs(worst: float) -> float | None:
     return None if worst == -math.inf else worst
 
 
-def row_blocks(L: int) -> list[tuple[int, int]]:
-    """The row blocks ``[lo, hi)`` in which a redraw search forms and checks
-    logits: ``[0, 4)``, ``[4, 16)``, ``[16, 48)``, then each block twice the
-    size of the one before, cut at ``L``.  Failing redraws mostly fail
-    within the first few rows."""
-    bounds, size = [0, 4, 16], 32
-    while bounds[-1] < L:
-        bounds.append(bounds[-1] + size)
-        size *= 2
-    return [(lo, min(hi, L)) for lo, hi in zip(bounds, bounds[1:]) if lo < L]
-
-
-@dataclass
-class BlockPlan:
-    """What ``row_margins`` gathers for the rows ``lo .. hi - 1``.
-
-    ``flat`` holds the block's nonzeros as offsets into its row-major
-    ``(hi - lo) x L`` logits, in row-major order, and ``log_vals`` their
-    target log-values.  ``starts`` gives each row's segment of ``flat``, and
-    ``valid1`` / ``valid2`` mark which rows have pairs for condition 1 (a
-    zero position) and condition 2 (a second nonzero).
-    """
-
-    flat: np.ndarray
-    log_vals: np.ndarray
-    starts: np.ndarray
-    valid1: np.ndarray
-    valid2: np.ndarray
-
-
 @dataclass
 class CompiledTarget:
     """The target as the log-domain check reads it, built once per matrix in
@@ -124,8 +92,8 @@ class CompiledTarget:
     ``zero_counts`` count each row's nonzero and considered zero positions
     (in causal mode only columns ``j <= i`` are considered), and
     ``n_triples`` is the number of (j1, j2) pairs the conditions cover.
-    ``blocks`` maps each row block of ``row_blocks(L)`` to its ``BlockPlan``,
-    so the search's margin calls gather without rebuilding any index.
+    Any range of rows is a slice of each array, so ``row_margins`` needs no
+    index built per range.
     """
 
     L: int
@@ -137,12 +105,11 @@ class CompiledTarget:
     nz_counts: np.ndarray
     zero_counts: np.ndarray
     n_triples: int
-    blocks: dict[tuple[int, int], BlockPlan] = field(default_factory=dict)
 
 
 def compile_target(A: SparseStochasticMatrix) -> CompiledTarget:
     """Compile ``A`` once for any number of checks against it, in its own
-    mode.  Raises on a row with no nonzero."""
+    mode, in O(nnz + L).  Raises on a row with no nonzero."""
     L = A.L
     nz_counts = np.bincount(A.rows, minlength=L)
     if not nz_counts.all():
@@ -152,20 +119,8 @@ def compile_target(A: SparseStochasticMatrix) -> CompiledTarget:
     zero_counts = considered - nz_counts
     # Zero/nonzero pairs for condition 1, distinct nonzero pairs for condition 2.
     n_triples = int(np.sum(zero_counts * nz_counts) + np.sum(nz_counts * (nz_counts - 1)))
-    target = CompiledTarget(
+    return CompiledTarget(
         L, A.causal, A.rows, A.cols, np.log(A.vals), row_ptr, nz_counts, zero_counts, n_triples
-    )
-    target.blocks = {(lo, hi): _block_plan(target, lo, hi) for lo, hi in row_blocks(L)}
-    return target
-
-
-def _block_plan(target: CompiledTarget, lo: int, hi: int) -> BlockPlan:
-    """The ``BlockPlan`` of the rows ``lo .. hi - 1``, in O(nnz of the rows)."""
-    start, end = target.row_ptr[lo], target.row_ptr[hi]
-    flat = (target.rows[start:end] - lo) * target.L + target.cols[start:end]
-    return BlockPlan(
-        flat, target.log_vals[start:end], target.row_ptr[lo:hi] - start,
-        target.zero_counts[lo:hi] > 0, target.nz_counts[lo:hi] >= 2,
     )
 
 
@@ -200,15 +155,16 @@ def row_margins(
     enumeration.  A row without pairs of a kind gets -inf for it.  Raises on
     a non-finite logit at a considered position of these rows.
 
-    The gathers come from the block's ``BlockPlan``, built on the spot for a
-    range that is not one of ``target.blocks``.  In non-causal mode the
-    zero-position maximum needs no mask: the block's nonzero cells are set
-    to -inf for one plain row-max and then restored, so ``z_rows`` reads
+    The rows' nonzeros are the slice ``row_ptr[lo]:row_ptr[hi]`` of the
+    compiled arrays, gathered at their row-major offsets into ``z_rows``.  In
+    non-causal mode the zero-position maximum needs no mask: those cells are
+    set to -inf for one plain row-max and then restored, so ``z_rows`` reads
     bit-identical after the call (a read-only block is copied first).
     Causal mode masks the positions above the diagonal.
     """
     hi = lo + z_rows.shape[0]
-    plan = target.blocks.get((lo, hi)) or _block_plan(target, lo, hi)
+    start, end = target.row_ptr[lo], target.row_ptr[hi]
+    flat = (target.rows[start:end] - lo) * target.L + target.cols[start:end]
     if not np.isfinite(z_rows).all():
         bad = ~np.isfinite(z_rows)
         if target.causal:
@@ -217,23 +173,24 @@ def row_margins(
             i, j = (int(v) for v in np.argwhere(bad)[0])
             raise VerificationError(f"non-finite logit {z_rows[i, j]} at row {lo + i}, column {j}")
     z_flat = z_rows.reshape(-1)
-    z_nz = z_flat[plan.flat]
+    z_nz = z_flat[flat]
     if target.causal:
         zero_mask = np.arange(target.L) <= np.arange(lo, hi)[:, None]
-        zero_mask.reshape(-1)[plan.flat] = False
+        zero_mask.reshape(-1)[flat] = False
         z_zero_max = np.max(z_rows, axis=1, where=zero_mask, initial=-np.inf)
     else:
         if not z_flat.flags.writeable:
             z_flat = z_flat.copy()
-        z_flat[plan.flat] = -np.inf
+        z_flat[flat] = -np.inf
         z_zero_max = z_flat.reshape(z_rows.shape).max(axis=1)
-        z_flat[plan.flat] = z_nz
+        z_flat[flat] = z_nz
 
-    t = z_nz - plan.log_vals
-    starts = plan.starts
+    t = z_nz - target.log_vals[start:end]
+    starts = target.row_ptr[lo:hi] - start
     gap = z_zero_max - np.minimum.reduceat(z_nz, starts)
     spread = np.maximum.reduceat(t, starts) - np.minimum.reduceat(t, starts)
-    return np.where(plan.valid1, gap, -np.inf), np.where(plan.valid2, spread, -np.inf)
+    return (np.where(target.zero_counts[lo:hi] > 0, gap, -np.inf),
+            np.where(target.nz_counts[lo:hi] >= 2, spread, -np.inf))
 
 
 def margin_report(

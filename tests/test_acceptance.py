@@ -10,6 +10,7 @@ import itertools
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from sparseattn.matrices import ApproxParams, generate
 from sparseattn.render import pooled_pixels
 from sparseattn.sweep import (
     SweepConfig,
+    SweepRecord,
     log_fit,
     q_sweep,
     run_sweep,
@@ -151,6 +153,15 @@ def test_criterion_03_logarithmic_growth():
             violations.append(f"L={r.L} trial={r.trial}: d_min {r.d_min} "
                               f">= bound {r.theoretical_d:.0f}")
     _verdict(3, "logarithmic growth", violations)
+
+
+def test_smoke_records_match_the_benchmark_expected_csv():
+    # The benchmark pins the same sweep as its sweep_growth output at seed
+    # 2024; a re-baseline must move both copies together.
+    expected = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+    rows = (expected / "sweep_growth-seed2024.csv").read_text(encoding="utf-8").splitlines()[1:]
+    pinned = [SweepRecord.from_csv_row(row) for row in rows if row.strip()]
+    assert [(r.L, r.trial, r.d_min, r.redraws_used) for r in pinned] == SMOKE_RECORDS_2024
 
 
 def test_criterion_04_q_insensitivity():

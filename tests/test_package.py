@@ -43,6 +43,23 @@ def test_traced_layers_resolve():
         assert callable(layer), f"{module}.{attr}"
 
 
+def test_package_imports_only_numpy_and_the_standard_library():
+    # Every spawned sweep worker re-imports the package, and the benchmark's
+    # peak memory counts the largest worker: a heavy import such as
+    # scipy.linalg costs each worker tens of MB.
+    allowed = {"numpy", *sys.stdlib_module_names}
+    for path in sorted((ROOT / "src" / "sparseattn").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
 @pytest.mark.parametrize("demo", ["approximate_sparse_matrix.py", "jlt_concentration.py"])
 def test_demo_runs(demo, tmp_path):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]

@@ -27,6 +27,7 @@ from sparseattn.sweep import (
     find_dmin,
     log_fit,
     q_sweep,
+    row_blocks,
     run_sweep,
     search_width,
     theoretical_d,
@@ -307,6 +308,21 @@ def last_row_violation_instance(L=64):
     factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
     factors = replace(factors, left=z, right=np.eye(L))
     return params, A, factors, j
+
+
+@pytest.mark.parametrize(
+    "L, blocks",
+    [
+        (2, [(0, 2)]),
+        (4, [(0, 4)]),
+        (5, [(0, 4), (4, 5)]),
+        (17, [(0, 4), (4, 16), (16, 17)]),
+        (64, [(0, 4), (4, 16), (16, 48), (48, 64)]),
+        (256, [(0, 4), (4, 16), (16, 48), (48, 112), (112, 240), (240, 256)]),
+    ],
+)
+def test_row_blocks_schedule(L, blocks):
+    assert row_blocks(L) == blocks
 
 
 # Row counts around the search's block edges (rows 0-3, 4-15, 16-47, 48-111).

@@ -12,13 +12,13 @@ from conftest import reference_row_margins
 from sparseattn.attention import csam, sam
 from sparseattn.construct import build_log_gap, compress, sample_stiefel, svd_factor
 from sparseattn.matrices import ApproxParams, SparseStochasticMatrix, generate
+from sparseattn.sweep import row_blocks
 from sparseattn.verify import (
     ApproxReport,
     VerificationError,
     check_conditions,
     check_direct,
     compile_target,
-    row_blocks,
     row_margins,
 )
 
@@ -279,47 +279,14 @@ def test_nonfinite_logits_rejected():
         check_conditions(z, A, 0.15, 0.7)
 
 
-def _arrays_inside(value):
-    """Every array held by ``value``, looking inside dataclasses, lists,
-    tuples and dict values."""
-    if isinstance(value, np.ndarray):
-        yield value
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _arrays_inside(item)
-    elif isinstance(value, dict):
-        for item in value.values():
-            yield from _arrays_inside(item)
-    elif hasattr(value, "__dataclass_fields__"):
-        for item in vars(value).values():
-            yield from _arrays_inside(item)
-
-
 def test_compiled_target_holds_no_dense_array():
-    # O(nnz + L): per-nonzero and per-row arrays only, no L x L mask, also
-    # inside the per-block plans.
+    # O(nnz + L): per-nonzero and per-row arrays only, no L x L mask.
     for causal in (False, True):
         A, _ = random_instance(40, 2, 2.0, seed=4, causal=causal)
-        target = compile_target(A)
-        assert list(target.blocks) == row_blocks(40)
-        arrays = list(_arrays_inside(target))
-        assert len(arrays) > len(vars(target))  # the plans' arrays were walked
+        fields = list(vars(compile_target(A)).values())
+        arrays = [v for v in fields if isinstance(v, np.ndarray)]
+        assert len(arrays) + 3 == len(fields)  # besides them only L, causal, n_triples
         assert all(a.ndim == 1 and a.size <= A.nnz + A.L + 1 for a in arrays)
-
-
-@pytest.mark.parametrize(
-    "L, blocks",
-    [
-        (2, [(0, 2)]),
-        (4, [(0, 4)]),
-        (5, [(0, 4), (4, 5)]),
-        (17, [(0, 4), (4, 16), (16, 17)]),
-        (64, [(0, 4), (4, 16), (16, 48), (48, 64)]),
-        (256, [(0, 4), (4, 16), (16, 48), (48, 112), (112, 240), (240, 256)]),
-    ],
-)
-def test_row_blocks_schedule(L, blocks):
-    assert row_blocks(L) == blocks
 
 
 SPECIALS = (math.nan, math.inf, -math.inf)
@@ -340,7 +307,8 @@ SPECIALS = (math.nan, math.inf, -math.inf)
 @example(L=17, k=2, seed=3, causal=True, ties=False, placements=[(False, 7, -math.inf)])
 def test_row_margins_match_the_masked_reference(L, k, seed, causal, ties, placements):
     """Bit-equal condition values, or the same error, on every block of the
-    search's schedule and on the whole matrix; the logits stay untouched."""
+    search's schedule, on the whole matrix and on three row ranges drawn from
+    the seed; the logits stay untouched."""
     k = min(k, L)
     params = ApproxParams(L=L, k=k, gamma=2.0, eps1=0.15, eps2=0.7, causal=causal)
     A = generate(params, seed)
@@ -357,7 +325,8 @@ def test_row_margins_match_the_masked_reference(L, k, seed, causal, ties, placem
             i, j = cells[index % len(cells)]
             z[i, j] = value
     before = z.copy()
-    for lo, hi in [*target.blocks, (0, L)]:
+    drawn = [tuple(sorted(map(int, rng.choice(L + 1, size=2, replace=False)))) for _ in range(3)]
+    for lo, hi in [*row_blocks(L), (0, L), *drawn]:
         try:
             want = reference_row_margins(z[lo:hi].copy(), target, lo)
         except VerificationError as exc:
@@ -376,7 +345,7 @@ def test_row_margins_read_only_logits():
     A, z = random_instance(20, 2, 2.0, seed=6)
     target = compile_target(A)
     z.setflags(write=False)
-    for lo, hi in target.blocks:
+    for lo, hi in row_blocks(20):
         want = reference_row_margins(z[lo:hi], target, lo)
         got = row_margins(z[lo:hi], target, lo)
         assert all(np.array_equal(w, g) for w, g in zip(want, got))
