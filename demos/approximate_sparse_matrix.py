@@ -15,7 +15,6 @@ import numpy as np
 
 from sparseattn import (
     ApproxParams,
-    RenderSpec,
     SweepConfig,
     assemble,
     build_log_gap,
@@ -67,8 +66,8 @@ passing, _, z, _ = search_width(factors, target, record.d_min, round(cfg.q * L),
 print(f"  replayed the passing draw (redraw {passing})")
 
 m = sam(z)
-render_pgm(A, RenderSpec(pool=2, clip=0.05, out_path="target.pgm"))
-render_pgm(m, RenderSpec(pool=2, clip=0.05, out_path="attention.pgm"))
+render_pgm(A, "target.pgm", pool=2, clip=0.05)
+render_pgm(m, "attention.pgm", pool=2, clip=0.05)
 print("\nwrote target.pgm and attention.pgm (64x64, max-pooled, clipped at 0.05)")
 
 bright_m = np.argmax(m, axis=1)

@@ -34,7 +34,7 @@ from .matrices import (
     validate,
     write_coo,
 )
-from .render import RenderSpec, pooled_pixels, read_pgm, render_pgm
+from .render import pooled_pixels, read_pgm, render_pgm
 from .sweep import (
     SweepConfig,
     SweepRecord,
@@ -54,7 +54,6 @@ __all__ = [
     "Factorization",
     "JltParams",
     "ProjectionPair",
-    "RenderSpec",
     "SparseStochasticMatrix",
     "SweepConfig",
     "SweepRecord",

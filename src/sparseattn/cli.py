@@ -23,36 +23,9 @@ import numpy as np
 
 from . import attention, concentration, sweep as sweep_mod
 from .construct import build_log_gap, svd_factor
-from .matrices import (
-    ApproxParams,
-    CooFormatError,
-    MatrixError,
-    generate,
-    read_coo,
-    write_coo,
-)
-from .render import RenderSpec, render_pgm
+from .matrices import ApproxParams, generate, read_coo, write_coo
+from .render import render_pgm
 from .verify import compile_target
-
-CONFIG_KEYS = {
-    "k": int,
-    "gamma": float,
-    "eps1": float,
-    "eps2": float,
-    "causal": None,  # parsed as 0/1/true/false
-    "L_grid": None,  # comma-separated ints
-    "d_lower": int,
-    "d_upper": int,
-    "d_points": int,
-    "q": float,
-    "trials_per_L": int,
-    "master_seed": int,
-    "q_values": None,  # comma-separated floats; used by qsweep only
-}
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _parse_bool(text: str) -> bool:
@@ -70,6 +43,23 @@ def _int_list(text: str) -> list[int]:
 
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+CONFIG_KEYS = {
+    "k": int,
+    "gamma": float,
+    "eps1": float,
+    "eps2": float,
+    "causal": _parse_bool,
+    "L_grid": _int_list,
+    "d_lower": int,
+    "d_upper": int,
+    "d_points": int,
+    "q": float,
+    "trials_per_L": int,
+    "master_seed": int,
+    "q_values": _float_list,  # used by qsweep only
+}
 
 
 def load_sweep_config(path) -> tuple[sweep_mod.SweepConfig, list[float]]:
@@ -100,14 +90,7 @@ def load_sweep_config(path) -> tuple[sweep_mod.SweepConfig, list[float]]:
                 continue
             seen[key] = n
             try:
-                if key == "causal":
-                    values[key] = _parse_bool(text)
-                elif key == "L_grid":
-                    values[key] = _int_list(text)
-                elif key == "q_values":
-                    values[key] = _float_list(text)
-                else:
-                    values[key] = CONFIG_KEYS[key](text)
+                values[key] = CONFIG_KEYS[key](text)
             except ValueError:
                 problems.append(f"line {n}: bad value for {key!r}: {text!r}")
     required = {"k", "gamma", "eps1", "eps2", "L_grid"}
@@ -115,7 +98,7 @@ def load_sweep_config(path) -> tuple[sweep_mod.SweepConfig, list[float]]:
     for key in missing:
         problems.append(f"missing required key {key!r}")
     if problems:
-        raise UsageError("config errors:\n  " + "\n  ".join(problems))
+        raise ValueError("config errors:\n  " + "\n  ".join(problems))
 
     def given(*keys):
         # Keys the file leaves out take ApproxParams' and SweepConfig's defaults.
@@ -147,11 +130,11 @@ def read_dense_dump(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.readline().split()
         if len(head) != 2:
-            raise UsageError(f"{path}: expected 'rows cols' header")
+            raise ValueError(f"{path}: expected 'rows cols' header")
         rows, cols = int(head[0]), int(head[1])
         data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
     if data.shape != (rows, cols):
-        raise UsageError(f"{path}: expected shape {(rows, cols)}, got {data.shape}")
+        raise ValueError(f"{path}: expected shape {(rows, cols)}, got {data.shape}")
     return data
 
 
@@ -170,7 +153,7 @@ def cmd_approx(args) -> int:
     sweep_mod.check_width(args.d, A.L)
     n_redraws = int(round(args.q * A.L))
     if n_redraws < 1:
-        raise UsageError(f"--q {args.q} gives round(q * L) = {n_redraws} redraws at L={A.L}")
+        raise ValueError(f"--q {args.q} gives round(q * L) = {n_redraws} redraws at L={A.L}")
 
     factors = svd_factor(build_log_gap(A, args.eps1, args.eps2))
     target = compile_target(A)
@@ -229,9 +212,8 @@ def cmd_render(args) -> int:
     elif len(head) == 2:
         matrix = read_dense_dump(args.input)
     else:
-        raise UsageError(f"{args.input}: neither a COO file nor a dense dump")
-    spec = RenderSpec(pool=args.pool, clip=args.clip, out_path=args.out)
-    render_pgm(matrix, spec)
+        raise ValueError(f"{args.input}: neither a COO file nor a dense dump")
+    render_pgm(matrix, args.out, pool=args.pool, clip=args.clip)
     side = matrix.shape[0] // args.pool
     print(f"wrote {side}x{side} PGM to {args.out}")
     return 0
@@ -320,10 +302,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, MatrixError, CooFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -67,10 +67,13 @@ def check_tolerances(eps1: float, eps2: float) -> None:
 class SparseStochasticMatrix:
     """Sparse right-stochastic matrix in coordinate form.
 
-    Entries are stored as parallel arrays sorted row-major.  ``k`` and
-    ``gamma`` record the bounds the matrix is supposed to satisfy (written
-    to the file header); whether it actually satisfies them is the business
-    of :func:`validate`.
+    Entries are stored as parallel arrays sorted row-major.  Construction
+    rejects (``MatrixError``) out-of-range indices, non-positive or
+    non-finite entries, duplicate coordinates, a causal entry above the
+    diagonal, and a row with no nonzero, which no softmax row can match.
+    ``k`` and ``gamma`` record the bounds the matrix is supposed to satisfy
+    (written to the file header); whether it actually satisfies them is the
+    business of :func:`validate`.
     """
 
     L: int
@@ -98,6 +101,9 @@ class SparseStochasticMatrix:
                 raise MatrixError("entries must be positive (zeros are implicit)")
             if not np.all(np.isfinite(self.vals)):
                 raise MatrixError("entries must be finite")
+        row_counts = np.bincount(self.rows, minlength=self.L)
+        if not row_counts.all():
+            raise MatrixError(f"row {int(np.argmin(row_counts))} has no nonzero entry")
         order = np.lexsort((self.cols, self.rows))
         self.rows = self.rows[order]
         self.cols = self.cols[order]
@@ -257,8 +263,9 @@ def validate(A: SparseStochasticMatrix, params: ApproxParams) -> ValidationRepor
 
     Checks: dimension match, row sums within 1e-12 of one, at most k
     nonzeros per row and per column, within-row ratios in [1/gamma, gamma]
-    (with 1e-12 relative slack for normalization roundoff), no empty rows,
-    and lower-triangular support when ``params.causal``.
+    (with 1e-12 relative slack for normalization roundoff), and
+    lower-triangular support when ``params.causal``.  Every row holds a
+    nonzero by construction.
     """
     violations: list[InvariantViolation] = []
     if A.L != params.L:
@@ -272,9 +279,7 @@ def validate(A: SparseStochasticMatrix, params: ApproxParams) -> ValidationRepor
     row_counts = np.bincount(A.rows, minlength=A.L)
     col_counts = np.bincount(A.cols, minlength=A.L)
 
-    for i in np.nonzero(row_counts == 0)[0]:
-        violations.append(InvariantViolation("empty_row", int(i), None, "row has no nonzero"))
-    bad_sum = np.nonzero((np.abs(row_sums - 1.0) > ROW_SUM_TOL) & (row_counts > 0))[0]
+    bad_sum = np.nonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL)[0]
     for i in bad_sum:
         violations.append(
             InvariantViolation("row_sum", int(i), None, f"row sums to {row_sums[i]!r}")
@@ -319,9 +324,6 @@ def min_nonzero_rows(A: SparseStochasticMatrix) -> np.ndarray:
     """Per-row minimum over the nonzero entries (length-L vector)."""
     out = np.full(A.L, np.inf)
     np.minimum.at(out, A.rows, A.vals)
-    if np.any(np.isinf(out)):
-        empty = int(np.argmax(np.isinf(out)))
-        raise MatrixError(f"row {empty} has no nonzero entry")
     return out
 
 
@@ -338,8 +340,10 @@ def write_coo(A: SparseStochasticMatrix, path) -> None:
 def read_coo(path) -> SparseStochasticMatrix:
     """Parse the COO text format written by :func:`write_coo`.
 
-    Raises CooFormatError on a malformed header, out-of-range indices,
-    duplicate coordinates, or an above-diagonal entry under a causal header.
+    Raises CooFormatError on a malformed header or entry line, and on any
+    data the matrix constructor rejects (out-of-range indices, duplicate
+    coordinates, an above-diagonal entry under a causal header, a row with
+    no nonzero), naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = [ln.strip() for ln in fh]

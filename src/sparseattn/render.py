@@ -2,38 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .matrices import SparseStochasticMatrix
 
 
-@dataclass
-class RenderSpec:
-    """Pooling window (must divide L), clip level in (0, 1], output path."""
+def pooled_pixels(matrix, pool: int, clip: float) -> np.ndarray:
+    """Max-pool into (L/pool)^2 blocks, clip, and quantize to 0..255.
 
-    pool: int = 8
-    clip: float = 0.05
-    out_path: str = "attention.pgm"
-
-    def __post_init__(self):
-        _check_pool_clip(self.pool, self.clip)
-
-
-def _check_pool_clip(pool: int, clip: float) -> None:
+    Raises ValueError unless ``pool`` is at least 1 and divides L and
+    ``clip`` lies in (0, 1].
+    """
     if pool < 1:
         raise ValueError(f"pool must be >= 1, got {pool}")
     if not 0.0 < clip <= 1.0:
         raise ValueError(f"clip must lie in (0, 1], got {clip}")
-
-
-def pooled_pixels(matrix, pool: int, clip: float) -> np.ndarray:
-    """Max-pool into (L/pool)^2 blocks, clip, and quantize to 0..255.
-
-    ``pool`` and ``clip`` are checked as in ``RenderSpec``.
-    """
-    _check_pool_clip(pool, clip)
     if isinstance(matrix, SparseStochasticMatrix):
         matrix = matrix.to_dense()
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -47,9 +30,10 @@ def pooled_pixels(matrix, pool: int, clip: float) -> np.ndarray:
     return np.rint(255.0 * np.minimum(blocks, clip) / clip).astype(np.int64)
 
 
-def render_pgm(matrix, spec: RenderSpec) -> None:
-    """Write the pooled map as plain-text PGM (P2, maxval 255)."""
-    pixels = pooled_pixels(matrix, spec.pool, spec.clip)
+def render_pgm(matrix, out_path, pool: int = 8, clip: float = 0.05) -> None:
+    """Write the pooled map (``pooled_pixels``) to ``out_path`` as plain-text
+    PGM (P2, maxval 255).  Invalid options raise before any file is opened."""
+    pixels = pooled_pixels(matrix, pool, clip)
     side = pixels.shape[0]
     lines = ["P2", f"{side} {side}", "255"]
     for row in pixels:
@@ -65,7 +49,7 @@ def render_pgm(matrix, spec: RenderSpec) -> None:
             width += len(tok) + (1 if width else 0)
         if line:
             lines.append(" ".join(line))
-    with open(spec.out_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

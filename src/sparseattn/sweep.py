@@ -273,16 +273,16 @@ def search_width(
             if c_inv is None:  # L <= KEYS_FROM
                 c_inv = np.linalg.inv(c)
             if np.abs(c).sum(0).max() * np.abs(c_inv).sum(0).max() > STEP_KAPPA:
-                # Every row again from keys after the step; F_R - K G^T goes
-                # through z, which the blocks below rewrite.
+                # Every row again from keys after the step, in one product:
+                # every row of ``left`` is filled by now.  F_R - K G^T goes
+                # through z, which that product rewrites.
                 if keys is None:
                     keys = (factors.right @ g) @ c_inv
                 np.matmul(keys, g.T, out=z)
                 np.subtract(factors.right, z, out=z)
                 keys += (z @ g) @ c_inv
-                for lo, hi in blocks:
-                    np.matmul(left[lo:hi], keys.T, out=z[lo:hi])
-                    cond1[lo:hi], cond2[lo:hi] = row_margins(z[lo:hi], target, lo)
+                np.matmul(left, keys.T, out=z)
+                cond1[:], cond2[:] = row_margins(z, target, 0)
             report = margin_report(z, target, cond1, cond2, eps1, eps2)
             if report.passed:
                 return t, t + 1, z, report
@@ -339,10 +339,13 @@ def _read_existing(csv_path, cfg: SweepConfig) -> list[SweepRecord]:
     """Rows of an earlier run of this sweep.  Each row's seed must be the one
     ``cfg.master_seed`` derives for its (L, trial), which rejects torn rows and
     files written under another master seed; its ``theoretical_d`` must be the
-    bound of ``cfg.params`` at its L, which rejects files written under other
-    k, gamma, eps1 or eps2; and its (d_min, redraws_used) must be a result
-    ``cfg.d_grid()`` can produce (``_grid_can_produce``), which rejects files
-    written under another d-grid."""
+    bound of ``cfg.params`` at its L, which rejects files written under k,
+    gamma, eps1 or eps2 that give another bound; and its (d_min, redraws_used)
+    must be a result ``cfg.d_grid()`` can produce (``_grid_can_produce``),
+    which rejects files written under another d-grid.  The bound reads gamma
+    and eps1 only through its margin ``max(log(gamma / eps1) + eps2, 1)``, so
+    another gamma or eps1 goes unseen while that margin is 1; and no column
+    records ``causal``, so a file written in the other mode is not rejected."""
     if csv_path is None or not os.path.exists(csv_path):
         return []
     with open(csv_path, "r", encoding="utf-8") as fh:

@@ -21,8 +21,8 @@ the small-instance oracle the log-domain path is tested against.
 
 Both checks take their mode from the target: a causal target
 (``A.causal``) is judged on the positions at or below the diagonal only.
-Both reject a target with a row that holds no nonzero, which no softmax row
-can approximate (``compile_target`` does so for ``check_conditions``).
+Every target row holds a nonzero: ``SparseStochasticMatrix`` rejects an
+empty row when it is built.
 
 Both functions report the same canonical first violation: triples are
 scanned row by row, zero/nonzero pairs before nonzero/nonzero pairs within
@@ -109,11 +109,9 @@ class CompiledTarget:
 
 def compile_target(A: SparseStochasticMatrix) -> CompiledTarget:
     """Compile ``A`` once for any number of checks against it, in its own
-    mode, in O(nnz + L).  Raises on a row with no nonzero."""
+    mode, in O(nnz + L)."""
     L = A.L
     nz_counts = np.bincount(A.rows, minlength=L)
-    if not nz_counts.all():
-        raise VerificationError(f"target row {int(np.argmin(nz_counts))} has no nonzero")
     row_ptr = np.concatenate(([0], np.cumsum(nz_counts)))
     considered = np.arange(1, L + 1) if A.causal else np.full(L, L)
     zero_counts = considered - nz_counts
@@ -132,9 +130,8 @@ def check_conditions(
 ) -> ApproxReport:
     """Log-domain check of both ratio conditions on the logit matrix:
     ``row_margins`` over every row of the compiled target, then
-    ``margin_report``, in the target's own mode.  Raises on a target row with
-    no nonzero and on non-finite logits at considered positions, where the
-    softmax is undefined."""
+    ``margin_report``, in the target's own mode.  Raises on non-finite
+    logits at considered positions, where the softmax is undefined."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (A.L, A.L):
         raise VerificationError(f"logits shape {z.shape} does not match L={A.L}")
@@ -249,8 +246,8 @@ def check_direct(
     the target's own mode.
 
     Full pair enumeration per row; intended as an oracle for small L.
-    Raises on a target row with no nonzero and on non-finite ratios (a zero
-    attention entry at a nonzero position of the target).
+    Raises on non-finite ratios (a zero attention entry at a nonzero
+    position of the target).
     """
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (A.L, A.L):
@@ -267,8 +264,6 @@ def check_direct(
     for i in range(A.L):
         considered = a_dense[i, : i + 1] if A.causal else a_dense[i]
         nz_j = np.nonzero(considered != 0.0)[0]
-        if not len(nz_j):
-            raise VerificationError(f"target row {i} has no nonzero")
         zero_j = np.nonzero(considered == 0.0)[0]
         n_triples += len(zero_j) * len(nz_j) + len(nz_j) * (len(nz_j) - 1)
         row_violation = None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sparseattn.cli import main
-from sparseattn.matrices import ApproxParams, read_coo, validate, write_coo
+from sparseattn.matrices import ApproxParams, CooFormatError, read_coo, validate, write_coo
 from sparseattn.render import read_pgm
 
 
@@ -279,6 +279,25 @@ def test_render_pool_must_divide(tmp_path, capsys):
     coo = tmp_path / "a.coo"
     run("generate", "--L", 32, "--k", 1, "--seed", 2, "--out", coo)
     assert run("render", "--input", coo, "--pool", 5, "--out", tmp_path / "x.pgm") == 2
+
+
+@pytest.mark.parametrize(
+    "content, row", [("4 1 1 0\n0 0 1.0\n2 2 1.0\n3 3 1.0\n", 1), ("4 1 1 0\n", 0)],
+    ids=["empty_row", "header_only"],
+)
+def test_coo_with_an_empty_row_is_refused_on_read(tmp_path, capsys, content, row):
+    # Building the target rejects the empty row, so every subcommand that
+    # reads the file refuses it, naming the file and the row.
+    coo = tmp_path / "gap.coo"
+    coo.write_text(content)
+    with pytest.raises(CooFormatError, match=f"gap.coo: row {row} has no nonzero entry"):
+        read_coo(coo)
+    out = tmp_path / "gap.pgm"
+    assert run("render", "--input", coo, "--pool", 1, "--out", out) == 2
+    assert f"row {row} has no nonzero entry" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("approx", "--input", coo, "--d", 2) == 2
+    assert f"row {row} has no nonzero entry" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- jlt-bench

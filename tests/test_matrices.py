@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from sparseattn.matrices import (
     ApproxParams,
     CooFormatError,
-    MatrixError,
     SparseStochasticMatrix,
     generate,
     min_nonzero_rows,
@@ -245,12 +244,6 @@ def test_min_nonzero_range_for_generated():
     mn = min_nonzero_rows(A)
     assert np.all(mn >= 1 / 3 - 1e-15)
     assert np.all(mn <= 1.0)
-
-
-def test_min_nonzero_rejects_empty_row():
-    A = SparseStochasticMatrix(3, [0, 2], [0, 2], [1.0, 1.0])
-    with pytest.raises(MatrixError, match="row 1"):
-        min_nonzero_rows(A)
 
 
 # ------------------------------------------------------------------ file IO

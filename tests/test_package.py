@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import sparseattn
+import sparseattn.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,6 +23,8 @@ def test_public_names_resolve_once_each():
         (sparseattn.construct, "LogGapMatrix"),
         (sparseattn.construct, "reconstruct_target"),
         (sparseattn.concentration, "tail_estimate"),
+        (sparseattn.render, "RenderSpec"),
+        (sparseattn.cli, "UsageError"),
     ]:
         assert not hasattr(sparseattn, gone) and not hasattr(module, gone)
 

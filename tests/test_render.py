@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparseattn.matrices import ApproxParams, generate
-from sparseattn.render import RenderSpec, pooled_pixels, read_pgm, render_pgm
+from sparseattn.render import pooled_pixels, read_pgm, render_pgm
 
 
 def test_identity_pooling_saturates_unit_entry(tmp_path):
@@ -40,21 +40,27 @@ def test_block_max_pooling():
     assert pix[0, 1] == 0 and pix[1, 0] == 0
 
 
-def test_pool_must_divide_L():
+def test_pool_must_divide_L(tmp_path):
     with pytest.raises(ValueError, match="divide"):
         pooled_pixels(np.zeros((10, 10)), pool=3, clip=0.5)
-    with pytest.raises(ValueError):
-        RenderSpec(pool=0)
-    with pytest.raises(ValueError):
-        RenderSpec(clip=0.0)
+    with pytest.raises(ValueError, match="pool"):
+        pooled_pixels(np.zeros((10, 10)), pool=0, clip=0.5)
+    with pytest.raises(ValueError, match="clip"):
+        pooled_pixels(np.zeros((10, 10)), pool=1, clip=0.0)
+    # render_pgm checks its options through pooled_pixels before it opens
+    # the output, so a bad option leaves no file behind.
+    for pool, clip in [(3, 0.5), (0, 0.5), (1, 0.0)]:
+        out = tmp_path / f"bad-{pool}-{clip}.pgm"
+        with pytest.raises(ValueError):
+            render_pgm(np.zeros((10, 10)), out, pool=pool, clip=clip)
+        assert not out.exists()
 
 
 def test_pgm_round_trip(tmp_path):
     params = ApproxParams(L=32, k=2, gamma=2.0, eps1=0.5, eps2=0.5)
     A = generate(params, seed=6)
     out = tmp_path / "map.pgm"
-    spec = RenderSpec(pool=4, clip=0.05, out_path=str(out))
-    render_pgm(A, spec)
+    render_pgm(A, out, pool=4, clip=0.05)
     pixels = read_pgm(out)
     np.testing.assert_array_equal(pixels, pooled_pixels(A.to_dense(), 4, 0.05))
 
@@ -62,7 +68,7 @@ def test_pgm_round_trip(tmp_path):
 def test_pgm_is_plain_text_with_short_lines(tmp_path):
     out = tmp_path / "map.pgm"
     rng = np.random.default_rng(1)
-    render_pgm(rng.uniform(0, 1, (64, 64)), RenderSpec(pool=1, clip=0.5, out_path=str(out)))
+    render_pgm(rng.uniform(0, 1, (64, 64)), out, pool=1, clip=0.5)
     text = out.read_text()
     assert text.startswith("P2\n64 64\n255\n")
     assert all(len(line) <= 70 for line in text.splitlines())

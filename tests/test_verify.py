@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import reference_row_margins
 from sparseattn.attention import csam, sam
 from sparseattn.construct import build_log_gap, compress, sample_stiefel, svd_factor
-from sparseattn.matrices import ApproxParams, SparseStochasticMatrix, generate
+from sparseattn.matrices import ApproxParams, MatrixError, SparseStochasticMatrix, generate
 from sparseattn.sweep import row_blocks
 from sparseattn.verify import (
     ApproxReport,
@@ -234,14 +234,16 @@ def test_causal_check_ignores_upper_triangle():
 
 @pytest.mark.parametrize("causal", [False, True])
 def test_target_row_without_nonzero_rejected(causal):
-    # Row 1 holds no nonzero: no softmax row can approximate it.
-    A = SparseStochasticMatrix(3, [0, 2], [0, 2], [1.0, 1.0], causal=causal)
-    with pytest.raises(VerificationError, match="row 1 has no nonzero"):
-        compile_target(A)
-    with pytest.raises(VerificationError, match="row 1 has no nonzero"):
-        check_conditions(np.zeros((3, 3)), A, 0.15, 0.7)
-    with pytest.raises(VerificationError, match="row 1 has no nonzero"):
-        check_direct(np.full((3, 3), 1.0 / 3.0), A, 0.15, 0.7)
+    # Row 1 holds no nonzero: no softmax row can approximate it, and the
+    # log-gap shift has no row minimum to divide by.  Building the target
+    # rejects it, so neither check nor min_nonzero_rows ever sees one.
+    with pytest.raises(MatrixError, match="row 1 has no nonzero entry"):
+        SparseStochasticMatrix(3, [0, 2], [0, 2], [1.0, 1.0], causal=causal)
+    with pytest.raises(MatrixError, match="row 0 has no nonzero entry"):
+        SparseStochasticMatrix(3, [], [], [], causal=causal)
+    A = SparseStochasticMatrix(3, [0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0], causal=causal)
+    with pytest.raises(MatrixError, match="row 2 has no nonzero entry"):
+        replace(A, rows=A.rows[:2], cols=A.cols[:2], vals=A.vals[:2])
 
 
 def test_report_json_round_trip():
