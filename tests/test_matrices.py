@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from sparseattn.matrices import (
     ApproxParams,
     CooFormatError,
+    MatrixError,
     SparseStochasticMatrix,
     generate,
     min_nonzero_rows,
@@ -244,6 +245,13 @@ def test_min_nonzero_range_for_generated():
     mn = min_nonzero_rows(A)
     assert np.all(mn >= 1 / 3 - 1e-15)
     assert np.all(mn <= 1.0)
+
+
+def test_min_nonzero_rejects_empty_row():
+    # A row with no nonzero has no minimum; the matrix is refused when it is
+    # built, so min_nonzero_rows never receives one.
+    with pytest.raises(MatrixError, match="row 1"):
+        min_nonzero_rows(SparseStochasticMatrix(3, [0, 2], [0, 2], [1.0, 1.0]))
 
 
 # ------------------------------------------------------------------ file IO
