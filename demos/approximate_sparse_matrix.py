@@ -18,7 +18,6 @@ from sparseattn import (
     SweepConfig,
     assemble,
     build_log_gap,
-    compile_target,
     compress,
     find_dmin,
     generate,
@@ -38,7 +37,6 @@ print(f"target: L={L}, {A.nnz} nonzeros, k={params.k}, gamma={params.gamma}")
 
 B = build_log_gap(A, params.eps1, params.eps2)
 factors = svd_factor(B)
-target = compile_target(A)
 print(f"largest singular value of the log-gap matrix: {np.linalg.norm(B, 2):.3f}")
 
 # At full width the embeddings and fixed weights reproduce the log-gap matrix B.
@@ -48,7 +46,7 @@ print(f"full width d = {2 * L}: X is {inputs.x.shape[0]} x {inputs.x.shape[1]}, 
 
 print("\nwidth sweep (single projection draw each):")
 for d in (32, 64, 128, 192, 2 * L):
-    _, _, _, report = search_width(factors, target, d, 1, 7, params.eps1, params.eps2)
+    _, _, _, report = search_width(factors, A, d, 1, 7, params.eps1, params.eps2)
     print(f"  d = {d:3d}: passed = {report.passed!s:5}   "
           f"zero-ratio log {report.worst_zero_ratio_log:7.3f} (< {np.log(params.eps1):.3f})   "
           f"nonzero dev {report.worst_nonzero_dev:6.3f} (< {params.eps2})")
@@ -61,7 +59,7 @@ print(f"  d_min = {record.d_min} after {record.redraws_used} redraws "
       f"(theoretical bound {record.theoretical_d:.0f})")
 
 # Replay the passing draw at the found width for rendering.
-passing, _, z, _ = search_width(factors, target, record.d_min, round(cfg.q * L), record.seed,
+passing, _, z, _ = search_width(factors, A, record.d_min, round(cfg.q * L), record.seed,
                                 params.eps1, params.eps2)
 print(f"  replayed the passing draw (redraw {passing})")
 

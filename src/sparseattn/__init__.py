@@ -45,7 +45,7 @@ from .sweep import (
     search_width,
     theoretical_d,
 )
-from .verify import ApproxReport, check_conditions, check_direct, compile_target
+from .verify import ApproxReport, check_conditions, check_direct
 
 __all__ = [
     "ApproxParams",
@@ -62,7 +62,6 @@ __all__ = [
     "build_log_gap",
     "check_conditions",
     "check_direct",
-    "compile_target",
     "compress",
     "csam",
     "find_dmin",

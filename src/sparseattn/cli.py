@@ -25,7 +25,6 @@ from . import attention, concentration, sweep as sweep_mod
 from .construct import build_log_gap, svd_factor
 from .matrices import ApproxParams, generate, read_coo, write_coo
 from .render import render_pgm
-from .verify import compile_target
 
 
 def _parse_bool(text: str) -> bool:
@@ -131,8 +130,11 @@ def read_dense_dump(path) -> np.ndarray:
         head = fh.readline().split()
         if len(head) != 2:
             raise ValueError(f"{path}: expected 'rows cols' header")
-        rows, cols = int(head[0]), int(head[1])
-        data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        try:
+            rows, cols = int(head[0]), int(head[1])
+            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if data.shape != (rows, cols):
         raise ValueError(f"{path}: expected shape {(rows, cols)}, got {data.shape}")
     return data
@@ -156,9 +158,8 @@ def cmd_approx(args) -> int:
         raise ValueError(f"--q {args.q} gives round(q * L) = {n_redraws} redraws at L={A.L}")
 
     factors = svd_factor(build_log_gap(A, args.eps1, args.eps2))
-    target = compile_target(A)
     passing, redraws_used, z, report = sweep_mod.search_width(
-        factors, target, args.d, n_redraws, args.seed, args.eps1, args.eps2
+        factors, A, args.d, n_redraws, args.seed, args.eps1, args.eps2
     )
 
     payload = {

@@ -67,11 +67,13 @@ def check_tolerances(eps1: float, eps2: float) -> None:
 class SparseStochasticMatrix:
     """Sparse right-stochastic matrix in coordinate form.
 
-    Entries are stored as parallel arrays sorted row-major.  Construction
-    rejects (``MatrixError``) out-of-range indices, non-positive or
-    non-finite entries, duplicate coordinates, a causal entry above the
-    diagonal, and a row with no nonzero, which no softmax row can match.
-    ``k`` and ``gamma`` record the bounds the matrix is supposed to satisfy
+    Entries are stored as parallel arrays sorted row-major, and row ``i``'s
+    entries are ``row_ptr[i]:row_ptr[i + 1]`` (derived on construction), so
+    any range of rows is a slice of each array.  Construction rejects
+    (``MatrixError``) out-of-range indices, non-positive or non-finite
+    entries, duplicate coordinates, a causal entry above the diagonal, and a
+    row with no nonzero, which no softmax row can match.  ``k`` and
+    ``gamma`` record the bounds the matrix is supposed to satisfy
     (written to the file header); whether it actually satisfies them is the
     business of :func:`validate`.
     """
@@ -83,6 +85,7 @@ class SparseStochasticMatrix:
     causal: bool = False
     k: int = 1
     gamma: float = 1.0
+    row_ptr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.int64)
@@ -104,6 +107,7 @@ class SparseStochasticMatrix:
         row_counts = np.bincount(self.rows, minlength=self.L)
         if not row_counts.all():
             raise MatrixError(f"row {int(np.argmin(row_counts))} has no nonzero entry")
+        self.row_ptr = np.concatenate(([0], np.cumsum(row_counts)))
         order = np.lexsort((self.cols, self.rows))
         self.rows = self.rows[order]
         self.cols = self.cols[order]
@@ -276,7 +280,7 @@ def validate(A: SparseStochasticMatrix, params: ApproxParams) -> ValidationRepor
 
     row_sums = np.zeros(A.L)
     np.add.at(row_sums, A.rows, A.vals)
-    row_counts = np.bincount(A.rows, minlength=A.L)
+    row_counts = np.diff(A.row_ptr)
     col_counts = np.bincount(A.cols, minlength=A.L)
 
     bad_sum = np.nonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL)[0]
@@ -293,20 +297,13 @@ def validate(A: SparseStochasticMatrix, params: ApproxParams) -> ValidationRepor
             InvariantViolation("col_nnz", None, int(j), f"{col_counts[j]} nonzeros > k={params.k}")
         )
 
-    ratio_cap = params.gamma * (1.0 + RATIO_RTOL)
-    boundaries = np.concatenate(([0], np.nonzero(np.diff(A.rows))[0] + 1, [A.nnz]))
-    for s, e in zip(boundaries[:-1], boundaries[1:]):
-        if e - s < 2:
-            continue
-        seg = A.vals[s:e]
-        if seg.max() / seg.min() > ratio_cap:
-            i = int(A.rows[s])
-            violations.append(
-                InvariantViolation(
-                    "variation", i, None,
-                    f"ratio {seg.max() / seg.min()!r} exceeds gamma={params.gamma}",
-                )
+    ratios = np.maximum.reduceat(A.vals, A.row_ptr[:-1]) / min_nonzero_rows(A)
+    for i in np.nonzero(ratios > params.gamma * (1.0 + RATIO_RTOL))[0]:
+        violations.append(
+            InvariantViolation(
+                "variation", int(i), None, f"ratio {ratios[i]!r} exceeds gamma={params.gamma}"
             )
+        )
 
     if params.causal:
         above = np.nonzero(A.cols > A.rows)[0]
@@ -322,9 +319,7 @@ def validate(A: SparseStochasticMatrix, params: ApproxParams) -> ValidationRepor
 
 def min_nonzero_rows(A: SparseStochasticMatrix) -> np.ndarray:
     """Per-row minimum over the nonzero entries (length-L vector)."""
-    out = np.full(A.L, np.inf)
-    np.minimum.at(out, A.rows, A.vals)
-    return out
+    return np.minimum.reduceat(A.vals, A.row_ptr[:-1])
 
 
 def write_coo(A: SparseStochasticMatrix, path) -> None:

@@ -45,7 +45,7 @@ import numpy as np
 from ._seeds import derive_seed
 from .construct import Factorization, build_log_gap, projector_basis, svd_factor
 from .matrices import ApproxParams, SparseStochasticMatrix, generate
-from .verify import ApproxReport, CompiledTarget, compile_target, margin_report, row_margins
+from .verify import ApproxReport, margin_report, row_margins
 
 CSV_HEADER = "L,trial,q,d_min,theoretical_d,redraws_used,seed"
 # Set to 1 while the record pool's workers start, so each loads its BLAS with
@@ -197,10 +197,11 @@ def _scaled_left(factors: Factorization, g: np.ndarray, scale2: float, left: np.
 
 
 def search_width(
-    factors: Factorization, target: CompiledTarget, d: int, n_redraws: int,
+    factors: Factorization, A: SparseStochasticMatrix, d: int, n_redraws: int,
     seed: int, eps1: float, eps2: float,
 ) -> tuple[int | None, int, np.ndarray, ApproxReport]:
-    """Redraw the shared projection at width ``d`` until the check passes.
+    """Redraw the shared projection at width ``d`` until target ``A``'s
+    check passes.
 
     Redraw ``t`` (t = 0 .. n_redraws - 1) samples a Haar L x d/2 matrix ``y``
     with seed ``derive_seed(seed, 1, d, t)`` and checks the logits
@@ -217,8 +218,9 @@ def search_width(
 
     Each redraw is evaluated in the row blocks of ``row_blocks(L)`` (rows
     0-3, 4-15, 16-47, then doubling), each block formed into one L x L
-    buffer and checked (``row_margins``) in turn, and a redraw that is not
-    the last one stops at the first block holding a violating row.  Rows 0-15 are ``s^2 ((F_L[0:16] G) C^-1 G^T) F_R^T`` from
+    buffer and checked against ``A``'s rows (``row_margins``) in turn, and a
+    redraw that is not the last one stops at the first block holding a
+    violating row.  Rows 0-15 are ``s^2 ((F_L[0:16] G) C^-1 G^T) F_R^T`` from
     one solve against ``C``, formed and checked as rows 0-3 and then 4-15;
     rows 16-47 take the same route with a second solve.  Only a redraw that
     survives row 47 inverts ``C`` and forms the keys ``F_R G C^-1``, the one
@@ -233,10 +235,10 @@ def search_width(
     row the search evaluates; rows after the failing block of an earlier
     redraw are not evaluated.
     """
-    check_width(d, target.L)
+    check_width(d, A.L)
     if n_redraws < 1:
         raise ValueError(f"n_redraws must be >= 1, got {n_redraws}")
-    L, h = target.L, d // 2
+    L, h = A.L, d // 2
     scale2 = 2.0 * L / d
     log_eps1 = math.log(eps1)
     blocks = row_blocks(L)
@@ -266,7 +268,7 @@ def search_width(
                     c_inv = np.linalg.inv(c)
                     keys = (factors.right @ g) @ c_inv
                 np.matmul(_scaled_left(factors, g, scale2, left, lo, hi), keys.T, out=z[lo:hi])
-            cond1[lo:hi], cond2[lo:hi] = row_margins(z[lo:hi], target, lo)
+            cond1[lo:hi], cond2[lo:hi] = row_margins(z[lo:hi], A, lo)
             if not last and (cond1[lo:hi].max() >= log_eps1 or cond2[lo:hi].max() >= eps2):
                 break
         else:  # every block evaluated: a pass, or the last redraw
@@ -282,8 +284,8 @@ def search_width(
                 np.subtract(factors.right, z, out=z)
                 keys += (z @ g) @ c_inv
                 np.matmul(left, keys.T, out=z)
-                cond1[:], cond2[:] = row_margins(z, target, 0)
-            report = margin_report(z, target, cond1, cond2, eps1, eps2)
+                cond1[:], cond2[:] = row_margins(z, A, 0)
+            report = margin_report(z, A, cond1, cond2, eps1, eps2)
             if report.passed:
                 return t, t + 1, z, report
     return None, n_redraws, z, report
@@ -294,12 +296,12 @@ def find_dmin(A: SparseStochasticMatrix, cfg: SweepConfig, seed: int) -> SweepRe
 
     Walks the width grid in ascending order, up to 2L (wider cannot be
     realized), and runs ``search_width`` with ``round(q * L)`` redraws at
-    each width until one passes.  The target is compiled once for all
-    widths; ``redraws_used`` counts the redraws at every width tried.
+    each width until one passes.  The target's factorization is computed
+    once for all widths; ``redraws_used`` counts the redraws at every width
+    tried.
     """
     L, params = A.L, cfg.params
     factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
-    target = compile_target(A)
     n_redraws = int(round(cfg.q * L))
     record = SweepRecord(
         L=L,
@@ -314,7 +316,7 @@ def find_dmin(A: SparseStochasticMatrix, cfg: SweepConfig, seed: int) -> SweepRe
         if d > 2 * L:
             break
         passing, used, _, _ = search_width(
-            factors, target, d, n_redraws, seed, params.eps1, params.eps2
+            factors, A, d, n_redraws, seed, params.eps1, params.eps2
         )
         record.redraws_used += used
         if passing is not None:

@@ -8,16 +8,16 @@ the target's ratios within a factor of ``exp(eps2)``, strictly.
 ``check_conditions`` works in the log domain on the raw logits: because a
 softmax row ratio equals the exponential of the logit difference, both
 conditions reduce to differences of logits, which stay finite where the
-attention entries themselves would overflow or underflow.  It compiles the
-target once (``compile_target``) to its per-row nonzero columns and
-log-values, in O(nnz + L) with no L x L array.  ``row_margins`` gives each
-row's two condition values for any range of rows, gathering from slices of
-those compiled arrays, and ``margin_report`` turns them into the report;
-``check_conditions`` runs both over every row, and a redraw search runs
-``row_margins`` on each block of logits it forms, in whatever row schedule
-it keeps.  ``check_direct`` evaluates the same conditions literally on
-attention-matrix entries, with its own masks built from the target, and is
-the small-instance oracle the log-domain path is tested against.
+attention entries themselves would overflow or underflow.  It reads the
+target as it is stored: nonzeros in row-major order and a row pointer
+(``SparseStochasticMatrix.row_ptr``), O(nnz + L) with no L x L array.
+``row_margins`` gives each row's two condition values for any range of rows,
+gathering from slices of those arrays, and ``margin_report`` turns them into
+the report; ``check_conditions`` runs both over every row, and a redraw
+search runs ``row_margins`` on each block of logits it forms, in whatever row
+schedule it keeps.  ``check_direct`` evaluates the same conditions literally
+on attention-matrix entries, with its own masks built from the target, and
+is the small-instance oracle the log-domain path is tested against.
 
 Both checks take their mode from the target: a causal target
 (``A.causal``) is judged on the positions at or below the diagonal only.
@@ -81,47 +81,6 @@ def _null_if_no_pairs(worst: float) -> float | None:
     return None if worst == -math.inf else worst
 
 
-@dataclass
-class CompiledTarget:
-    """The target as the log-domain check reads it, built once per matrix in
-    O(nnz + L) and holding no L x L array.
-
-    ``causal`` is the target's own mode.  ``rows``, ``cols`` and
-    ``log_vals`` list the nonzeros in row-major order, and row ``i``'s
-    entries are ``row_ptr[i]:row_ptr[i + 1]``.  ``nz_counts`` and
-    ``zero_counts`` count each row's nonzero and considered zero positions
-    (in causal mode only columns ``j <= i`` are considered), and
-    ``n_triples`` is the number of (j1, j2) pairs the conditions cover.
-    Any range of rows is a slice of each array, so ``row_margins`` needs no
-    index built per range.
-    """
-
-    L: int
-    causal: bool
-    rows: np.ndarray
-    cols: np.ndarray
-    log_vals: np.ndarray
-    row_ptr: np.ndarray
-    nz_counts: np.ndarray
-    zero_counts: np.ndarray
-    n_triples: int
-
-
-def compile_target(A: SparseStochasticMatrix) -> CompiledTarget:
-    """Compile ``A`` once for any number of checks against it, in its own
-    mode, in O(nnz + L)."""
-    L = A.L
-    nz_counts = np.bincount(A.rows, minlength=L)
-    row_ptr = np.concatenate(([0], np.cumsum(nz_counts)))
-    considered = np.arange(1, L + 1) if A.causal else np.full(L, L)
-    zero_counts = considered - nz_counts
-    # Zero/nonzero pairs for condition 1, distinct nonzero pairs for condition 2.
-    n_triples = int(np.sum(zero_counts * nz_counts) + np.sum(nz_counts * (nz_counts - 1)))
-    return CompiledTarget(
-        L, A.causal, A.rows, A.cols, np.log(A.vals), row_ptr, nz_counts, zero_counts, n_triples
-    )
-
-
 def check_conditions(
     z: np.ndarray,
     A: SparseStochasticMatrix,
@@ -129,19 +88,18 @@ def check_conditions(
     eps2: float,
 ) -> ApproxReport:
     """Log-domain check of both ratio conditions on the logit matrix:
-    ``row_margins`` over every row of the compiled target, then
-    ``margin_report``, in the target's own mode.  Raises on non-finite
-    logits at considered positions, where the softmax is undefined."""
+    ``row_margins`` over every row of the target, then ``margin_report``, in
+    the target's own mode.  Raises on non-finite logits at considered
+    positions, where the softmax is undefined."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (A.L, A.L):
         raise VerificationError(f"logits shape {z.shape} does not match L={A.L}")
-    target = compile_target(A)
-    cond1, cond2 = row_margins(z, target, 0)
-    return margin_report(z, target, cond1, cond2, eps1, eps2)
+    cond1, cond2 = row_margins(z, A, 0)
+    return margin_report(z, A, cond1, cond2, eps1, eps2)
 
 
 def row_margins(
-    z_rows: np.ndarray, target: CompiledTarget, lo: int
+    z_rows: np.ndarray, A: SparseStochasticMatrix, lo: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row condition values of the logit rows ``lo .. lo + len(z_rows) - 1``.
 
@@ -152,27 +110,30 @@ def row_margins(
     enumeration.  A row without pairs of a kind gets -inf for it.  Raises on
     a non-finite logit at a considered position of these rows.
 
-    The rows' nonzeros are the slice ``row_ptr[lo]:row_ptr[hi]`` of the
-    compiled arrays, gathered at their row-major offsets into ``z_rows``.  In
+    The rows' nonzeros are the slice ``A.row_ptr[lo]:A.row_ptr[hi]`` of the
+    target's arrays, gathered at their row-major offsets into ``z_rows``.  A
+    row has zero positions when it holds fewer nonzeros than the positions
+    considered: ``L``, or ``i + 1`` for row ``i`` in causal mode.  In
     non-causal mode the zero-position maximum needs no mask: those cells are
     set to -inf for one plain row-max and then restored, so ``z_rows`` reads
     bit-identical after the call (a read-only block is copied first).
     Causal mode masks the positions above the diagonal.
     """
     hi = lo + z_rows.shape[0]
-    start, end = target.row_ptr[lo], target.row_ptr[hi]
-    flat = (target.rows[start:end] - lo) * target.L + target.cols[start:end]
+    ptr = A.row_ptr[lo:hi + 1]
+    start, end = ptr[0], ptr[-1]
+    flat = (A.rows[start:end] - lo) * A.L + A.cols[start:end]
     if not np.isfinite(z_rows).all():
         bad = ~np.isfinite(z_rows)
-        if target.causal:
-            bad &= np.arange(target.L) <= np.arange(lo, hi)[:, None]
+        if A.causal:
+            bad &= np.arange(A.L) <= np.arange(lo, hi)[:, None]
         if bad.any():
             i, j = (int(v) for v in np.argwhere(bad)[0])
             raise VerificationError(f"non-finite logit {z_rows[i, j]} at row {lo + i}, column {j}")
     z_flat = z_rows.reshape(-1)
     z_nz = z_flat[flat]
-    if target.causal:
-        zero_mask = np.arange(target.L) <= np.arange(lo, hi)[:, None]
+    if A.causal:
+        zero_mask = np.arange(A.L) <= np.arange(lo, hi)[:, None]
         zero_mask.reshape(-1)[flat] = False
         z_zero_max = np.max(z_rows, axis=1, where=zero_mask, initial=-np.inf)
     else:
@@ -182,21 +143,25 @@ def row_margins(
         z_zero_max = z_flat.reshape(z_rows.shape).max(axis=1)
         z_flat[flat] = z_nz
 
-    t = z_nz - target.log_vals[start:end]
-    starts = target.row_ptr[lo:hi] - start
+    t = z_nz - np.log(A.vals[start:end])
+    starts = ptr[:-1] - start
     gap = z_zero_max - np.minimum.reduceat(z_nz, starts)
     spread = np.maximum.reduceat(t, starts) - np.minimum.reduceat(t, starts)
-    return (np.where(target.zero_counts[lo:hi] > 0, gap, -np.inf),
-            np.where(target.nz_counts[lo:hi] >= 2, spread, -np.inf))
+    nz_counts = ptr[1:] - ptr[:-1]  # np.diff without its call overhead
+    considered = np.arange(lo + 1, hi + 1) if A.causal else A.L
+    return (np.where(nz_counts < considered, gap, -np.inf),
+            np.where(nz_counts >= 2, spread, -np.inf))
 
 
 def margin_report(
-    z: np.ndarray, target: CompiledTarget, cond1: np.ndarray, cond2: np.ndarray,
+    z: np.ndarray, A: SparseStochasticMatrix, cond1: np.ndarray, cond2: np.ndarray,
     eps1: float, eps2: float,
 ) -> ApproxReport:
-    """The report of logits ``z`` from its per-row condition values
-    (``row_margins`` over every row).  The first violation is located in
-    the first failing row of ``z``, in the canonical scan order."""
+    """The report of logits ``z`` against target ``A`` from its per-row
+    condition values (``row_margins`` over every row).  The first violation
+    is located in the first failing row of ``z``, in the canonical scan
+    order, and the triples counted are the zero/nonzero and distinct
+    nonzero pairs of every row."""
     worst_zero = float(cond1.max())
     worst_dev = float(cond2.max())
     log_eps1 = math.log(eps1)
@@ -206,32 +171,35 @@ def margin_report(
     if not passed:
         fail1 = cond1 >= log_eps1
         i = int(np.argmax(fail1 | (cond2 >= eps2)))
-        lo, hi = target.row_ptr[i], target.row_ptr[i + 1]
-        cols = target.cols[lo:hi]  # ascending
+        start, end = A.row_ptr[i], A.row_ptr[i + 1]
+        cols = A.cols[start:end]  # ascending
         z_row, z_nz = z[i], z[i, cols]
         if fail1[i]:
             # First zero column whose logit is large enough to violate
             # against the row's smallest nonzero logit, then the first
             # nonzero column it actually violates against.
-            zero_row = np.ones(target.L, dtype=bool)
+            zero_row = np.ones(A.L, dtype=bool)
             zero_row[cols] = False
-            if target.causal:
+            if A.causal:
                 zero_row[i + 1:] = False
             j1 = int(np.argmax(zero_row & (z_row - z_nz.min() >= log_eps1)))
             j2 = int(cols[np.argmax(z_row[j1] - z_nz >= log_eps1)])
             first_violation = (i, j1, j2, KIND_ZERO_RATIO)
         else:
-            t = z_nz - target.log_vals[lo:hi]
+            t = z_nz - np.log(A.vals[start:end])
             dev = np.maximum(t - t.min(), t.max() - t)
             k1 = int(np.argmax(dev >= eps2))
             k2 = int(np.argmax(np.abs(t[k1] - t) >= eps2))
             first_violation = (i, int(cols[k1]), int(cols[k2]), KIND_NONZERO_DEV)
 
+    # Each nonzero pairs with every other position its row considers: a
+    # zero for condition 1, a nonzero for condition 2.
+    n_triples = int(A.rows.sum()) if A.causal else A.nnz * (A.L - 1)
     return ApproxReport(
         passed=passed,
         worst_zero_ratio_log=worst_zero,
         worst_nonzero_dev=worst_dev,
-        n_triples_checked=target.n_triples,
+        n_triples_checked=n_triples,
         first_violation=first_violation,
     )
 

@@ -92,18 +92,25 @@ def reference_project_pair(x, y, params, seed):
     return float((r @ x) @ (r @ y) / params.m)
 
 
-def reference_row_margins(z_rows, target, lo):
+def reference_row_margins(z_rows, A, lo):
     """Masked route that ``verify.row_margins`` replaces: one L-wide boolean
     mask of the block's zero positions per call, the nonzeros gathered by
     (row, column) pairs.  ``row_margins`` must return bit-equal condition
-    values, or raise the same VerificationError."""
-    hi = lo + z_rows.shape[0]
-    start, end = target.row_ptr[lo], target.row_ptr[hi]
-    local, cols = target.rows[start:end] - lo, target.cols[start:end]
+    values, or raise the same VerificationError.  The row pointer, the counts
+    and the log-values are rebuilt here from ``A.rows`` and ``A.vals``, not
+    read from ``A.row_ptr``."""
+    L, hi = A.L, lo + z_rows.shape[0]
+    all_nz_counts = np.bincount(A.rows, minlength=L)
+    row_ptr = np.concatenate(([0], np.cumsum(all_nz_counts)))
+    considered = np.arange(1, L + 1) if A.causal else np.full(L, L)
+    zero_counts = considered - all_nz_counts
+    log_vals = np.log(A.vals)
+    start, end = row_ptr[lo], row_ptr[hi]
+    local, cols = A.rows[start:end] - lo, A.cols[start:end]
     # The considered positions of these rows; clearing the nonzeros from it
     # below leaves the zero positions.
-    if target.causal:
-        zero_mask = np.arange(target.L) <= np.arange(lo, hi)[:, None]
+    if A.causal:
+        zero_mask = np.arange(L) <= np.arange(lo, hi)[:, None]
     else:
         zero_mask = np.ones(z_rows.shape, dtype=bool)
     if not np.isfinite(z_rows).all():
@@ -113,21 +120,21 @@ def reference_row_margins(z_rows, target, lo):
             raise VerificationError(f"non-finite logit {z_rows[i, j]} at row {lo + i}, column {j}")
     zero_mask[local, cols] = False
 
-    nz_counts = target.nz_counts[lo:hi]
+    nz_counts = all_nz_counts[lo:hi]
     z_nz = z_rows[local, cols]
-    t = z_nz - target.log_vals[start:end]
+    t = z_nz - log_vals[start:end]
     z_nz_min = np.full(hi - lo, np.inf)
     t_max = np.full(hi - lo, -np.inf)
     t_min = np.full(hi - lo, np.inf)
     has_nz = nz_counts > 0
     # Segment starts of the rows with nonzeros; empty rows add no entries.
-    starts = target.row_ptr[lo:hi][has_nz] - start
+    starts = row_ptr[lo:hi][has_nz] - start
     z_nz_min[has_nz] = np.minimum.reduceat(z_nz, starts)
     t_max[has_nz] = np.maximum.reduceat(t, starts)
     t_min[has_nz] = np.minimum.reduceat(t, starts)
     z_zero_max = np.max(z_rows, axis=1, where=zero_mask, initial=-np.inf)
     cond1 = np.where(
-        (target.zero_counts[lo:hi] > 0) & has_nz, z_zero_max - z_nz_min, -np.inf
+        (zero_counts[lo:hi] > 0) & has_nz, z_zero_max - z_nz_min, -np.inf
     )
     cond2 = np.where(nz_counts >= 2, t_max - t_min, -np.inf)
     return cond1, cond2

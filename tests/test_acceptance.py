@@ -35,7 +35,7 @@ from sparseattn.sweep import (
     search_width,
     theoretical_d,
 )
-from sparseattn.verify import check_conditions, check_direct, compile_target
+from sparseattn.verify import check_conditions, check_direct
 
 FULL = os.environ.get("SPARSEATTN_FULL_ACCEPTANCE", "") == "1"
 
@@ -90,7 +90,7 @@ def test_criterion_02_fig3_reproduction():
         A = generate(params, seed=derive_seed(ms, 0))
         factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
         passing, _, z, _ = search_width(
-            factors, compile_target(A), d, int(round(q * 512)), ms, params.eps1, params.eps2
+            factors, A, d, int(round(q * 512)), ms, params.eps1, params.eps2
         )
         if passing is not None:
             best = (A, sam(z), ms, passing)
@@ -233,12 +233,11 @@ def test_criterion_07_unbiasedness():
     A = generate(params, seed=7)
     gap = build_log_gap(A, params.eps1, params.eps2)
     factors = svd_factor(gap)
-    target = compile_target(A)
     n, d = 2000, 8
     samples = np.empty((n, 32, 32))
     for t in range(n):
         _, _, samples[t], _ = search_width(
-            factors, target, d, 1, derive_seed(700, t), params.eps1, params.eps2
+            factors, A, d, 1, derive_seed(700, t), params.eps1, params.eps2
         )
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / math.sqrt(n)

@@ -275,6 +275,18 @@ def test_render_dense_dump_input(tmp_path):
     assert read_pgm(out).shape == (4, 4)
 
 
+@pytest.mark.parametrize(
+    "content", ["a b\n1 0\n0 1\n", "2 2\n1 0\n0 x\n"], ids=["header", "entry"]
+)
+def test_render_bad_dense_dump_names_the_file(tmp_path, capsys, content):
+    dump = tmp_path / "bad.txt"
+    dump.write_text(content)
+    out = tmp_path / "bad.pgm"
+    assert run("render", "--input", dump, "--pool", 1, "--out", out) == 2
+    assert f"error: {dump}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_render_pool_must_divide(tmp_path, capsys):
     coo = tmp_path / "a.coo"
     run("generate", "--L", 32, "--k", 1, "--seed", 2, "--out", coo)

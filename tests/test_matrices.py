@@ -208,11 +208,12 @@ def test_validate_stochasticity_violation():
     assert any(v.kind == "row_sum" and v.row == 0 for v in report.violations)
 
 
-def test_validate_reports_empty_row_and_col_bound():
+def test_validate_reports_col_bound():
     A = SparseStochasticMatrix(3, [0, 1, 2], [0, 0, 0], [1.0, 1.0, 1.0])
     params = ApproxParams(L=3, k=1, gamma=1.0, eps1=0.5, eps2=0.5)
     report = validate(A, params)
     assert any(v.kind == "col_nnz" for v in report.violations)
+    assert [v.col for v in report.violations if v.kind == "col_nnz"] == [0]
 
 
 def test_validate_never_mutates():

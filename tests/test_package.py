@@ -25,6 +25,8 @@ def test_public_names_resolve_once_each():
         (sparseattn.concentration, "tail_estimate"),
         (sparseattn.render, "RenderSpec"),
         (sparseattn.cli, "UsageError"),
+        (sparseattn.verify, "compile_target"),
+        (sparseattn.verify, "CompiledTarget"),
     ]:
         assert not hasattr(sparseattn, gone) and not hasattr(module, gone)
 
@@ -61,6 +63,19 @@ def test_package_imports_only_numpy_and_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_demo_imports_resolve():
+    # test_demo_runs skips the slow dmin_log_growth demo, so every demo's
+    # imports from the package are checked here without running it.
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert demos
+    for path in demos:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sparseattn"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
 
 
 @pytest.mark.parametrize("demo", ["approximate_sparse_matrix.py", "jlt_concentration.py"])

@@ -32,7 +32,7 @@ from sparseattn.sweep import (
     search_width,
     theoretical_d,
 )
-from sparseattn.verify import VerificationError, check_conditions, compile_target
+from sparseattn.verify import VerificationError, check_conditions
 
 
 def small_params(L=32):
@@ -226,7 +226,7 @@ def test_search_width_matches_reference_loop(L, half_d, n_redraws, seed, causal)
     A = generate(params, seed)
     factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
     passing, used, z, report = search_width(
-        factors, compile_target(A), d, n_redraws, seed, params.eps1, params.eps2
+        factors, A, d, n_redraws, seed, params.eps1, params.eps2
     )
     assert (passing, used) == reference_search(
         factors, A, d, n_redraws, seed, params.eps1, params.eps2
@@ -258,7 +258,7 @@ def test_gram_route_matches_stiefel_route(L, half_d, seed, causal):
     A = generate(params, seed)
     factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
     _, _, z, report = search_width(
-        factors, compile_target(A), d, 1, seed, params.eps1, params.eps2
+        factors, A, d, 1, seed, params.eps1, params.eps2
     )
     scale = math.sqrt(2.0 * L / d)
     y = sample_stiefel(L, h, derive_seed(seed, 1, d, 0))
@@ -290,7 +290,7 @@ def test_search_width_never_calls_sample_stiefel(L, h, monkeypatch):
     A = generate(params, 1)
     factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
     _, used, _, _ = search_width(
-        factors, compile_target(A), 2 * h, 5, 3, params.eps1, params.eps2
+        factors, A, 2 * h, 5, 3, params.eps1, params.eps2
     )
     assert used >= 1 and calls == []
 
@@ -334,7 +334,7 @@ BLOCK_EDGE_LENGTHS = [4, 5, 16, 17, 48, 49, 64]
 def test_search_width_finds_a_violation_in_the_last_row(n_redraws, L):
     params, A, factors, j = last_row_violation_instance(L)
     passing, used, z, report = search_width(
-        factors, compile_target(A), 2 * L, n_redraws, 5, params.eps1, params.eps2
+        factors, A, 2 * L, n_redraws, 5, params.eps1, params.eps2
     )
     assert (passing, used) == (None, n_redraws)
     assert report == check_conditions(z, A, params.eps1, params.eps2)
@@ -347,7 +347,7 @@ def test_search_width_rejects_nonfinite_logit_in_the_last_row(L):
     params, A, factors, _ = last_row_violation_instance(L)
     factors.left[-1, 0] = np.nan
     with pytest.raises(VerificationError, match=f"non-finite logit nan at row {L - 1}, column"):
-        search_width(factors, compile_target(A), 2 * A.L, 1, 5, params.eps1, params.eps2)
+        search_width(factors, A, 2 * A.L, 1, 5, params.eps1, params.eps2)
 
 
 def test_search_width_forms_keys_only_for_redraws_that_pass_row_47(monkeypatch):
@@ -371,7 +371,7 @@ def test_search_width_forms_keys_only_for_redraws_that_pass_row_47(monkeypatch):
     A = generate(params, 4)
     factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
     _, used, _, _ = search_width(
-        factors, compile_target(A), 120, 12, 0, params.eps1, params.eps2
+        factors, A, 120, 12, 0, params.eps1, params.eps2
     )
     # Split the checked blocks by redraw: each redraw starts at row 0.
     starts = [n for n, lo in enumerate(checked) if lo == 0] + [len(checked)]

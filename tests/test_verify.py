@@ -18,7 +18,6 @@ from sparseattn.verify import (
     VerificationError,
     check_conditions,
     check_direct,
-    compile_target,
     row_margins,
 )
 
@@ -281,14 +280,17 @@ def test_nonfinite_logits_rejected():
         check_conditions(z, A, 0.15, 0.7)
 
 
-def test_compiled_target_holds_no_dense_array():
-    # O(nnz + L): per-nonzero and per-row arrays only, no L x L mask.
+def test_target_holds_no_dense_array():
+    # O(nnz + L): per-nonzero and per-row arrays only, no L x L mask, and a
+    # row pointer that every construction, replace() included, derives anew.
     for causal in (False, True):
         A, _ = random_instance(40, 2, 2.0, seed=4, causal=causal)
-        fields = list(vars(compile_target(A)).values())
-        arrays = [v for v in fields if isinstance(v, np.ndarray)]
-        assert len(arrays) + 3 == len(fields)  # besides them only L, causal, n_triples
-        assert all(a.ndim == 1 and a.size <= A.nnz + A.L + 1 for a in arrays)
+        for target in (A, replace(A, causal=False), replace(A, causal=causal)):
+            arrays = [v for v in vars(target).values() if isinstance(v, np.ndarray)]
+            assert len(arrays) == 4  # rows, cols, vals, row_ptr
+            assert all(a.ndim == 1 and a.size <= A.nnz + A.L + 1 for a in arrays)
+            want = np.searchsorted(target.rows, np.arange(target.L + 1))
+            assert np.array_equal(target.row_ptr, want)
 
 
 SPECIALS = (math.nan, math.inf, -math.inf)
@@ -314,7 +316,6 @@ def test_row_margins_match_the_masked_reference(L, k, seed, causal, ties, placem
     k = min(k, L)
     params = ApproxParams(L=L, k=k, gamma=2.0, eps1=0.15, eps2=0.7, causal=causal)
     A = generate(params, seed)
-    target = compile_target(A)
     rng = np.random.default_rng(seed)
     if ties:  # few distinct values, signed zeros among them
         z = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 2.0]), size=(L, L))
@@ -330,13 +331,13 @@ def test_row_margins_match_the_masked_reference(L, k, seed, causal, ties, placem
     drawn = [tuple(sorted(map(int, rng.choice(L + 1, size=2, replace=False)))) for _ in range(3)]
     for lo, hi in [*row_blocks(L), (0, L), *drawn]:
         try:
-            want = reference_row_margins(z[lo:hi].copy(), target, lo)
+            want = reference_row_margins(z[lo:hi].copy(), A, lo)
         except VerificationError as exc:
             with pytest.raises(VerificationError) as got:
-                row_margins(z[lo:hi], target, lo)
+                row_margins(z[lo:hi], A, lo)
             assert str(got.value) == str(exc)
         else:
-            got = row_margins(z[lo:hi], target, lo)
+            got = row_margins(z[lo:hi], A, lo)
             for w, g in zip(want, got):
                 assert g.dtype == np.float64
                 assert np.array_equal(w.view(np.uint64), g.view(np.uint64))
@@ -345,11 +346,10 @@ def test_row_margins_match_the_masked_reference(L, k, seed, causal, ties, placem
 
 def test_row_margins_read_only_logits():
     A, z = random_instance(20, 2, 2.0, seed=6)
-    target = compile_target(A)
     z.setflags(write=False)
     for lo, hi in row_blocks(20):
-        want = reference_row_margins(z[lo:hi], target, lo)
-        got = row_margins(z[lo:hi], target, lo)
+        want = reference_row_margins(z[lo:hi], A, lo)
+        got = row_margins(z[lo:hi], A, lo)
         assert all(np.array_equal(w, g) for w, g in zip(want, got))
 
 
