@@ -40,7 +40,6 @@ from .sweep import (
     SweepRecord,
     find_dmin,
     log_fit,
-    q_sweep,
     run_sweep,
     search_width,
     theoretical_d,
@@ -71,7 +70,6 @@ __all__ = [
     "min_nonzero_rows",
     "pooled_pixels",
     "project_pair",
-    "q_sweep",
     "read_coo",
     "read_pgm",
     "render_pgm",

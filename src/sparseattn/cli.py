@@ -2,12 +2,13 @@
 
 Subcommands: ``generate`` (draw a target matrix to a COO file), ``approx``
 (search projection redraws at one width for a passing attention matrix),
-``sweep`` / ``qsweep`` (grid experiments streamed to CSV), ``render`` (pooled
-PGM attention maps), and ``jlt-bench`` (projection tail benchmark).
-``approx`` and the sweeps share one redraw loop, ``sweep.search_width``, so a
-sweep CSV row replays through ``approx`` at its ``d_min`` and ``seed``.  The
-sweeps run their records in one spawned worker process per usable CPU, each
-with one BLAS thread, and write the rows in grid order.
+``sweep`` (the width grid experiment streamed to CSV, once per listed redraw
+budget ``q``), ``render`` (pooled PGM attention maps), and ``jlt-bench``
+(projection tail benchmark).  ``approx`` and ``sweep`` share one redraw loop,
+``sweep.search_width``, so a sweep CSV row replays through ``approx`` at its
+``d_min`` and ``seed``.  A sweep runs its records in one spawned worker
+process per usable CPU, each with one BLAS thread, and writes the rows in
+grid order.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage or validation error.
@@ -18,11 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import attention, concentration, sweep as sweep_mod
-from .construct import build_log_gap, svd_factor
+from .construct import build_log_gap, check_width, svd_factor
 from .matrices import ApproxParams, generate, read_coo, write_coo
 from .render import render_pgm
 
@@ -54,19 +56,19 @@ CONFIG_KEYS = {
     "d_lower": int,
     "d_upper": int,
     "d_points": int,
-    "q": float,
+    "q": _float_list,
     "trials_per_L": int,
     "master_seed": int,
-    "q_values": _float_list,  # used by qsweep only
 }
 
 
-def load_sweep_config(path) -> tuple[sweep_mod.SweepConfig, list[float]]:
-    """Parse the flat ``key = value`` config into a SweepConfig.
+def load_sweep_configs(path) -> list[sweep_mod.SweepConfig]:
+    """Parse the flat ``key = value`` config into one SweepConfig per value
+    of its comma-separated ``q`` list, in the listed order (one config with
+    SweepConfig's default q when the key is absent).
 
-    Returns the config and the optional ``q_values`` list (empty when the
-    key is absent).  Every malformed, unknown or repeated key is reported in
-    a single error message.
+    Every malformed, unknown or repeated key, and a ``q`` list that is empty
+    or repeats a value, is reported in a single error message.
     """
     values: dict[str, object] = {}
     seen: dict[str, int] = {}  # key -> the line it was first set on
@@ -96,6 +98,9 @@ def load_sweep_config(path) -> tuple[sweep_mod.SweepConfig, list[float]]:
     missing = sorted(required - values.keys())
     for key in missing:
         problems.append(f"missing required key {key!r}")
+    qs = values.get("q")
+    if qs is not None and (not qs or len(set(qs)) != len(qs)):
+        problems.append(f"line {seen['q']}: q must list one or more values, none repeated")
     if problems:
         raise ValueError("config errors:\n  " + "\n  ".join(problems))
 
@@ -111,9 +116,9 @@ def load_sweep_config(path) -> tuple[sweep_mod.SweepConfig, list[float]]:
     )
     cfg = sweep_mod.SweepConfig(
         params=params, L_grid=l_grid,
-        **given("d_lower", "d_upper", "d_points", "q", "trials_per_L", "master_seed"),
+        **given("d_lower", "d_upper", "d_points", "trials_per_L", "master_seed"),
     )
-    return cfg, values.get("q_values", [])
+    return [replace(cfg, q=q) for q in qs or [cfg.q]]
 
 
 def write_dense_dump(matrix: np.ndarray, path) -> None:
@@ -152,11 +157,8 @@ def cmd_generate(args) -> int:
 
 def cmd_approx(args) -> int:
     A = read_coo(args.input)
-    sweep_mod.check_width(args.d, A.L)
-    n_redraws = int(round(args.q * A.L))
-    if n_redraws < 1:
-        raise ValueError(f"--q {args.q} gives round(q * L) = {n_redraws} redraws at L={A.L}")
-
+    check_width(args.d, A.L)
+    n_redraws = sweep_mod.redraw_budget(args.q, A.L)
     factors = svd_factor(build_log_gap(A, args.eps1, args.eps2))
     passing, redraws_used, z, report = sweep_mod.search_width(
         factors, A, args.d, n_redraws, args.seed, args.eps1, args.eps2
@@ -189,19 +191,11 @@ def cmd_approx(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, _ = load_sweep_config(args.config)
-    records = sweep_mod.run_sweep(cfg, csv_path=args.out)
+    records = []
+    for cfg in load_sweep_configs(args.config):
+        records += sweep_mod.run_sweep(cfg, csv_path=args.out)
     found = sum(1 for r in records if r.d_min is not None)
     print(f"{len(records)} records ({found} with a passing width) -> {args.out}")
-    return 0
-
-
-def cmd_qsweep(args) -> int:
-    cfg, q_values = load_sweep_config(args.config)
-    if not q_values:
-        q_values = [0.1, 1.0, 5.0]
-    records = sweep_mod.q_sweep(cfg, q_values, csv_path=args.out)
-    print(f"{len(records)} records over q={q_values} -> {args.out}")
     return 0
 
 
@@ -269,15 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-m", default=None, help="dense text dump of the attention matrix")
     p.set_defaults(func=cmd_approx)
 
-    p = sub.add_parser("sweep", help="minimal-width sweep over L (resumable CSV)")
+    p = sub.add_parser("sweep", help="minimal-width sweep over L and q (resumable CSV)")
     p.add_argument("config", help="key = value config file")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("qsweep", help="minimal-width sweep over redraw budgets")
-    p.add_argument("config", help="key = value config file (q_values optional)")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_qsweep)
 
     p = sub.add_parser("render", help="render a matrix as a pooled PGM map")
     p.add_argument("--input", required=True, help="COO file or dense text dump")

@@ -133,15 +133,23 @@ def projector_basis(L: int, h: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return g, g.T @ g
 
 
+def check_width(d: int, L: int) -> None:
+    """Raise ValueError unless ``d`` is a width a shared projection can
+    realize at length ``L``: a positive even integer, at most ``2L``."""
+    if d % 2 != 0 or d <= 0:
+        raise ValueError(f"d must be a positive even integer, got {d}")
+    if d > 2 * L:
+        raise ValueError(f"need d <= 2L, got d={d}, L={L}")
+
+
 def compress(factors: Factorization, y: np.ndarray, d: int) -> ProjectionPair:
     """Project both factors through the shared sample, scaled by sqrt(2L/d).
 
     The product ``left @ right.T`` of the result is an unbiased estimate of
     the factored matrix.
     """
-    if d % 2 != 0 or d <= 0:
-        raise ValueError(f"d must be a positive even integer, got {d}")
     L = factors.left.shape[0]
+    check_width(d, L)
     if y.shape != (L, d // 2):
         raise ValueError(f"expected sample of shape {(L, d // 2)}, got {y.shape}")
     scale = math.sqrt(2.0 * L / d)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import textwrap
+
 import numpy as np
 
 from .matrices import SparseStochasticMatrix
@@ -38,17 +40,7 @@ def render_pgm(matrix, out_path, pool: int = 8, clip: float = 0.05) -> None:
     lines = ["P2", f"{side} {side}", "255"]
     for row in pixels:
         # Keep lines within the 70-character limit of the plain format.
-        line: list[str] = []
-        width = 0
-        for v in row:
-            tok = str(int(v))
-            if width and width + 1 + len(tok) > 70:
-                lines.append(" ".join(line))
-                line, width = [], 0
-            line.append(tok)
-            width += len(tok) + (1 if width else 0)
-        if line:
-            lines.append(" ".join(line))
+        lines += textwrap.wrap(" ".join(map(str, row)), 70)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

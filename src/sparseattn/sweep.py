@@ -2,11 +2,14 @@
 
 For a drawn target matrix and an ascending grid of candidate widths ``d``,
 the harness redraws the shared orthogonal projection up to ``round(q * L)``
-times per width and records the first width at which some redraw satisfies
-both ratio conditions.  Sweeps over sequence lengths and over ``q`` stream
-rows to a resumable CSV, and a least-squares fit of width against log L
-summarizes the growth rate.  ``search_width`` is the one redraw loop: the
-sweep runs it at every grid width and ``sparseattn approx`` at a single one.
+times per width (``redraw_budget``) and records the first width at which
+some redraw satisfies both ratio conditions.  ``run_sweep`` streams one
+config's rows to a resumable CSV; a sweep over several ``q`` runs it once per
+value on the same CSV, and every ``q`` measures the same target matrices.  A
+least-squares fit of width against log L summarizes the growth rate.
+``search_width`` is the one redraw loop, run by the sweep at every grid width
+and by ``sparseattn approx`` at a single one; it reports through
+``verify.check_conditions``.
 
 A redraw's logits depend on its orthogonal projection ``y`` only through the
 projector ``y y^T``, which equals ``G C^-1 G^T`` for the Gaussian draw ``G``
@@ -43,9 +46,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._seeds import derive_seed
-from .construct import Factorization, build_log_gap, projector_basis, svd_factor
+from .construct import Factorization, build_log_gap, check_width, projector_basis, svd_factor
 from .matrices import ApproxParams, SparseStochasticMatrix, generate
-from .verify import ApproxReport, margin_report, row_margins
+from .verify import ApproxReport, check_conditions, row_margins
 
 CSV_HEADER = "L,trial,q,d_min,theoretical_d,redraws_used,seed"
 # Set to 1 while the record pool's workers start, so each loads its BLAS with
@@ -147,17 +150,26 @@ class SweepConfig:
             raise ValueError("d_points must be >= 1")
         if self.q <= 0:
             raise ValueError("q must be positive")
-        if int(round(self.q * min(self.L_grid))) == 0:
-            raise ValueError(
-                f"q={self.q} gives round(q * L) = 0 redraws at L={min(self.L_grid)}"
-            )
+        redraw_budget(self.q, min(self.L_grid))
         if self.trials_per_L < 1:
             raise ValueError("trials_per_L must be >= 1")
 
     def d_grid(self) -> list[int]:
         values = np.linspace(self.d_lower, self.d_upper, self.d_points)
-        evens = sorted({int(round(v / 2.0)) * 2 for v in values})
-        return [d for d in evens if d >= 2]
+        return sorted({int(round(v / 2.0)) * 2 for v in values})
+
+    def widths(self, L: int) -> list[int]:
+        """The grid widths a search at length ``L`` tries: those <= 2L."""
+        return [d for d in self.d_grid() if d <= 2 * L]
+
+
+def redraw_budget(q: float, L: int) -> int:
+    """Redraws per width at length ``L``, ``round(q * L)``; raises
+    ValueError when that is below 1."""
+    n = int(round(q * L))
+    if n < 1:
+        raise ValueError(f"q={q} gives round(q * L) = {n} redraws at L={L}")
+    return n
 
 
 def theoretical_d(params: ApproxParams, L: int) -> float:
@@ -176,15 +188,6 @@ def theoretical_d(params: ApproxParams, L: int) -> float:
         * margin ** 2
         * (2.0 * math.log(L) + math.log(L - 1) + math.log(2.0))
     )
-
-
-def check_width(d: int, L: int) -> None:
-    """Raise ValueError unless ``d`` is a width the redraw search can realize
-    at length ``L``: a positive even integer, at most ``2L``."""
-    if d % 2 != 0 or d <= 0:
-        raise ValueError(f"d must be a positive even integer, got {d}")
-    if d > 2 * L:
-        raise ValueError(f"need d <= 2L, got d={d}, L={L}")
 
 
 def _scaled_left(factors: Factorization, g: np.ndarray, scale2: float, left: np.ndarray,
@@ -226,14 +229,15 @@ def search_width(
     survives row 47 inverts ``C`` and forms the keys ``F_R G C^-1``, the one
     ``L^2 h`` product, for the blocks after.  A redraw evaluated in full (a
     pass, or the last) whose ``kappa_1(C)`` exceeds ``STEP_KAPPA`` (h near L)
-    is formed and checked again from keys that take one corrected seminormal
-    step ``K += (F_R - K G^T) G C^-1``, which undoes the roundoff of ``C^-1``:
-    the logits then match ``y``'s to about 1e-12 at every width.  Pass or
-    fail is exactly that of the full check of the logits returned.  The last
-    redraw is always evaluated in full, so the logits and report returned
-    are complete.  A non-finite logit raises ``VerificationError`` in any
-    row the search evaluates; rows after the failing block of an earlier
-    redraw are not evaluated.
+    is formed again from keys that take one corrected seminormal step
+    ``K += (F_R - K G^T) G C^-1``, which undoes the roundoff of ``C^-1``: the
+    logits then match ``y``'s to about 1e-12 at every width.  The report of a
+    redraw evaluated in full is ``check_conditions`` of the logits it
+    returns, so it is the full check of those logits by construction.  The
+    last redraw is always evaluated in full, so the logits and report
+    returned are complete.  A non-finite logit raises ``VerificationError``
+    in any row the search evaluates; rows after the failing block of an
+    earlier redraw are not evaluated.
     """
     check_width(d, A.L)
     if n_redraws < 1:
@@ -243,7 +247,6 @@ def search_width(
     log_eps1 = math.log(eps1)
     blocks = row_blocks(L)
     z = np.empty((L, L))
-    cond1, cond2 = np.empty(L), np.empty(L)
     for t in range(n_redraws):
         g, c = projector_basis(L, h, derive_seed(seed, 1, d, t))
         # One L x d/2 array per redraw, filled span by span, rather than a
@@ -268,8 +271,8 @@ def search_width(
                     c_inv = np.linalg.inv(c)
                     keys = (factors.right @ g) @ c_inv
                 np.matmul(_scaled_left(factors, g, scale2, left, lo, hi), keys.T, out=z[lo:hi])
-            cond1[lo:hi], cond2[lo:hi] = row_margins(z[lo:hi], A, lo)
-            if not last and (cond1[lo:hi].max() >= log_eps1 or cond2[lo:hi].max() >= eps2):
+            cond1, cond2 = row_margins(z[lo:hi], A, lo)
+            if not last and (cond1.max() >= log_eps1 or cond2.max() >= eps2):
                 break
         else:  # every block evaluated: a pass, or the last redraw
             if c_inv is None:  # L <= KEYS_FROM
@@ -284,8 +287,7 @@ def search_width(
                 np.subtract(factors.right, z, out=z)
                 keys += (z @ g) @ c_inv
                 np.matmul(left, keys.T, out=z)
-                cond1[:], cond2[:] = row_margins(z, A, 0)
-            report = margin_report(z, A, cond1, cond2, eps1, eps2)
+            report = check_conditions(z, A, eps1, eps2)
             if report.passed:
                 return t, t + 1, z, report
     return None, n_redraws, z, report
@@ -294,15 +296,15 @@ def search_width(
 def find_dmin(A: SparseStochasticMatrix, cfg: SweepConfig, seed: int) -> SweepRecord:
     """Smallest grid width at which some projection redraw passes the check.
 
-    Walks the width grid in ascending order, up to 2L (wider cannot be
-    realized), and runs ``search_width`` with ``round(q * L)`` redraws at
-    each width until one passes.  The target's factorization is computed
-    once for all widths; ``redraws_used`` counts the redraws at every width
-    tried.
+    Walks ``cfg.widths(L)``, the grid widths up to 2L (wider cannot be
+    realized), in ascending order, and runs ``search_width`` with
+    ``redraw_budget(q, L)`` redraws at each width until one passes.  The
+    target's factorization is computed once for all widths;
+    ``redraws_used`` counts the redraws at every width tried.
     """
     L, params = A.L, cfg.params
+    n_redraws = redraw_budget(cfg.q, L)
     factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
-    n_redraws = int(round(cfg.q * L))
     record = SweepRecord(
         L=L,
         trial=-1,
@@ -312,9 +314,7 @@ def find_dmin(A: SparseStochasticMatrix, cfg: SweepConfig, seed: int) -> SweepRe
         redraws_used=0,
         seed=seed,
     )
-    for d in cfg.d_grid():
-        if d > 2 * L:
-            break
+    for d in cfg.widths(L):
         passing, used, _, _ = search_width(
             factors, A, d, n_redraws, seed, params.eps1, params.eps2
         )
@@ -384,10 +384,11 @@ def _read_existing(csv_path, cfg: SweepConfig) -> list[SweepRecord]:
 def _grid_can_produce(record: SweepRecord, cfg: SweepConfig) -> bool:
     """Whether ``find_dmin`` on this config's width grid can give the row's
     result, with n = round(q L) redraws per width at the row's own q: a found
-    width must be a grid width w <= 2L, reached after the full budget at each
-    of the e widths below it, so n e < redraws_used <= n (e + 1); a row that
-    found none spent n at every width <= 2L (0 when there is none)."""
-    widths = [d for d in cfg.d_grid() if d <= 2 * record.L]
+    width must be one of ``cfg.widths(L)``, the widths the walk tries,
+    reached after the full budget at each of the e widths below it, so
+    n e < redraws_used <= n (e + 1); a row that found none spent n at each of
+    them (0 when there is none)."""
+    widths = cfg.widths(record.L)
     n = int(round(record.q * record.L))
     if record.d_min is None:
         return record.redraws_used == n * len(widths)
@@ -497,24 +498,6 @@ def run_sweep(cfg: SweepConfig, csv_path=None) -> list[SweepRecord]:
             fh.close()
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-    return records
-
-
-def q_sweep(cfg: SweepConfig, q_values: list[float], csv_path=None) -> list[SweepRecord]:
-    """Repeat the sweep for each redraw multiplier on the same matrix draws.
-
-    The target matrix for an (L, trial) cell depends only on the master
-    seed, so every q value measures the identical matrices; records are
-    tagged with their q.
-    """
-    for q in q_values:
-        if not 0.1 <= q <= 5.0:
-            raise ValueError(f"q values must lie in [0.1, 5.0], got {q}")
-    if len(set(q_values)) != len(q_values):
-        raise ValueError(f"q values must not repeat, got {q_values}")
-    records: list[SweepRecord] = []
-    for q in q_values:
-        records.extend(run_sweep(replace(cfg, q=q), csv_path=csv_path))
     return records
 
 

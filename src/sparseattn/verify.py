@@ -12,12 +12,13 @@ attention entries themselves would overflow or underflow.  It reads the
 target as it is stored: nonzeros in row-major order and a row pointer
 (``SparseStochasticMatrix.row_ptr``), O(nnz + L) with no L x L array.
 ``row_margins`` gives each row's two condition values for any range of rows,
-gathering from slices of those arrays, and ``margin_report`` turns them into
-the report; ``check_conditions`` runs both over every row, and a redraw
-search runs ``row_margins`` on each block of logits it forms, in whatever row
-schedule it keeps.  ``check_direct`` evaluates the same conditions literally
-on attention-matrix entries, with its own masks built from the target, and
-is the small-instance oracle the log-domain path is tested against.
+gathering from slices of those arrays.  ``check_conditions`` runs it over
+every row and builds the report; a redraw search runs ``row_margins`` on each
+block of logits it forms, in whatever row schedule it keeps, and reports
+through ``check_conditions``.  ``check_direct`` evaluates the same conditions
+literally on attention-matrix entries, with its own masks built from the
+target, and is the small-instance oracle the log-domain path is tested
+against.
 
 Both checks take their mode from the target: a causal target
 (``A.causal``) is judged on the positions at or below the diagonal only.
@@ -87,15 +88,56 @@ def check_conditions(
     eps1: float,
     eps2: float,
 ) -> ApproxReport:
-    """Log-domain check of both ratio conditions on the logit matrix:
-    ``row_margins`` over every row of the target, then ``margin_report``, in
-    the target's own mode.  Raises on non-finite logits at considered
+    """Log-domain check of both ratio conditions on the logit matrix, in the
+    target's own mode: ``row_margins`` over every row of the target.  The
+    first violation is located in the first failing row, in the canonical
+    scan order, and the triples counted are the zero/nonzero and distinct
+    nonzero pairs of every row.  Raises on non-finite logits at considered
     positions, where the softmax is undefined."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (A.L, A.L):
         raise VerificationError(f"logits shape {z.shape} does not match L={A.L}")
     cond1, cond2 = row_margins(z, A, 0)
-    return margin_report(z, A, cond1, cond2, eps1, eps2)
+    worst_zero = float(cond1.max())
+    worst_dev = float(cond2.max())
+    log_eps1 = math.log(eps1)
+    passed = worst_zero < log_eps1 and worst_dev < eps2
+
+    first_violation = None
+    if not passed:
+        fail1 = cond1 >= log_eps1
+        i = int(np.argmax(fail1 | (cond2 >= eps2)))
+        start, end = A.row_ptr[i], A.row_ptr[i + 1]
+        cols = A.cols[start:end]  # ascending
+        z_row, z_nz = z[i], z[i, cols]
+        if fail1[i]:
+            # First zero column whose logit is large enough to violate
+            # against the row's smallest nonzero logit, then the first
+            # nonzero column it actually violates against.
+            zero_row = np.ones(A.L, dtype=bool)
+            zero_row[cols] = False
+            if A.causal:
+                zero_row[i + 1:] = False
+            j1 = int(np.argmax(zero_row & (z_row - z_nz.min() >= log_eps1)))
+            j2 = int(cols[np.argmax(z_row[j1] - z_nz >= log_eps1)])
+            first_violation = (i, j1, j2, KIND_ZERO_RATIO)
+        else:
+            t = z_nz - np.log(A.vals[start:end])
+            dev = np.maximum(t - t.min(), t.max() - t)
+            k1 = int(np.argmax(dev >= eps2))
+            k2 = int(np.argmax(np.abs(t[k1] - t) >= eps2))
+            first_violation = (i, int(cols[k1]), int(cols[k2]), KIND_NONZERO_DEV)
+
+    # Each nonzero pairs with every other position its row considers: a
+    # zero for condition 1, a nonzero for condition 2.
+    n_triples = int(A.rows.sum()) if A.causal else A.nnz * (A.L - 1)
+    return ApproxReport(
+        passed=passed,
+        worst_zero_ratio_log=worst_zero,
+        worst_nonzero_dev=worst_dev,
+        n_triples_checked=n_triples,
+        first_violation=first_violation,
+    )
 
 
 def row_margins(
@@ -151,57 +193,6 @@ def row_margins(
     considered = np.arange(lo + 1, hi + 1) if A.causal else A.L
     return (np.where(nz_counts < considered, gap, -np.inf),
             np.where(nz_counts >= 2, spread, -np.inf))
-
-
-def margin_report(
-    z: np.ndarray, A: SparseStochasticMatrix, cond1: np.ndarray, cond2: np.ndarray,
-    eps1: float, eps2: float,
-) -> ApproxReport:
-    """The report of logits ``z`` against target ``A`` from its per-row
-    condition values (``row_margins`` over every row).  The first violation
-    is located in the first failing row of ``z``, in the canonical scan
-    order, and the triples counted are the zero/nonzero and distinct
-    nonzero pairs of every row."""
-    worst_zero = float(cond1.max())
-    worst_dev = float(cond2.max())
-    log_eps1 = math.log(eps1)
-    passed = worst_zero < log_eps1 and worst_dev < eps2
-
-    first_violation = None
-    if not passed:
-        fail1 = cond1 >= log_eps1
-        i = int(np.argmax(fail1 | (cond2 >= eps2)))
-        start, end = A.row_ptr[i], A.row_ptr[i + 1]
-        cols = A.cols[start:end]  # ascending
-        z_row, z_nz = z[i], z[i, cols]
-        if fail1[i]:
-            # First zero column whose logit is large enough to violate
-            # against the row's smallest nonzero logit, then the first
-            # nonzero column it actually violates against.
-            zero_row = np.ones(A.L, dtype=bool)
-            zero_row[cols] = False
-            if A.causal:
-                zero_row[i + 1:] = False
-            j1 = int(np.argmax(zero_row & (z_row - z_nz.min() >= log_eps1)))
-            j2 = int(cols[np.argmax(z_row[j1] - z_nz >= log_eps1)])
-            first_violation = (i, j1, j2, KIND_ZERO_RATIO)
-        else:
-            t = z_nz - np.log(A.vals[start:end])
-            dev = np.maximum(t - t.min(), t.max() - t)
-            k1 = int(np.argmax(dev >= eps2))
-            k2 = int(np.argmax(np.abs(t[k1] - t) >= eps2))
-            first_violation = (i, int(cols[k1]), int(cols[k2]), KIND_NONZERO_DEV)
-
-    # Each nonzero pairs with every other position its row considers: a
-    # zero for condition 1, a nonzero for condition 2.
-    n_triples = int(A.rows.sum()) if A.causal else A.nnz * (A.L - 1)
-    return ApproxReport(
-        passed=passed,
-        worst_zero_ratio_log=worst_zero,
-        worst_nonzero_dev=worst_dev,
-        n_triples_checked=n_triples,
-        first_violation=first_violation,
-    )
 
 
 def check_direct(

@@ -30,7 +30,6 @@ from sparseattn.sweep import (
     SweepConfig,
     SweepRecord,
     log_fit,
-    q_sweep,
     run_sweep,
     search_width,
     theoretical_d,
@@ -170,7 +169,7 @@ def test_criterion_04_q_insensitivity():
         params=params, L_grid=[256], d_lower=40, d_upper=600, d_points=30,
         q=1.0, trials_per_L=3, master_seed=77,
     )
-    records = q_sweep(cfg, [0.1, 1.0, 5.0])
+    records = [r for q in (0.1, 1.0, 5.0) for r in run_sweep(replace(cfg, q=q))]
     grid = cfg.d_grid()
     violations = []
     medians = {}

@@ -184,24 +184,24 @@ def test_sweep_runs_and_is_rerunnable(tmp_path):
 
 
 def test_sweep_default_grid_spans_200_600(tmp_path):
-    from sparseattn.cli import load_sweep_config
+    from sparseattn.cli import load_sweep_configs
 
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(sweep_config_text(L_grid="512", d_lower=200, d_upper=600, d_points=30))
-    parsed, _ = load_sweep_config(cfg)
+    (parsed,) = load_sweep_configs(cfg)
     grid = parsed.d_grid()
     assert len(grid) == 30 and grid[0] == 200 and grid[-1] == 600
 
 
 def test_sweep_config_keys_left_out_take_the_sweep_defaults(tmp_path):
-    from sparseattn.cli import load_sweep_config
+    from sparseattn.cli import load_sweep_configs
     from sparseattn.sweep import SweepConfig
 
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("k = 1\ngamma = 1.0\neps1 = 0.15\neps2 = 1.41\nL_grid = 16,32\n")
-    parsed, q_values = load_sweep_config(cfg)
+    (parsed,) = load_sweep_configs(cfg)
     assert parsed == SweepConfig(params=parsed.params, L_grid=[16, 32])
-    assert q_values == []
+    assert parsed.q == 1.0
 
 
 def test_sweep_empty_L_grid_rejected(tmp_path, capsys):
@@ -214,11 +214,11 @@ def test_sweep_empty_L_grid_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("line, causal", [("", False), ("causal = 1\n", True)])
 def test_sweep_config_causal_only_when_set(tmp_path, line, causal):
-    from sparseattn.cli import load_sweep_config
+    from sparseattn.cli import load_sweep_configs
 
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("k = 2\ngamma = 2.0\neps1 = 0.15\neps2 = 1.41\nL_grid = 32,16\n" + line)
-    parsed, _ = load_sweep_config(cfg)
+    (parsed,) = load_sweep_configs(cfg)
     assert parsed.params == ApproxParams(
         L=32, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=causal
     )
@@ -242,15 +242,47 @@ def test_sweep_repeated_key_reported_with_unknown_key(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_qsweep_uses_config_q_values(tmp_path):
+def test_sweep_runs_every_q_value(tmp_path, capsys):
+    # One run_sweep per listed q, in the listed order, into one CSV: the
+    # same bytes as sweeping each q in turn.  Any q that gives a redraw at
+    # the smallest L runs; there is no other range.
+    from dataclasses import replace
+
+    from sparseattn.cli import load_sweep_configs
+    from sparseattn.sweep import run_sweep
+
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(sweep_config_text(q_values="0.5,1.0"))
+    cfg.write_text(sweep_config_text(q="6.0,0.0625,1.0", trials_per_L=2))
     out = tmp_path / "records.csv"
-    assert run("qsweep", cfg, "--out", out) == 0
+    assert run("sweep", cfg, "--out", out) == 0
     lines = out.read_text().splitlines()
-    assert len(lines) == 3  # header + one trial per q
-    qs = {line.split(",")[2] for line in lines[1:]}
-    assert qs == {"0.5", "1.0"}
+    assert len(lines) == 7  # header + two trials per q
+    assert [line.split(",")[2] for line in lines[1:]] == ["6.0"] * 2 + ["0.0625"] * 2 + ["1.0"] * 2
+    configs = load_sweep_configs(cfg)
+    assert [c.q for c in configs] == [6.0, 0.0625, 1.0]
+    assert all(replace(c, q=1.0) == configs[2] for c in configs)
+    by_hand = tmp_path / "by_hand.csv"
+    for c in configs:
+        run_sweep(c, csv_path=by_hand)
+    assert by_hand.read_bytes() == out.read_bytes()
+    # Every config is built before any sweep runs.
+    cfg.write_text(sweep_config_text(q="1.0,0.01"))
+    bad = tmp_path / "bad.csv"
+    assert run("sweep", cfg, "--out", bad) == 2
+    assert "q=0.01 gives round(q * L) = 0 redraws at L=16" in capsys.readouterr().err
+    assert not bad.exists()
+
+
+@pytest.mark.parametrize("q", ["0.5,1.0,0.5", ""], ids=["repeated", "empty"])
+def test_sweep_config_rejects_an_empty_or_repeated_q(tmp_path, capsys, q):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(sweep_config_text(q=q) + "bogus = 1\n")
+    out = tmp_path / "r.csv"
+    assert run("sweep", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "line 9: q must list one or more values, none repeated" in err
+    assert "bogus" in err  # reported with the other config errors
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- render

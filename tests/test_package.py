@@ -3,6 +3,8 @@
 import ast
 import importlib
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +29,10 @@ def test_public_names_resolve_once_each():
         (sparseattn.cli, "UsageError"),
         (sparseattn.verify, "compile_target"),
         (sparseattn.verify, "CompiledTarget"),
+        (sparseattn.sweep, "q_sweep"),
+        (sparseattn.verify, "margin_report"),
+        (sparseattn.cli, "cmd_qsweep"),
+        (sparseattn.cli, "load_sweep_config"),
     ]:
         assert not hasattr(sparseattn, gone) and not hasattr(module, gone)
 
@@ -87,3 +93,30 @@ def test_demo_runs(demo, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+def readme_blocks(lang):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"```{lang}\n(.*?)```", text, flags=re.S)
+
+
+def test_readme_commands_parse_and_its_config_loads(tmp_path):
+    # Every sparseattn command the README shows parses with the CLI's own
+    # parser (lines with <placeholders> aside), and its config block loads.
+    parser = sparseattn.cli.build_parser()
+    commands = []
+    for block in readme_blocks("sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("sparseattn ") and not re.search(r"<[^>]*>", line):
+                commands.append(line)
+    assert {command.split()[1] for command in commands} >= {"approx", "sweep", "render"}
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
+    (config,) = readme_blocks("ini")
+    path = tmp_path / "sweep.cfg"
+    path.write_text(config, encoding="utf-8")
+    assert sparseattn.cli.load_sweep_configs(path)

@@ -72,6 +72,13 @@ def test_pgm_is_plain_text_with_short_lines(tmp_path):
     text = out.read_text()
     assert text.startswith("P2\n64 64\n255\n")
     assert all(len(line) <= 70 for line in text.splitlines())
+    # A row whose first 18 values pack to exactly 70 characters: the 19th
+    # starts the next line.
+    row = np.array([255] * 17 + [17, 0, 0]) / 255.0
+    render_pgm(np.tile(row, (20, 1)), out, pool=1, clip=1.0)
+    lines = out.read_text().splitlines()
+    assert lines[3:5] == ["255 " * 17 + "17", "0 0"]
+    assert len(lines[3]) == 70 and len(lines) == 3 + 2 * 20
 
 
 def test_read_pgm_rejects_a_truncated_header(tmp_path):

@@ -26,7 +26,7 @@ from sparseattn.sweep import (
     SweepRecord,
     find_dmin,
     log_fit,
-    q_sweep,
+    redraw_budget,
     row_blocks,
     run_sweep,
     search_width,
@@ -107,6 +107,8 @@ def test_d_grid_rounds_to_even_and_dedups():
     assert all(d % 2 == 0 for d in grid)
     assert grid == sorted(set(grid))
     assert grid[0] >= 2
+    assert grid == [4, 6, 8]
+    assert cfg.widths(3) == [4, 6]  # the widths a search at L=3 tries: <= 2L
 
 
 # ---------------------------------------------------------------- find_dmin
@@ -201,8 +203,8 @@ def test_found_record_replays_through_cli_approx(tmp_path):
         payload = json.loads(report.read_text())
         assert code == 0 and payload["passed"]
         # The sweep row also counts the full budget spent at every earlier width.
-        earlier = [d for d in cfg.d_grid() if d < rec.d_min and d <= 2 * rec.L]
-        n_redraws = int(round(rec.q * rec.L))
+        earlier = [d for d in cfg.widths(rec.L) if d < rec.d_min]
+        n_redraws = redraw_budget(rec.q, rec.L)
         assert payload["redraws_used"] == rec.redraws_used - n_redraws * len(earlier)
         assert payload["redraws_used"] == payload["passing_redraw"] + 1
 
@@ -542,13 +544,15 @@ def test_run_sweep_resume_accepts_a_row_without_redraws_when_no_width_fits(tmp_p
 
 
 def test_run_sweep_resume_accepts_rows_of_every_q(tmp_path):
-    # A q-sweep CSV holds rows of several redraw budgets; each row is judged
-    # by its own q.
+    # A sweep over several q holds rows of several redraw budgets; each row
+    # is judged by its own q.
     cfg = small_cfg(L_grid=[16], trials_per_L=2, d_lower=4, d_upper=32, d_points=4)
     path = tmp_path / "q.csv"
-    q_sweep(cfg, [0.5, 2.0], csv_path=path)
+    for q in (0.5, 2.0):
+        run_sweep(replace(cfg, q=q), csv_path=path)
     before = path.read_bytes()
-    q_sweep(cfg, [0.5, 2.0], csv_path=path)
+    for q in (0.5, 2.0):
+        run_sweep(replace(cfg, q=q), csv_path=path)
     assert path.read_bytes() == before
 
 
@@ -683,35 +687,16 @@ def test_csv_round_trip_not_found_sentinel():
 # ------------------------------------------------------------------ q sweep
 
 
-def test_q_sweep_cardinality_and_tagging(tmp_path):
-    cfg = small_cfg(L_grid=[16], trials_per_L=2, d_lower=4, d_upper=32, d_points=4)
-    records = q_sweep(cfg, [0.5, 1.0, 2.0], csv_path=tmp_path / "q.csv")
-    assert len(records) == 6
-    assert sorted({r.q for r in records}) == [0.5, 1.0, 2.0]
-
-
-def test_q_sweep_shares_matrix_draws_across_q():
+def test_sweeps_over_q_share_matrix_draws():
     cfg = small_cfg(L_grid=[16], trials_per_L=1, d_lower=4, d_upper=32, d_points=4)
-    records = q_sweep(cfg, [0.5, 2.0])
-    assert records[0].seed == records[1].seed  # same (L, trial) record seed
-
-
-def test_q_sweep_rejects_repeated_q():
-    cfg = small_cfg(L_grid=[16], trials_per_L=1, d_lower=4, d_upper=32, d_points=4)
-    with pytest.raises(ValueError, match="repeat"):
-        q_sweep(cfg, [0.5, 1.0, 0.5])
-
-
-def test_q_sweep_range_check():
-    cfg = small_cfg()
-    with pytest.raises(ValueError):
-        q_sweep(cfg, [0.05])
-    with pytest.raises(ValueError):
-        q_sweep(cfg, [5.5])
+    (low,), (high,) = (run_sweep(replace(cfg, q=q)) for q in (0.5, 2.0))
+    assert low.seed == high.seed  # same (L, trial) record seed
 
 
 def test_redraw_budget_rounding():
-    assert int(round(0.1 * 512)) == 51
+    assert redraw_budget(0.1, 512) == 51
+    with pytest.raises(ValueError, match=r"q=0.1 gives round\(q \* L\) = 0 redraws at L=5"):
+        redraw_budget(0.1, 5)  # round(0.5) is 0: halves round to even
 
 
 # ------------------------------------------------------------------ log fit
