@@ -242,7 +242,7 @@ def test_sweep_repeated_key_reported_with_unknown_key(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_runs_every_q_value(tmp_path, capsys):
+def test_qsweep_uses_config_q_values(tmp_path, capsys):
     # One run_sweep per listed q, in the listed order, into one CSV: the
     # same bytes as sweeping each q in turn.  Any q that gives a redraw at
     # the smallest L runs; there is no other range.

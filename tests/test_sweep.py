@@ -687,6 +687,17 @@ def test_csv_round_trip_not_found_sentinel():
 # ------------------------------------------------------------------ q sweep
 
 
+def test_q_sweep_cardinality_and_tagging(tmp_path):
+    # One run_sweep per q into one CSV: every (L, trial) cell once per q,
+    # each record tagged with the q it ran under.
+    cfg = small_cfg(L_grid=[16], trials_per_L=2, d_lower=4, d_upper=32, d_points=4)
+    csv_path = tmp_path / "q.csv"
+    records = [r for q in (0.5, 1.0, 2.0) for r in run_sweep(replace(cfg, q=q), csv_path=csv_path)]
+    assert len(records) == 6
+    assert [r.q for r in records] == [0.5] * 2 + [1.0] * 2 + [2.0] * 2
+    assert len(csv_path.read_text().splitlines()) == 7  # header + six rows
+
+
 def test_sweeps_over_q_share_matrix_draws():
     cfg = small_cfg(L_grid=[16], trials_per_L=1, d_lower=4, d_upper=32, d_points=4)
     (low,), (high,) = (run_sweep(replace(cfg, q=q)) for q in (0.5, 2.0))
