@@ -29,6 +29,7 @@ from sparseattn import (
     svd_factor,
 )
 from sparseattn._seeds import derive_seed
+from sparseattn.sweep import redraw_budget
 
 L = 128
 params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=0.9)
@@ -59,8 +60,8 @@ print(f"  d_min = {record.d_min} after {record.redraws_used} redraws "
       f"(theoretical bound {record.theoretical_d:.0f})")
 
 # Replay the passing draw at the found width for rendering.
-passing, _, z, _ = search_width(factors, A, record.d_min, round(cfg.q * L), record.seed,
-                                params.eps1, params.eps2)
+passing, _, z, _ = search_width(factors, A, record.d_min, redraw_budget(cfg.q, L),
+                                record.seed, params.eps1, params.eps2)
 print(f"  replayed the passing draw (redraw {passing})")
 
 m = sam(z)

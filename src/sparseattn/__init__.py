@@ -27,14 +27,12 @@ from .construct import (
 from .matrices import (
     ApproxParams,
     SparseStochasticMatrix,
-    ValidationReport,
     generate,
     min_nonzero_rows,
     read_coo,
-    validate,
     write_coo,
 )
-from .render import pooled_pixels, read_pgm, render_pgm
+from .render import pooled_pixels, render_pgm
 from .sweep import (
     SweepConfig,
     SweepRecord,
@@ -44,7 +42,7 @@ from .sweep import (
     search_width,
     theoretical_d,
 )
-from .verify import ApproxReport, check_conditions, check_direct
+from .verify import ApproxReport, check_conditions
 
 __all__ = [
     "ApproxParams",
@@ -56,11 +54,9 @@ __all__ = [
     "SparseStochasticMatrix",
     "SweepConfig",
     "SweepRecord",
-    "ValidationReport",
     "assemble",
     "build_log_gap",
     "check_conditions",
-    "check_direct",
     "compress",
     "csam",
     "find_dmin",
@@ -71,7 +67,6 @@ __all__ = [
     "pooled_pixels",
     "project_pair",
     "read_coo",
-    "read_pgm",
     "render_pgm",
     "run_bench",
     "run_sweep",
@@ -81,6 +76,5 @@ __all__ = [
     "svd_factor",
     "theoretical_d",
     "theoretical_tail",
-    "validate",
     "write_coo",
 ]

@@ -35,7 +35,4 @@ def csam(z: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.float64)
     L = z.shape[0]
-    masked = np.where(np.tril(np.ones((L, L), dtype=bool)), z, -np.inf)
-    shifted = masked - masked.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return sam(np.where(np.tril(np.ones((L, L), dtype=bool)), z, -np.inf))

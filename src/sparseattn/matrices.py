@@ -4,7 +4,7 @@ A target matrix has at most ``k`` nonzeros in every row and every column,
 the ratio of any two nonzeros within a row confined to ``[1/gamma, gamma]``,
 and rows summing to one.  This module provides the parameter bundle, the
 matrix container, a seeded random generator (two greedy passes over permuted
-positions), an invariant checker, and a plain-text COO file format.
+positions), and a plain-text COO file format.
 """
 
 from __future__ import annotations
@@ -13,11 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-ROW_SUM_TOL = 1e-12
-# Relative slack on the within-row ratio check: normalizing a row divides
-# every entry by the same float, which can perturb ratios by an ulp.
-RATIO_RTOL = 1e-12
 
 
 class MatrixError(ValueError):
@@ -74,8 +69,7 @@ class SparseStochasticMatrix:
     entries, duplicate coordinates, a causal entry above the diagonal, and a
     row with no nonzero, which no softmax row can match.  ``k`` and
     ``gamma`` record the bounds the matrix is supposed to satisfy
-    (written to the file header); whether it actually satisfies them is the
-    business of :func:`validate`.
+    (written to the file header); construction does not check them.
     """
 
     L: int
@@ -133,20 +127,6 @@ class SparseStochasticMatrix:
         dense = np.zeros((self.L, self.L))
         dense[self.rows, self.cols] = self.vals
         return dense
-
-
-@dataclass(frozen=True)
-class InvariantViolation:
-    kind: str
-    row: int | None
-    col: int | None
-    detail: str
-
-
-@dataclass
-class ValidationReport:
-    passed: bool
-    violations: list[InvariantViolation] = field(default_factory=list)
 
 
 def _greedy_pass(outer_order, inner_order, outer_counts, inner_counts, k, admissible, taken=None):
@@ -260,61 +240,6 @@ def generate(params: ApproxParams, seed: int) -> SparseStochasticMatrix:
     return SparseStochasticMatrix(
         L, rows, cols, vals, causal=causal, k=k, gamma=gamma
     )
-
-
-def validate(A: SparseStochasticMatrix, params: ApproxParams) -> ValidationReport:
-    """Check every matrix invariant against ``params``; never raises.
-
-    Checks: dimension match, row sums within 1e-12 of one, at most k
-    nonzeros per row and per column, within-row ratios in [1/gamma, gamma]
-    (with 1e-12 relative slack for normalization roundoff), and
-    lower-triangular support when ``params.causal``.  Every row holds a
-    nonzero by construction.
-    """
-    violations: list[InvariantViolation] = []
-    if A.L != params.L:
-        violations.append(
-            InvariantViolation("dimension", None, None, f"L={A.L} != params.L={params.L}")
-        )
-        return ValidationReport(False, violations)
-
-    row_sums = np.zeros(A.L)
-    np.add.at(row_sums, A.rows, A.vals)
-    row_counts = np.diff(A.row_ptr)
-    col_counts = np.bincount(A.cols, minlength=A.L)
-
-    bad_sum = np.nonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL)[0]
-    for i in bad_sum:
-        violations.append(
-            InvariantViolation("row_sum", int(i), None, f"row sums to {row_sums[i]!r}")
-        )
-    for i in np.nonzero(row_counts > params.k)[0]:
-        violations.append(
-            InvariantViolation("row_nnz", int(i), None, f"{row_counts[i]} nonzeros > k={params.k}")
-        )
-    for j in np.nonzero(col_counts > params.k)[0]:
-        violations.append(
-            InvariantViolation("col_nnz", None, int(j), f"{col_counts[j]} nonzeros > k={params.k}")
-        )
-
-    ratios = np.maximum.reduceat(A.vals, A.row_ptr[:-1]) / min_nonzero_rows(A)
-    for i in np.nonzero(ratios > params.gamma * (1.0 + RATIO_RTOL))[0]:
-        violations.append(
-            InvariantViolation(
-                "variation", int(i), None, f"ratio {ratios[i]!r} exceeds gamma={params.gamma}"
-            )
-        )
-
-    if params.causal:
-        above = np.nonzero(A.cols > A.rows)[0]
-        for t in above:
-            violations.append(
-                InvariantViolation(
-                    "causal", int(A.rows[t]), int(A.cols[t]), "entry above the diagonal"
-                )
-            )
-
-    return ValidationReport(not violations, violations)
 
 
 def min_nonzero_rows(A: SparseStochasticMatrix) -> np.ndarray:

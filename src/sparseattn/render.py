@@ -43,23 +43,3 @@ def render_pgm(matrix, out_path, pool: int = 8, clip: float = 0.05) -> None:
         lines += textwrap.wrap(" ".join(map(str, row)), 70)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_pgm(path) -> np.ndarray:
-    """Parse a plain-text PGM (P2) back into an integer array."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = []
-        for ln in fh:
-            ln = ln.split("#", 1)[0]
-            tokens.extend(ln.split())
-    if not tokens or tokens[0] != "P2":
-        raise ValueError(f"{path}: not a plain PGM (P2) file")
-    if len(tokens) < 4:
-        raise ValueError(f"{path}: PGM header needs width, height and maxval")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    pixels = np.array([int(t) for t in tokens[4:]], dtype=np.int64)
-    if pixels.size != width * height:
-        raise ValueError(f"{path}: expected {width * height} pixels, got {pixels.size}")
-    if maxval != 255:
-        raise ValueError(f"{path}: expected maxval 255, got {maxval}")
-    return pixels.reshape(height, width)

@@ -148,8 +148,6 @@ class SweepConfig:
             )
         if self.d_points < 1:
             raise ValueError("d_points must be >= 1")
-        if self.q <= 0:
-            raise ValueError("q must be positive")
         redraw_budget(self.q, min(self.L_grid))
         if self.trials_per_L < 1:
             raise ValueError("trials_per_L must be >= 1")
@@ -165,7 +163,10 @@ class SweepConfig:
 
 def redraw_budget(q: float, L: int) -> int:
     """Redraws per width at length ``L``, ``round(q * L)``; raises
-    ValueError when that is below 1."""
+    ValueError unless ``q`` is finite and > 0 and gives at least one
+    redraw."""
+    if not (math.isfinite(q) and q > 0):
+        raise ValueError(f"q must be finite and > 0, got q={q}")
     n = int(round(q * L))
     if n < 1:
         raise ValueError(f"q={q} gives round(q * L) = {n} redraws at L={L}")

@@ -15,19 +15,16 @@ target as it is stored: nonzeros in row-major order and a row pointer
 gathering from slices of those arrays.  ``check_conditions`` runs it over
 every row and builds the report; a redraw search runs ``row_margins`` on each
 block of logits it forms, in whatever row schedule it keeps, and reports
-through ``check_conditions``.  ``check_direct`` evaluates the same conditions
-literally on attention-matrix entries, with its own masks built from the
-target, and is the small-instance oracle the log-domain path is tested
-against.
+through ``check_conditions``.
 
-Both checks take their mode from the target: a causal target
-(``A.causal``) is judged on the positions at or below the diagonal only.
-Every target row holds a nonzero: ``SparseStochasticMatrix`` rejects an
-empty row when it is built.
+The check takes its mode from the target: a causal target (``A.causal``) is
+judged on the positions at or below the diagonal only.  Every target row
+holds a nonzero: ``SparseStochasticMatrix`` rejects an empty row when it is
+built.
 
-Both functions report the same canonical first violation: triples are
-scanned row by row, zero/nonzero pairs before nonzero/nonzero pairs within
-a row, and lexicographically by (j1, j2) within a kind.
+The report names the canonical first violation: triples are scanned row by
+row, zero/nonzero pairs before nonzero/nonzero pairs within a row, and
+lexicographically by (j1, j2) within a kind.
 """
 
 from __future__ import annotations
@@ -193,77 +190,3 @@ def row_margins(
     considered = np.arange(lo + 1, hi + 1) if A.causal else A.L
     return (np.where(nz_counts < considered, gap, -np.inf),
             np.where(nz_counts >= 2, spread, -np.inf))
-
-
-def check_direct(
-    m: np.ndarray,
-    A: SparseStochasticMatrix,
-    eps1: float,
-    eps2: float,
-) -> ApproxReport:
-    """Literal evaluation of the ratio conditions on attention entries, in
-    the target's own mode.
-
-    Full pair enumeration per row; intended as an oracle for small L.
-    Raises on non-finite ratios (a zero attention entry at a nonzero
-    position of the target).
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (A.L, A.L):
-        raise VerificationError(f"matrix shape {m.shape} does not match L={A.L}")
-    a_dense = A.to_dense()
-
-    worst_zero = -math.inf
-    worst_dev = -math.inf
-    n_triples = 0
-    first_violation = None
-    log_eps1 = math.log(eps1)
-    lo, hi = math.exp(-eps2), math.exp(eps2)
-
-    for i in range(A.L):
-        considered = a_dense[i, : i + 1] if A.causal else a_dense[i]
-        nz_j = np.nonzero(considered != 0.0)[0]
-        zero_j = np.nonzero(considered == 0.0)[0]
-        n_triples += len(zero_j) * len(nz_j) + len(nz_j) * (len(nz_j) - 1)
-        row_violation = None
-        for j1 in zero_j:
-            for j2 in nz_j:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = m[i, j1] / m[i, j2]
-                if not np.isfinite(ratio):
-                    raise VerificationError(
-                        f"non-finite ratio at row {i}, columns ({j1}, {j2})"
-                    )
-                log_ratio = math.log(ratio) if ratio > 0 else -math.inf
-                worst_zero = max(worst_zero, log_ratio)
-                if ratio >= eps1 and row_violation is None:
-                    row_violation = (i, int(j1), int(j2), KIND_ZERO_RATIO)
-        for j1 in nz_j:
-            for j2 in nz_j:
-                if j1 == j2:
-                    continue
-                with np.errstate(divide="ignore"):
-                    ratio = m[i, j1] / m[i, j2]
-                if not np.isfinite(ratio):
-                    raise VerificationError(
-                        f"non-finite ratio at row {i}, columns ({j1}, {j2})"
-                    )
-                target = a_dense[i, j1] / a_dense[i, j2]
-                if ratio > 0:
-                    worst_dev = max(worst_dev, abs(math.log(ratio) - math.log(target)))
-                else:
-                    worst_dev = math.inf
-                inside = target * lo < ratio < target * hi
-                if not inside and row_violation is None:
-                    row_violation = (i, int(j1), int(j2), KIND_NONZERO_DEV)
-        if row_violation is not None and first_violation is None:
-            first_violation = row_violation
-
-    passed = worst_zero < log_eps1 and worst_dev < eps2
-    return ApproxReport(
-        passed=passed,
-        worst_zero_ratio_log=worst_zero,
-        worst_nonzero_dev=worst_dev,
-        n_triples_checked=n_triples,
-        first_violation=first_violation,
-    )

@@ -1,13 +1,39 @@
-"""Shared test helpers."""
+"""Shared test helpers: the oracles the package is tested against.
+
+- ``reference_generate``: the literal greedy loop ``matrices.generate``
+  vectorizes;
+- ``reference_project_pair``: the explicit-matrix route
+  ``concentration.project_pair`` replaces;
+- ``reference_row_margins``: the masked route ``verify.row_margins``
+  replaces;
+- ``check_direct``: the ratio conditions evaluated literally on attention
+  entries, against which ``verify.check_conditions`` is tested; both
+  report the same canonical first violation;
+- ``validate`` (with ``ValidationReport`` and ``InvariantViolation``): every
+  target invariant checked against its ``ApproxParams``;
+- ``read_pgm``: the parser of the plain PGM files ``render.render_pgm``
+  writes.
+"""
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from sparseattn.concentration import MODE_ORTHOGONAL
 from sparseattn.construct import sample_stiefel
-from sparseattn.matrices import SparseStochasticMatrix
-from sparseattn.verify import VerificationError
+from sparseattn.matrices import ApproxParams, SparseStochasticMatrix, min_nonzero_rows
+from sparseattn.verify import (
+    KIND_NONZERO_DEV,
+    KIND_ZERO_RATIO,
+    ApproxReport,
+    VerificationError,
+)
+
+ROW_SUM_TOL = 1e-12
+# Relative slack on the within-row ratio check: normalizing a row divides
+# every entry by the same float, which can perturb ratios by an ulp.
+RATIO_RTOL = 1e-12
 
 
 def reference_generate(params, seed):
@@ -138,3 +164,166 @@ def reference_row_margins(z_rows, A, lo):
     )
     cond2 = np.where(nz_counts >= 2, t_max - t_min, -np.inf)
     return cond1, cond2
+
+
+@dataclass(frozen=True)
+class InvariantViolation:
+    kind: str
+    row: int | None
+    col: int | None
+    detail: str
+
+
+@dataclass
+class ValidationReport:
+    passed: bool
+    violations: list[InvariantViolation] = field(default_factory=list)
+
+
+def validate(A: SparseStochasticMatrix, params: ApproxParams) -> ValidationReport:
+    """Check every matrix invariant against ``params``; never raises.
+
+    Checks: dimension match, row sums within 1e-12 of one, at most k
+    nonzeros per row and per column, within-row ratios in [1/gamma, gamma]
+    (with 1e-12 relative slack for normalization roundoff), and
+    lower-triangular support when ``params.causal``.  Every row holds a
+    nonzero by construction.
+    """
+    violations: list[InvariantViolation] = []
+    if A.L != params.L:
+        violations.append(
+            InvariantViolation("dimension", None, None, f"L={A.L} != params.L={params.L}")
+        )
+        return ValidationReport(False, violations)
+
+    row_sums = np.zeros(A.L)
+    np.add.at(row_sums, A.rows, A.vals)
+    row_counts = np.diff(A.row_ptr)
+    col_counts = np.bincount(A.cols, minlength=A.L)
+
+    bad_sum = np.nonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL)[0]
+    for i in bad_sum:
+        violations.append(
+            InvariantViolation("row_sum", int(i), None, f"row sums to {row_sums[i]!r}")
+        )
+    for i in np.nonzero(row_counts > params.k)[0]:
+        violations.append(
+            InvariantViolation("row_nnz", int(i), None, f"{row_counts[i]} nonzeros > k={params.k}")
+        )
+    for j in np.nonzero(col_counts > params.k)[0]:
+        violations.append(
+            InvariantViolation("col_nnz", None, int(j), f"{col_counts[j]} nonzeros > k={params.k}")
+        )
+
+    ratios = np.maximum.reduceat(A.vals, A.row_ptr[:-1]) / min_nonzero_rows(A)
+    for i in np.nonzero(ratios > params.gamma * (1.0 + RATIO_RTOL))[0]:
+        violations.append(
+            InvariantViolation(
+                "variation", int(i), None, f"ratio {ratios[i]!r} exceeds gamma={params.gamma}"
+            )
+        )
+
+    if params.causal:
+        above = np.nonzero(A.cols > A.rows)[0]
+        for t in above:
+            violations.append(
+                InvariantViolation(
+                    "causal", int(A.rows[t]), int(A.cols[t]), "entry above the diagonal"
+                )
+            )
+
+    return ValidationReport(not violations, violations)
+
+
+def check_direct(
+    m: np.ndarray,
+    A: SparseStochasticMatrix,
+    eps1: float,
+    eps2: float,
+) -> ApproxReport:
+    """Literal evaluation of the ratio conditions on attention entries, in
+    the target's own mode.
+
+    Full pair enumeration per row; intended as an oracle for small L.
+    Raises on non-finite ratios (a zero attention entry at a nonzero
+    position of the target).
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape != (A.L, A.L):
+        raise VerificationError(f"matrix shape {m.shape} does not match L={A.L}")
+    a_dense = A.to_dense()
+
+    worst_zero = -math.inf
+    worst_dev = -math.inf
+    n_triples = 0
+    first_violation = None
+    log_eps1 = math.log(eps1)
+    lo, hi = math.exp(-eps2), math.exp(eps2)
+
+    for i in range(A.L):
+        considered = a_dense[i, : i + 1] if A.causal else a_dense[i]
+        nz_j = np.nonzero(considered != 0.0)[0]
+        zero_j = np.nonzero(considered == 0.0)[0]
+        n_triples += len(zero_j) * len(nz_j) + len(nz_j) * (len(nz_j) - 1)
+        row_violation = None
+        for j1 in zero_j:
+            for j2 in nz_j:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = m[i, j1] / m[i, j2]
+                if not np.isfinite(ratio):
+                    raise VerificationError(
+                        f"non-finite ratio at row {i}, columns ({j1}, {j2})"
+                    )
+                log_ratio = math.log(ratio) if ratio > 0 else -math.inf
+                worst_zero = max(worst_zero, log_ratio)
+                if ratio >= eps1 and row_violation is None:
+                    row_violation = (i, int(j1), int(j2), KIND_ZERO_RATIO)
+        for j1 in nz_j:
+            for j2 in nz_j:
+                if j1 == j2:
+                    continue
+                with np.errstate(divide="ignore"):
+                    ratio = m[i, j1] / m[i, j2]
+                if not np.isfinite(ratio):
+                    raise VerificationError(
+                        f"non-finite ratio at row {i}, columns ({j1}, {j2})"
+                    )
+                target = a_dense[i, j1] / a_dense[i, j2]
+                if ratio > 0:
+                    worst_dev = max(worst_dev, abs(math.log(ratio) - math.log(target)))
+                else:
+                    worst_dev = math.inf
+                inside = target * lo < ratio < target * hi
+                if not inside and row_violation is None:
+                    row_violation = (i, int(j1), int(j2), KIND_NONZERO_DEV)
+        if row_violation is not None and first_violation is None:
+            first_violation = row_violation
+
+    passed = worst_zero < log_eps1 and worst_dev < eps2
+    return ApproxReport(
+        passed=passed,
+        worst_zero_ratio_log=worst_zero,
+        worst_nonzero_dev=worst_dev,
+        n_triples_checked=n_triples,
+        first_violation=first_violation,
+    )
+
+
+def read_pgm(path) -> np.ndarray:
+    """Parse a plain-text PGM (P2) back into an integer array."""
+    with open(path, "r", encoding="utf-8") as fh:
+        tokens = []
+        for ln in fh:
+            ln = ln.split("#", 1)[0]
+            tokens.extend(ln.split())
+    if not tokens or tokens[0] != "P2":
+        raise ValueError(f"{path}: not a plain PGM (P2) file")
+    if len(tokens) < 4:
+        raise ValueError(f"{path}: PGM header needs width, height and maxval")
+    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    pixels = np.array([int(t) for t in tokens[4:]], dtype=np.int64)
+    if pixels.size != width * height:
+        raise ValueError(f"{path}: expected {width * height} pixels, got {pixels.size}")
+    if maxval != 255:
+        raise ValueError(f"{path}: expected maxval 255, got {maxval}")
+    return pixels.reshape(height, width)

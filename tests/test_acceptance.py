@@ -13,6 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from conftest import check_direct
 
 from sparseattn._seeds import derive_seed
 from sparseattn.attention import csam, logits, sam
@@ -34,7 +35,7 @@ from sparseattn.sweep import (
     search_width,
     theoretical_d,
 )
-from sparseattn.verify import check_conditions, check_direct
+from sparseattn.verify import check_conditions
 
 FULL = os.environ.get("SPARSEATTN_FULL_ACCEPTANCE", "") == "1"
 

@@ -4,10 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from conftest import read_pgm, validate
 
 from sparseattn.cli import main
-from sparseattn.matrices import ApproxParams, CooFormatError, read_coo, validate, write_coo
-from sparseattn.render import read_pgm
+from sparseattn.matrices import ApproxParams, CooFormatError, read_coo, write_coo
 
 
 def run(*argv):
@@ -283,6 +283,27 @@ def test_sweep_config_rejects_an_empty_or_repeated_q(tmp_path, capsys, q):
     assert "line 9: q must list one or more values, none repeated" in err
     assert "bogus" in err  # reported with the other config errors
     assert not out.exists()
+
+
+@pytest.mark.parametrize("q", ["inf", "-inf", "nan"])
+def test_non_finite_q_exits_2_and_names_q(tmp_path, capsys, monkeypatch, q):
+    from sparseattn import cli
+
+    message = f"q must be finite and > 0, got q={float(q)}"
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(sweep_config_text(q=q))
+    out = tmp_path / "r.csv"
+    assert run("sweep", cfg, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+    coo = tmp_path / "id.coo"
+    write_identity_coo(coo, L=8)
+    factored = []
+    monkeypatch.setattr(cli, "svd_factor", lambda B: factored.append(B))
+    assert run("approx", "--input", coo, "--d", 4, f"--q={q}") == 2
+    assert message in capsys.readouterr().err
+    assert factored == []
 
 
 # -------------------------------------------------------------------- render

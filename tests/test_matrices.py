@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import reference_generate
+from conftest import reference_generate, validate
 from hypothesis import example, given, settings, strategies as st
 
 from sparseattn.matrices import (
@@ -16,7 +16,6 @@ from sparseattn.matrices import (
     generate,
     min_nonzero_rows,
     read_coo,
-    validate,
     write_coo,
 )
 

@@ -33,6 +33,11 @@ def test_public_names_resolve_once_each():
         (sparseattn.verify, "margin_report"),
         (sparseattn.cli, "cmd_qsweep"),
         (sparseattn.cli, "load_sweep_config"),
+        (sparseattn.verify, "check_direct"),
+        (sparseattn.matrices, "validate"),
+        (sparseattn.matrices, "ValidationReport"),
+        (sparseattn.matrices, "InvariantViolation"),
+        (sparseattn.render, "read_pgm"),
     ]:
         assert not hasattr(sparseattn, gone) and not hasattr(module, gone)
 
@@ -52,6 +57,42 @@ def test_traced_layers_resolve():
     for module, attr in layers:
         layer = getattr(importlib.import_module(f"sparseattn.{module}"), attr, None)
         assert callable(layer), f"{module}.{attr}"
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # A public def or class that only tests use belongs with the oracles in
+    # tests/conftest.py.  A name counts as used when a package module (the
+    # re-exports of __init__ aside), a demo or a benchmark script names it:
+    # as a name, an attribute, an import or an identifier string, so the
+    # tracer's LAYERS entries count.
+    package = sorted(
+        path for path in (ROOT / "src" / "sparseattn").glob("*.py")
+        if path.name != "__init__.py"
+    )
+    callers = [
+        *package, *sorted((ROOT / "demos").glob("*.py")),
+        *sorted((ROOT / "perfbench").glob("*.py")),
+    ]
+    used = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    used.add(node.value)
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in package
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in used
+    ]
+    assert unused == []
 
 
 def test_package_imports_only_numpy_and_the_standard_library():

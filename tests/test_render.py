@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from conftest import read_pgm
 
 from sparseattn.matrices import ApproxParams, generate
-from sparseattn.render import pooled_pixels, read_pgm, render_pgm
+from sparseattn.render import pooled_pixels, render_pgm
 
 
 def test_identity_pooling_saturates_unit_entry(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import reference_row_margins
+from conftest import check_direct, reference_row_margins
 from sparseattn.attention import csam, sam
 from sparseattn.construct import build_log_gap, compress, sample_stiefel, svd_factor
 from sparseattn.matrices import ApproxParams, MatrixError, SparseStochasticMatrix, generate
@@ -17,7 +17,6 @@ from sparseattn.verify import (
     ApproxReport,
     VerificationError,
     check_conditions,
-    check_direct,
     row_margins,
 )
 
