@@ -155,7 +155,9 @@ def row_margins(
     considered: ``L``, or ``i + 1`` for row ``i`` in causal mode.  In
     non-causal mode the zero-position maximum needs no mask: those cells are
     set to -inf for one plain row-max and then restored, so ``z_rows`` reads
-    bit-identical after the call (a read-only block is copied first).
+    bit-identical after the call (a read-only block is copied first); a row
+    whose zero-position maximum is a signed zero is reduced again under the
+    mask, so the sign does not hang on how the plain max pairs elements.
     Causal mode masks the positions above the diagonal.
     """
     hi = lo + z_rows.shape[0]
@@ -179,7 +181,16 @@ def row_margins(
         if not z_flat.flags.writeable:
             z_flat = z_flat.copy()
         z_flat[flat] = -np.inf
-        z_zero_max = z_flat.reshape(z_rows.shape).max(axis=1)
+        z_blocked = z_flat.reshape(z_rows.shape)
+        z_zero_max = z_blocked.max(axis=1)
+        if not z_zero_max.all():
+            # A plain max may return either sign of a zero maximum, as its
+            # pairing of elements goes; such rows are reduced again over the
+            # zero positions in the masked reduction's order, the one the
+            # causal branch keeps, so the sign is that order's.
+            tied = np.flatnonzero(z_zero_max == 0.0)
+            sub = z_blocked[tied]
+            z_zero_max[tied] = np.max(sub, axis=1, where=sub > -np.inf, initial=-np.inf)
         z_flat[flat] = z_nz
 
     t = z_nz - np.log(A.vals[start:end])

@@ -308,6 +308,7 @@ SPECIALS = (math.nan, math.inf, -math.inf)
 )
 @example(L=49, k=3, seed=2, causal=False, ties=True, placements=[(True, 5, math.nan)])
 @example(L=17, k=2, seed=3, causal=True, ties=False, placements=[(False, 7, -math.inf)])
+@example(L=9, k=3, seed=3, causal=False, ties=True, placements=[])
 def test_row_margins_match_the_masked_reference(L, k, seed, causal, ties, placements):
     """Bit-equal condition values, or the same error, on every block of the
     search's schedule, on the whole matrix and on three row ranges drawn from
