@@ -1,7 +1,8 @@
 """Walk the full construction: target matrix -> attention inputs -> verdict.
 
-Draws a sparse stochastic target, builds the log-gap factorization, then
-compresses it through orthogonal projections.  A single draw at full width
+Draws a sparse stochastic target, builds its log-gap matrix B and the right
+factor V of B's SVD, then compresses B V and V through orthogonal
+projections.  A single draw at full width
 (d = 2L) reproduces the logits exactly and the ratio conditions hold with
 margin; below that, redrawing the projection becomes part of the search, and
 the harness walks an ascending width grid until some redraw passes.
@@ -37,17 +38,17 @@ A = generate(params, seed=42)
 print(f"target: L={L}, {A.nnz} nonzeros, k={params.k}, gamma={params.gamma}")
 
 B = build_log_gap(A, params.eps1, params.eps2)
-factors = svd_factor(B)
+V = svd_factor(B)
 print(f"largest singular value of the log-gap matrix: {np.linalg.norm(B, 2):.3f}")
 
 # At full width the embeddings and fixed weights reproduce the log-gap matrix B.
-inputs = assemble(compress(factors, sample_stiefel(L, L, seed=7), 2 * L))
+inputs = assemble(compress(B, V, sample_stiefel(L, L, seed=7), 2 * L))
 print(f"full width d = {2 * L}: X is {inputs.x.shape[0]} x {inputs.x.shape[1]}, "
       f"max |logits - B| = {np.abs(logits(inputs) - B).max():.1e}")
 
 print("\nwidth sweep (single projection draw each):")
 for d in (32, 64, 128, 192, 2 * L):
-    _, _, _, report = search_width(factors, A, d, 1, 7, params.eps1, params.eps2)
+    _, _, _, report = search_width(V, A, d, 1, 7, params.eps1, params.eps2)
     print(f"  d = {d:3d}: passed = {report.passed!s:5}   "
           f"zero-ratio log {report.worst_zero_ratio_log:7.3f} (< {np.log(params.eps1):.3f})   "
           f"nonzero dev {report.worst_nonzero_dev:6.3f} (< {params.eps2})")
@@ -60,7 +61,7 @@ print(f"  d_min = {record.d_min} after {record.redraws_used} redraws "
       f"(theoretical bound {record.theoretical_d:.0f})")
 
 # Replay the passing draw at the found width for rendering.
-passing, _, z, _ = search_width(factors, A, record.d_min, redraw_budget(cfg.q, L),
+passing, _, z, _ = search_width(V, A, record.d_min, redraw_budget(cfg.q, L),
                                 record.seed, params.eps1, params.eps2)
 print(f"  replayed the passing draw (redraw {passing})")
 

@@ -16,7 +16,6 @@ from .concentration import (
 )
 from .construct import (
     AttentionInputs,
-    Factorization,
     ProjectionPair,
     assemble,
     build_log_gap,
@@ -48,7 +47,6 @@ __all__ = [
     "ApproxParams",
     "ApproxReport",
     "AttentionInputs",
-    "Factorization",
     "JltParams",
     "ProjectionPair",
     "SparseStochasticMatrix",

@@ -5,10 +5,10 @@ Subcommands: ``generate`` (draw a target matrix to a COO file), ``approx``
 ``sweep`` (the width grid experiment streamed to CSV, once per listed redraw
 budget ``q``), ``render`` (pooled PGM attention maps), and ``jlt-bench``
 (projection tail benchmark).  ``approx`` and ``sweep`` share one redraw loop,
-``sweep.search_width``, so a sweep CSV row replays through ``approx`` at its
-``d_min`` and ``seed``.  A sweep runs its records in one spawned worker
-process per usable CPU, each with one BLAS thread, and writes the rows in
-grid order.
+``sweep.search_width``, given the right SVD factor of the target's log-gap
+matrix, so a sweep CSV row replays through ``approx`` at its ``d_min`` and
+``seed``.  A sweep runs its records in one spawned worker process per usable
+CPU, each with one BLAS thread, and writes the rows in grid order.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage or validation error.
@@ -159,9 +159,9 @@ def cmd_approx(args) -> int:
     A = read_coo(args.input)
     check_width(args.d, A.L)
     n_redraws = sweep_mod.redraw_budget(args.q, A.L)
-    factors = svd_factor(build_log_gap(A, args.eps1, args.eps2))
+    V = svd_factor(build_log_gap(A, args.eps1, args.eps2))
     passing, redraws_used, z, report = sweep_mod.search_width(
-        factors, A, args.d, n_redraws, args.seed, args.eps1, args.eps2
+        V, A, args.d, n_redraws, args.seed, args.eps1, args.eps2
     )
 
     payload = {

@@ -1,11 +1,12 @@
 """Constructive pipeline from a target matrix to self-attention inputs.
 
-The route: shift the log of the target into a dense, nonnegative L x L
-"log-gap" matrix ``B`` (``build_log_gap``) whose elementwise exponential is
-a row-rescaled copy of the target; factor it with a full SVD; compress both
-factors with a shared Haar-orthogonal projection; and lay the compressed
-factors out as token embeddings together with fixed query/key weight
-matrices whose product recovers the compressed logits exactly.
+The route: shift the log of the target into a nonnegative L x L "log-gap"
+matrix ``B`` (``build_log_gap``; ``log_gap_values`` gives its nonzeros)
+whose elementwise exponential is a row-rescaled copy of the target; take the
+orthogonal right factor ``V`` of its SVD, so ``B = (B V) V^T``; compress
+``B V`` and ``V`` with a shared Haar-orthogonal projection; and lay the
+compressed factors out as token embeddings together with fixed query/key
+weight matrices whose product recovers the compressed logits exactly.
 
 A Haar sample ``y`` enters the redraw search (``sweep.search_width``) and
 the orthogonal estimate of the concentration bench
@@ -28,18 +29,6 @@ from .matrices import SparseStochasticMatrix, check_tolerances, min_nonzero_rows
 
 class FactorizationError(RuntimeError):
     """SVD backend failed to converge."""
-
-
-@dataclass
-class Factorization:
-    """SVD products: ``left @ right.T`` reconstructs the log-gap matrix.
-
-    ``left`` is the left singular vectors scaled by the singular values
-    (descending), ``right`` the orthogonal right factor.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
 
 
 @dataclass
@@ -66,28 +55,28 @@ class AttentionInputs:
     d: int
 
 
-def build_log_gap(A: SparseStochasticMatrix, eps1: float, eps2: float) -> np.ndarray:
-    """Dense log-gap matrix ``B`` of the target.
-
-    ``B[i, j]`` is 0 where the target is 0, and otherwise
-    ``log A[i, j] - log(row_min_nonzero[i]) - log(eps1) + eps2``, which is
-    strictly positive and at most ``log(gamma / eps1) + eps2`` for a
+def log_gap_values(A: SparseStochasticMatrix, eps1: float, eps2: float) -> np.ndarray:
+    """The log-gap matrix ``B`` at the target's nonzeros, in stored (row-major)
+    order: ``log A[i, j] - log(row_min_nonzero[i]) - log(eps1) + eps2``, which
+    is strictly positive and at most ``log(gamma / eps1) + eps2`` for a
     gamma-variation-bounded target.  The tolerances must lie in the range
-    ``ApproxParams`` accepts (``check_tolerances``).
-    """
+    ``ApproxParams`` accepts (``check_tolerances``)."""
     check_tolerances(eps1, eps2)
     row_min = min_nonzero_rows(A)
+    return np.log(A.vals) - np.log(row_min[A.rows]) - math.log(eps1) + eps2
+
+
+def build_log_gap(A: SparseStochasticMatrix, eps1: float, eps2: float) -> np.ndarray:
+    """Dense log-gap matrix ``B``: ``log_gap_values`` at the nonzeros, else 0."""
     B = np.zeros((A.L, A.L))
-    B[A.rows, A.cols] = np.log(A.vals) - np.log(row_min[A.rows]) - math.log(eps1) + eps2
+    B[A.rows, A.cols] = log_gap_values(A, eps1, eps2)
     return B
 
 
-def svd_factor(B: np.ndarray) -> Factorization:
-    """Full dense SVD of the log-gap matrix ``B``.
-
-    Returns the scaled left factor (U * sigma) and the right factor V.
-    ``left @ right.T`` reproduces the input to roundoff.
-    """
+def svd_factor(B: np.ndarray) -> np.ndarray:
+    """Orthogonal right factor ``V`` of the full SVD of the log-gap matrix
+    ``B``.  ``B V`` is the left singular vectors scaled by the singular
+    values (descending), so ``(B V) V^T`` reproduces ``B`` to roundoff."""
     if not np.all(np.isfinite(B)):
         raise FactorizationError("log-gap matrix has non-finite entries")
     try:
@@ -97,7 +86,7 @@ def svd_factor(B: np.ndarray) -> Factorization:
             f"SVD did not converge on a {B.shape[0]}x{B.shape[1]} matrix "
             f"(max |entry| = {np.abs(B).max():.3e}): {exc}"
         ) from exc
-    return Factorization(left=u * sigma, right=vt.T)
+    return vt.T
 
 
 def sample_stiefel(L: int, half_d: int, seed: int) -> np.ndarray:
@@ -142,22 +131,17 @@ def check_width(d: int, L: int) -> None:
         raise ValueError(f"need d <= 2L, got d={d}, L={L}")
 
 
-def compress(factors: Factorization, y: np.ndarray, d: int) -> ProjectionPair:
-    """Project both factors through the shared sample, scaled by sqrt(2L/d).
-
-    The product ``left @ right.T`` of the result is an unbiased estimate of
-    the factored matrix.
-    """
-    L = factors.left.shape[0]
+def compress(B: np.ndarray, V: np.ndarray, y: np.ndarray, d: int) -> ProjectionPair:
+    """Project both factors ``B V`` and ``V`` through the shared sample,
+    scaled by sqrt(2L/d): ``left = s B (V y)``, ``right = s V y``, whose
+    product ``left @ right.T`` is an unbiased estimate of ``B``."""
+    L = V.shape[0]
     check_width(d, L)
     if y.shape != (L, d // 2):
         raise ValueError(f"expected sample of shape {(L, d // 2)}, got {y.shape}")
     scale = math.sqrt(2.0 * L / d)
-    return ProjectionPair(
-        left=scale * (factors.left @ y),
-        right=scale * (factors.right @ y),
-        d=d,
-    )
+    vy = V @ y
+    return ProjectionPair(left=scale * (B @ vy), right=scale * vy, d=d)
 
 
 def assemble(pair: ProjectionPair) -> AttentionInputs:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._seeds import derive_seed
-from .construct import Factorization, build_log_gap, check_width, projector_basis, svd_factor
+from .construct import build_log_gap, check_width, log_gap_values, projector_basis, svd_factor
 from .matrices import ApproxParams, SparseStochasticMatrix, generate
 from .verify import ApproxReport, check_conditions, row_margins
 
@@ -57,9 +57,9 @@ CSV_HEADER = "L,trial,q,d_min,theoretical_d,redraws_used,seed"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # How a redraw forms its logit rows, block by block of ``row_blocks``.  Each
 # key of SOLVE_SPANS starts a span of rows, ending at its value, that one
-# solve against C turns into s^2 ((F_L G) C^-1 G^T) F_R^T: rows [0, 16) and
+# solve against C turns into s^2 (((B V) G) C^-1 G^T) V^T: rows [0, 16) and
 # [16, 48), each a whole number of blocks.  Rows from KEYS_FROM on use the
-# keys F_R G C^-1, which cost one L^2 h product.
+# keys V G C^-1, which cost one L^2 h product.
 SOLVE_SPANS = {0: 16, 16: 48}
 KEYS_FROM = max(SOLVE_SPANS.values())
 # Above this 1-norm condition number of C, a redraw evaluated in full takes a
@@ -191,17 +191,25 @@ def theoretical_d(params: ApproxParams, L: int) -> float:
     )
 
 
-def _scaled_left(factors: Factorization, g: np.ndarray, scale2: float, left: np.ndarray,
-                 lo: int, hi: int) -> np.ndarray:
-    """Rows ``lo .. hi - 1`` of ``s^2 F_L G``, written into ``left``."""
-    out = left[lo:hi]
-    np.matmul(factors.left[lo:hi], g, out=out)
-    out *= scale2
+def _gap_rows(A: SparseStochasticMatrix, gap: np.ndarray, w: np.ndarray,
+              lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """Rows ``lo .. hi - 1`` of ``B w`` into ``out``: per row, the rows of
+    ``w`` its nonzeros select (never none), times their ``gap`` values, summed
+    in stored order; 64 rows at a time, as block-sized gathers stayed resident
+    in the C heap (+2 MB peak over repeated approx calls at L=2048)."""
+    for a in range(lo, hi, 64):
+        ptr = A.row_ptr[a:min(a + 64, hi) + 1]
+        first, count = ptr[:-1], ptr[1:] - ptr[:-1]
+        rows = out[a - lo:a - lo + len(first)]
+        np.multiply(w[A.cols[first]], gap[first, None], out=rows)
+        for s in range(1, count.max()):  # each row's s-th nonzero, if any
+            more = first[count > s] + s
+            rows[count > s] += w[A.cols[more]] * gap[more, None]
     return out
 
 
 def search_width(
-    factors: Factorization, A: SparseStochasticMatrix, d: int, n_redraws: int,
+    V: np.ndarray, A: SparseStochasticMatrix, d: int, n_redraws: int,
     seed: int, eps1: float, eps2: float,
 ) -> tuple[int | None, int, np.ndarray, ApproxReport]:
     """Redraw the shared projection at width ``d`` until target ``A``'s
@@ -209,10 +217,12 @@ def search_width(
 
     Redraw ``t`` (t = 0 .. n_redraws - 1) samples a Haar L x d/2 matrix ``y``
     with seed ``derive_seed(seed, 1, d, t)`` and checks the logits
-    ``z = (s F_L y)(s F_R y)^T``, ``s = sqrt(2L/d)``, which equal the logits
-    of the assembled attention inputs.  Stops at the first pass.  Returns
-    the passing redraw (None if none passed), the redraws used, and the
-    logits and report of the last redraw checked.
+    ``z = (s B V y)(s V y)^T``, ``s = sqrt(2L/d)``, for ``V`` the right factor
+    of the target's log-gap matrix ``B`` (``svd_factor``): the logits of the
+    assembled attention inputs.  Stops at the first pass.  Returns the
+    passing redraw (None if none passed), the redraws used, and the logits
+    and report of the last redraw checked.  ``_gap_rows`` forms rows of ``B``
+    times a matrix from the target's nonzeros: no L x L ``B`` or ``B V``.
 
     ``z`` depends on ``y`` only through the projector ``y y^T``, so the
     search takes the Gaussian draw ``G`` that ``sample_stiefel`` would
@@ -224,16 +234,17 @@ def search_width(
     0-3, 4-15, 16-47, then doubling), each block formed into one L x L
     buffer and checked against ``A``'s rows (``row_margins``) in turn, and a
     redraw that is not the last one stops at the first block holding a
-    violating row.  Rows 0-15 are ``s^2 ((F_L[0:16] G) C^-1 G^T) F_R^T`` from
-    one solve against ``C``, formed and checked as rows 0-3 and then 4-15;
-    rows 16-47 take the same route with a second solve.  Only a redraw that
-    survives row 47 inverts ``C`` and forms the keys ``F_R G C^-1``, the one
-    ``L^2 h`` product, for the blocks after.  A redraw evaluated in full (a
-    pass, or the last) whose ``kappa_1(C)`` exceeds ``STEP_KAPPA`` (h near L)
-    is formed again from keys that take one corrected seminormal step
-    ``K += (F_R - K G^T) G C^-1``, which undoes the roundoff of ``C^-1``: the
-    logits then match ``y``'s to about 1e-12 at every width.  The report of a
-    redraw evaluated in full is ``check_conditions`` of the logits it
+    violating row.  Rows 0-15 are ``s^2 (((B V)[0:16] G) C^-1 G^T) V^T``
+    from one solve against ``C``, formed and checked as rows 0-3 and then
+    4-15; rows 16-47 take the same route with a second solve.  Only a redraw
+    that survives row 47 inverts ``C`` and forms ``W = V G`` and the keys
+    ``W C^-1``, the one ``L^2 h`` product, for the blocks after, whose rows
+    are ``s^2 (B W) (W C^-1)^T``.  A redraw evaluated in full (a pass, or
+    the last) whose ``kappa_1(C)`` exceeds ``STEP_KAPPA`` (h near L) is
+    formed again from keys that take one corrected seminormal step
+    ``K += (V - K G^T) G C^-1``, which undoes the roundoff of ``C^-1``: the
+    logits then match ``y``'s to about 1e-12 at every width.  The report of
+    a redraw evaluated in full is ``check_conditions`` of the logits it
     returns, so it is the full check of those logits by construction.  The
     last redraw is always evaluated in full, so the logits and report
     returned are complete.  A non-finite logit raises ``VerificationError``
@@ -247,6 +258,9 @@ def search_width(
     scale2 = 2.0 * L / d
     log_eps1 = math.log(eps1)
     blocks = row_blocks(L)
+    gap = log_gap_values(A, eps1, eps2)
+    head = np.empty((min(KEYS_FROM, L), L))  # rows 0-47 of B V, once per call
+    _gap_rows(A, gap, V, 0, len(head), head)
     z = np.empty((L, L))
     for t in range(n_redraws):
         g, c = projector_basis(L, h, derive_seed(seed, 1, d, t))
@@ -255,23 +269,27 @@ def search_width(
         # C heap and raised the peak memory of repeated approx calls at
         # L=2048 by about 18 MB.
         left = np.empty((L, h))
-        keys = c_inv = None
+        w = keys = c_inv = None
         last = t == n_redraws - 1
         for lo, hi in blocks:
-            if lo in SOLVE_SPANS:  # s^2 (F_L G) C^-1 for the span's rows
-                span_lo = lo
-                x = _scaled_left(factors, g, scale2, left, lo, min(SOLVE_SPANS[lo], L))
+            if lo in SOLVE_SPANS:  # s^2 ((B V) G) C^-1 for the span's rows
+                span_lo, span_hi = lo, min(SOLVE_SPANS[lo], L)
+                x = np.matmul(head[span_lo:span_hi], g, out=left[span_lo:span_hi])
+                x *= scale2
                 x = np.linalg.solve(c, x.T).T
             if lo < KEYS_FROM:
-                np.matmul(x[lo - span_lo:hi - span_lo] @ g.T, factors.right.T, out=z[lo:hi])
+                np.matmul(x[lo - span_lo:hi - span_lo] @ g.T, V.T, out=z[lo:hi])
             else:
                 if keys is None:
                     # An explicit inverse, not a solve against L right-hand
                     # sides: the solve's L x h buffers raised the peak memory
                     # of repeated approx calls at L=2048 by 16 MB.
                     c_inv = np.linalg.inv(c)
-                    keys = (factors.right @ g) @ c_inv
-                np.matmul(_scaled_left(factors, g, scale2, left, lo, hi), keys.T, out=z[lo:hi])
+                    w = V @ g
+                    keys = w @ c_inv
+                rows = _gap_rows(A, gap, w, lo, hi, left[lo:hi])
+                rows *= scale2
+                np.matmul(rows, keys.T, out=z[lo:hi])
             cond1, cond2 = row_margins(z[lo:hi], A, lo)
             if not last and (cond1.max() >= log_eps1 or cond2.max() >= eps2):
                 break
@@ -280,12 +298,12 @@ def search_width(
                 c_inv = np.linalg.inv(c)
             if np.abs(c).sum(0).max() * np.abs(c_inv).sum(0).max() > STEP_KAPPA:
                 # Every row again from keys after the step, in one product:
-                # every row of ``left`` is filled by now.  F_R - K G^T goes
+                # every row of ``left`` is filled by now.  V - K G^T goes
                 # through z, which that product rewrites.
                 if keys is None:
-                    keys = (factors.right @ g) @ c_inv
+                    keys = (V @ g) @ c_inv
                 np.matmul(keys, g.T, out=z)
-                np.subtract(factors.right, z, out=z)
+                np.subtract(V, z, out=z)
                 keys += (z @ g) @ c_inv
                 np.matmul(left, keys.T, out=z)
             report = check_conditions(z, A, eps1, eps2)
@@ -300,12 +318,12 @@ def find_dmin(A: SparseStochasticMatrix, cfg: SweepConfig, seed: int) -> SweepRe
     Walks ``cfg.widths(L)``, the grid widths up to 2L (wider cannot be
     realized), in ascending order, and runs ``search_width`` with
     ``redraw_budget(q, L)`` redraws at each width until one passes.  The
-    target's factorization is computed once for all widths;
-    ``redraws_used`` counts the redraws at every width tried.
+    right factor ``V`` of the target's log-gap matrix is computed once for
+    all widths; ``redraws_used`` counts the redraws at every width tried.
     """
     L, params = A.L, cfg.params
     n_redraws = redraw_budget(cfg.q, L)
-    factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
+    V = svd_factor(build_log_gap(A, params.eps1, params.eps2))
     record = SweepRecord(
         L=L,
         trial=-1,
@@ -316,9 +334,7 @@ def find_dmin(A: SparseStochasticMatrix, cfg: SweepConfig, seed: int) -> SweepRe
         seed=seed,
     )
     for d in cfg.widths(L):
-        passing, used, _, _ = search_width(
-            factors, A, d, n_redraws, seed, params.eps1, params.eps2
-        )
+        passing, used, _, _ = search_width(V, A, d, n_redraws, seed, params.eps1, params.eps2)
         record.redraws_used += used
         if passing is not None:
             record.d_min = d
@@ -359,7 +375,11 @@ def _read_existing(csv_path, cfg: SweepConfig) -> list[SweepRecord]:
         raise ValueError(f"{csv_path}: unexpected CSV header {lines[0]!r}")
     records = []
     for line in lines[1:]:
-        record = SweepRecord.from_csv_row(line)
+        try:
+            record = SweepRecord.from_csv_row(line)
+            n_redraws = redraw_budget(record.q, record.L)
+        except ValueError as exc:
+            raise ValueError(f"{csv_path}: row {line!r}: {exc}") from None
         if record.seed != derive_seed(cfg.master_seed, record.L, record.trial):
             raise ValueError(
                 f"{csv_path}: row {line!r} does not belong to this sweep: its seed is "
@@ -372,7 +392,7 @@ def _read_existing(csv_path, cfg: SweepConfig) -> list[SweepRecord]:
                 f"theoretical_d is not the bound for k={cfg.params.k}, "
                 f"gamma={cfg.params.gamma}, eps1={cfg.params.eps1}, eps2={cfg.params.eps2}"
             )
-        if not _grid_can_produce(record, cfg):
+        if not _grid_can_produce(record, cfg.widths(record.L), n_redraws):
             raise ValueError(
                 f"{csv_path}: row {line!r} does not belong to this sweep: its "
                 f"(d_min, redraws_used) cannot come from the d-grid d_lower={cfg.d_lower}, "
@@ -382,15 +402,12 @@ def _read_existing(csv_path, cfg: SweepConfig) -> list[SweepRecord]:
     return records
 
 
-def _grid_can_produce(record: SweepRecord, cfg: SweepConfig) -> bool:
-    """Whether ``find_dmin`` on this config's width grid can give the row's
-    result, with n = round(q L) redraws per width at the row's own q: a found
-    width must be one of ``cfg.widths(L)``, the widths the walk tries,
-    reached after the full budget at each of the e widths below it, so
-    n e < redraws_used <= n (e + 1); a row that found none spent n at each of
-    them (0 when there is none)."""
-    widths = cfg.widths(record.L)
-    n = int(round(record.q * record.L))
+def _grid_can_produce(record: SweepRecord, widths: list[int], n: int) -> bool:
+    """Whether ``find_dmin`` walking ``widths`` (the config's, at the row's L)
+    with the row's ``n = redraw_budget(q, L)`` redraws per width can give the
+    row's result: a found width must be one of ``widths``, reached after the
+    full budget at each of the e widths below it, so n e < redraws_used <=
+    n (e + 1); a row that found none spent n at each of them (0 if none)."""
     if record.d_min is None:
         return record.redraws_used == n * len(widths)
     if record.d_min not in widths:

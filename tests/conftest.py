@@ -6,6 +6,9 @@
   ``concentration.project_pair`` replaces;
 - ``reference_row_margins``: the masked route ``verify.row_margins``
   replaces;
+- ``reference_scaled_left``: the left singular vectors times the singular
+  values, ``U * sigma``, the dense left factor the redraw search no longer
+  keeps;
 - ``check_direct``: the ratio conditions evaluated literally on attention
   entries, against which ``verify.check_conditions`` is tested; both
   report the same canonical first violation;
@@ -116,6 +119,13 @@ def reference_project_pair(x, y, params, seed):
     else:
         r = np.random.default_rng(seed).standard_normal((params.m, params.p))
     return float((r @ x) @ (r @ y) / params.m)
+
+
+def reference_scaled_left(B):
+    """``U * sigma`` from ``np.linalg.svd(B)``: the dense L x L left factor
+    that equals ``B V`` for the ``V`` of ``construct.svd_factor``."""
+    u, sigma, _ = np.linalg.svd(B, full_matrices=True)
+    return u * sigma
 
 
 def reference_row_margins(z_rows, A, lo):

@@ -58,10 +58,10 @@ def exact_projection_cases():
 
 def run_exact_projection(params, A):
     gap = build_log_gap(A, params.eps1, params.eps2)
-    factors = svd_factor(gap)
+    V = svd_factor(gap)
     d = 2 * A.L
     y = sample_stiefel(A.L, A.L, derive_seed(1234, A.L, d))
-    inputs = assemble(compress(factors, y, d))
+    inputs = assemble(compress(gap, V, y, d))
     z = logits(inputs)
     report = check_conditions(z, A, params.eps1, params.eps2)
     gap_error = float(np.abs(z - gap).max())
@@ -88,9 +88,9 @@ def test_criterion_02_fig3_reproduction():
     best = None
     for ms in master_seeds:
         A = generate(params, seed=derive_seed(ms, 0))
-        factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
+        V = svd_factor(build_log_gap(A, params.eps1, params.eps2))
         passing, _, z, _ = search_width(
-            factors, A, d, int(round(q * 512)), ms, params.eps1, params.eps2
+            V, A, d, int(round(q * 512)), ms, params.eps1, params.eps2
         )
         if passing is not None:
             best = (A, sam(z), ms, passing)
@@ -227,17 +227,17 @@ def test_criterion_06_spectral_bound():
 
 def test_criterion_07_unbiasedness():
     # Each sample is the logits the redraw search forms for one redraw,
-    # s^2 F_L G C^-1 G^T F_R^T at L=32, d=8; a single-redraw
+    # s^2 (B V) G C^-1 G^T V^T at L=32, d=8; a single-redraw
     # search evaluates its only redraw in full.
     params = ApproxParams(L=32, k=2, gamma=2.0, eps1=0.15, eps2=0.7)
     A = generate(params, seed=7)
     gap = build_log_gap(A, params.eps1, params.eps2)
-    factors = svd_factor(gap)
+    V = svd_factor(gap)
     n, d = 2000, 8
     samples = np.empty((n, 32, 32))
     for t in range(n):
         _, _, samples[t], _ = search_width(
-            factors, A, d, 1, derive_seed(700, t), params.eps1, params.eps2
+            V, A, d, 1, derive_seed(700, t), params.eps1, params.eps2
         )
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / math.sqrt(n)

@@ -306,6 +306,26 @@ def test_non_finite_q_exits_2_and_names_q(tmp_path, capsys, monkeypatch, q):
     assert factored == []
 
 
+@pytest.mark.parametrize("q", ["inf", "nan"])
+def test_resumed_row_with_non_finite_q_exits_2_and_names_the_row(tmp_path, capsys, q):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(sweep_config_text())
+    out = tmp_path / "r.csv"
+    assert run("sweep", cfg, "--out", out) == 0
+    header, row = out.read_text().splitlines()
+    fields = row.split(",")
+    fields[2] = q
+    edited = ",".join(fields)
+    out.write_text(f"{header}\n{edited}\n")
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert run("sweep", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"{out}: row {edited!r}" in err
+    assert f"q must be finite and > 0, got q={float(q)}" in err
+    assert out.read_bytes() == before
+
+
 # -------------------------------------------------------------------- render
 
 

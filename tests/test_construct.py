@@ -79,35 +79,37 @@ def test_log_gap_rejects_bad_eps():
 
 
 def test_svd_zero_matrix():
-    f = svd_factor(np.zeros((3, 3)))
-    np.testing.assert_array_equal(f.left, np.zeros((3, 3)))
+    V = svd_factor(np.zeros((3, 3)))
+    np.testing.assert_array_equal(np.zeros((3, 3)) @ V, np.zeros((3, 3)))
 
 
 def test_svd_scaled_identity():
     A = matrix_from_rows(np.eye(4))
     gap = build_log_gap(A, 0.5, 0.1)
     c = math.log(2.0) + 0.1
-    f = svd_factor(gap)
-    # The columns of left = U * sigma have the singular values as norms.
-    np.testing.assert_allclose(np.linalg.norm(f.left, axis=0), c, rtol=1e-14)
-    np.testing.assert_allclose(f.left @ f.right.T, gap, atol=1e-14)
+    V = svd_factor(gap)
+    # The columns of B V = U * sigma have the singular values as norms.
+    left = gap @ V
+    np.testing.assert_allclose(np.linalg.norm(left, axis=0), c, rtol=1e-14)
+    np.testing.assert_allclose(left @ V.T, gap, atol=1e-14)
 
 
 def test_svd_reconstruction_and_spectral_bound():
     params = ApproxParams(L=64, k=2, gamma=2.0, eps1=0.15, eps2=0.5)
     A = generate(params, seed=13)
     gap = build_log_gap(A, params.eps1, params.eps2)
-    f = svd_factor(gap)
+    V = svd_factor(gap)
+    left = gap @ V
     sigma1_cap = params.k * max(math.log(params.gamma / params.eps1) + params.eps2, 1.0)
-    assert np.abs(f.left @ f.right.T - gap).max() < 1e-8
+    assert np.abs(left @ V.T - gap).max() < 1e-8
     assert np.linalg.norm(gap, 2) <= sigma1_cap
     assert sigma1_cap == pytest.approx(2 * 3.0903, abs=1e-3)
-    # Factorization invariants: V orthogonal, the columns of U * sigma
+    # Factorization invariants: V orthogonal, the columns of B V = U * sigma
     # orthogonal with descending norms (to roundoff, which reorders the norms
     # of repeated singular values).
-    np.testing.assert_allclose(f.right.T @ f.right, np.eye(64), atol=1e-10)
-    sigma = np.linalg.norm(f.left, axis=0)
-    np.testing.assert_allclose(f.left.T @ f.left, np.diag(sigma**2), atol=1e-10)
+    np.testing.assert_allclose(V.T @ V, np.eye(64), atol=1e-10)
+    sigma = np.linalg.norm(left, axis=0)
+    np.testing.assert_allclose(left.T @ left, np.diag(sigma**2), atol=1e-10)
     assert np.all(np.diff(sigma) <= 1e-12 * sigma[0])
 
 
@@ -165,36 +167,36 @@ def full_pipeline_matrices(L=16, seed=2):
 
 
 def test_compress_full_dimension_reproduces_gap_matrix():
-    _, gap, f = full_pipeline_matrices()
+    _, gap, V = full_pipeline_matrices()
     y = sample_stiefel(16, 16, seed=1)
-    pair = compress(f, y, 32)
+    pair = compress(gap, V, y, 32)
     np.testing.assert_allclose(pair.left @ pair.right.T, gap, atol=1e-8)
 
 
 def test_compress_zero_factorization():
-    f = svd_factor(np.zeros((3, 3)))
-    pair = compress(f, sample_stiefel(3, 1, seed=0), 2)
+    zero = np.zeros((3, 3))
+    pair = compress(zero, svd_factor(zero), sample_stiefel(3, 1, seed=0), 2)
     np.testing.assert_array_equal(pair.left, np.zeros((3, 1)))
     np.testing.assert_array_equal(pair.left @ pair.right.T, np.zeros((3, 3)))
 
 
 def test_compress_dimension_checks():
-    _, _, f = full_pipeline_matrices()
+    _, gap, V = full_pipeline_matrices()
     y = sample_stiefel(16, 4, seed=0)
     with pytest.raises(ValueError):
-        compress(f, y, 10)  # y has 4 columns, d/2 = 5
+        compress(gap, V, y, 10)  # y has 4 columns, d/2 = 5
     with pytest.raises(ValueError):
-        compress(f, y, 7)  # odd
+        compress(gap, V, y, 7)  # odd
 
 
 def test_compress_unbiased():
     # Monte Carlo oracle for the unbiasedness of the compressed product.
-    _, gap, f = full_pipeline_matrices(L=16)
+    _, gap, V = full_pipeline_matrices(L=16)
     n, d = 2000, 8
     samples = np.empty((n, 16, 16))
     for t in range(n):
         y = sample_stiefel(16, d // 2, seed=10_000 + t)
-        pair = compress(f, y, d)
+        pair = compress(gap, V, y, d)
         samples[t] = pair.left @ pair.right.T
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / math.sqrt(n)
@@ -206,8 +208,8 @@ def test_compress_unbiased():
 
 
 def test_assemble_no_padding_by_default():
-    _, _, f = full_pipeline_matrices()
-    pair = compress(f, sample_stiefel(16, 2, seed=5), 4)
+    _, gap, V = full_pipeline_matrices()
+    pair = compress(gap, V, sample_stiefel(16, 2, seed=5), 4)
     inputs = assemble(pair)
     assert inputs.x.shape == (16, 4)
     np.testing.assert_array_equal(inputs.x[:, :2], pair.left)
@@ -215,8 +217,8 @@ def test_assemble_no_padding_by_default():
 
 
 def test_assemble_query_projection_selects_columns():
-    _, _, f = full_pipeline_matrices()
-    pair = compress(f, sample_stiefel(16, 2, seed=5), 4)
+    _, gap, V = full_pipeline_matrices()
+    pair = compress(gap, V, sample_stiefel(16, 2, seed=5), 4)
     inputs = assemble(pair)
     np.testing.assert_array_equal(inputs.x @ inputs.w_query, inputs.x)
 
@@ -225,7 +227,7 @@ def test_assemble_logit_identity_vs_naive_product():
     # Oracle: the four-matrix product, evaluated literally.
     rng = np.random.default_rng(0)
     L, d = 8, 4
-    from sparseattn.construct import Factorization, ProjectionPair
+    from sparseattn.construct import ProjectionPair
 
     pair = ProjectionPair(
         left=rng.standard_normal((L, d // 2)),

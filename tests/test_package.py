@@ -38,6 +38,8 @@ def test_public_names_resolve_once_each():
         (sparseattn.matrices, "ValidationReport"),
         (sparseattn.matrices, "InvariantViolation"),
         (sparseattn.render, "read_pgm"),
+        (sparseattn.construct, "Factorization"),
+        (sparseattn.sweep, "_scaled_left"),
     ]:
         assert not hasattr(sparseattn, gone) and not hasattr(module, gone)
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from conftest import reference_scaled_left
 
 from sparseattn import cli, construct, sweep
 from sparseattn._seeds import derive_seed
@@ -152,12 +153,13 @@ def test_find_dmin_deterministic():
     assert (r1.d_min, r1.redraws_used) == (r2.d_min, r2.redraws_used)
 
 
-def reference_search(factors, A, d, n_redraws, seed, eps1, eps2):
+def reference_search(B, V, A, d, n_redraws, seed, eps1, eps2):
     """The literal redraw loop, written out: (first passing redraw, redraws used)."""
     scale = math.sqrt(2.0 * A.L / d)
     for t in range(n_redraws):
         y = sample_stiefel(A.L, d // 2, derive_seed(seed, 1, d, t))
-        z = (scale * (factors.left @ y)) @ (scale * (factors.right @ y)).T
+        vy = V @ y
+        z = (scale * (B @ vy)) @ (scale * vy).T
         if check_conditions(z, A, eps1, eps2).passed:
             return t, t + 1
     return None, n_redraws
@@ -180,9 +182,9 @@ def test_found_record_replays_to_a_passing_report():
         assert replays
         for rec, A in replays:
             assert A.causal == causal
-            factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
+            B = build_log_gap(A, params.eps1, params.eps2)
             passing, _ = reference_search(
-                factors, A, rec.d_min, int(round(rec.q * rec.L)), rec.seed,
+                B, svd_factor(B), A, rec.d_min, int(round(rec.q * rec.L)), rec.seed,
                 params.eps1, params.eps2,
             )
             assert passing is not None
@@ -226,12 +228,11 @@ def test_search_width_matches_reference_loop(L, half_d, n_redraws, seed, causal)
     d = 2 * min(half_d, L)
     params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=causal)
     A = generate(params, seed)
-    factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
-    passing, used, z, report = search_width(
-        factors, A, d, n_redraws, seed, params.eps1, params.eps2
-    )
+    B = build_log_gap(A, params.eps1, params.eps2)
+    V = svd_factor(B)
+    passing, used, z, report = search_width(V, A, d, n_redraws, seed, params.eps1, params.eps2)
     assert (passing, used) == reference_search(
-        factors, A, d, n_redraws, seed, params.eps1, params.eps2
+        B, V, A, d, n_redraws, seed, params.eps1, params.eps2
     )
     assert report == check_conditions(z, A, params.eps1, params.eps2)
 
@@ -258,13 +259,12 @@ def test_gram_route_matches_stiefel_route(L, half_d, seed, causal):
     d = 2 * h
     params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=causal)
     A = generate(params, seed)
-    factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
-    _, _, z, report = search_width(
-        factors, A, d, 1, seed, params.eps1, params.eps2
-    )
+    B = build_log_gap(A, params.eps1, params.eps2)
+    V = svd_factor(B)
+    _, _, z, report = search_width(V, A, d, 1, seed, params.eps1, params.eps2)
     scale = math.sqrt(2.0 * L / d)
-    y = sample_stiefel(L, h, derive_seed(seed, 1, d, 0))
-    z_qr = (scale * (factors.left @ y)) @ (scale * (factors.right @ y)).T
+    vy = V @ sample_stiefel(L, h, derive_seed(seed, 1, d, 0))
+    z_qr = (scale * (B @ vy)) @ (scale * vy).T
     tol = 1e-10 * np.abs(z_qr).max()
     assert np.abs(z - z_qr).max() <= tol
     report_qr = check_conditions(z_qr, A, params.eps1, params.eps2)
@@ -290,26 +290,56 @@ def test_search_width_never_calls_sample_stiefel(L, h, monkeypatch):
     monkeypatch.setattr(construct, "sample_stiefel", counting_stiefel)
     params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41)
     A = generate(params, 1)
-    factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
-    _, used, _, _ = search_width(
-        factors, A, 2 * h, 5, 3, params.eps1, params.eps2
-    )
+    V = svd_factor(build_log_gap(A, params.eps1, params.eps2))
+    _, used, _, _ = search_width(V, A, 2 * h, 5, 3, params.eps1, params.eps2)
     assert used >= 1 and calls == []
 
 
-def last_row_violation_instance(L=64):
-    """Factors whose full-width logits are the exact log-gap logits plus a
-    bump at (L - 1, j), j a zero column of the last row, so that row is the
-    only one violating; with ``right`` the identity and d = 2L the logits are
-    ``left @ y @ y.T`` = ``left`` up to roundoff."""
+def same_bits(a, b):
+    """Equal arrays, sign bits of zeros and NaN payloads included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("L", [64, 128, 256])
+def test_gathered_rows_are_the_scaled_left_factor_bit_for_bit(L):
+    """k = 1, gamma = 1 targets (those of the sweep_growth benchmark, at
+    master seeds 2024 and 11) are scaled permutations, for which LAPACK's V
+    is a signed identity: the search's gathered ``B V`` equals ``U * sigma``
+    and ``B (V g)`` equals ``(U * sigma) g`` bit for bit, so the sweep's
+    logits and CSV bytes are those of a search over ``U * sigma``."""
+    params = ApproxParams(L=L, k=1, gamma=1.0, eps1=0.15, eps2=1.41)
+    for master_seed in (2024, 11):
+        for trial in range(3):
+            A = generate(params, derive_seed(derive_seed(master_seed, L, trial), 0))
+            B = build_log_gap(A, params.eps1, params.eps2)
+            V = svd_factor(B)
+            left = reference_scaled_left(B)
+            gap = sweep.log_gap_values(A, params.eps1, params.eps2)
+            assert same_bits(sweep._gap_rows(A, gap, V, 0, L, np.empty((L, L))), left)
+            g = np.random.default_rng(trial).standard_normal((L, L // 4))
+            gathered = sweep._gap_rows(A, gap, V @ g, 0, L, np.empty((L, L // 4)))
+            assert same_bits(gathered, left @ g)
+
+
+def last_row_violation_instance(monkeypatch, L=64, value=0.0):
+    """A target whose log-gap values, as the search reads them, are exact but
+    for the first nonzero of the last row, set to ``value``.  At d = 2L the
+    logits are that log-gap matrix up to roundoff, so with ``value`` 0 the
+    last row is the only one violating, first at (L - 1, j) for j its first
+    zero column; with a NaN its logits are all NaN."""
     params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41)
     A = generate(params, 3)
-    z = build_log_gap(A, params.eps1, params.eps2)
     j = int(np.flatnonzero(A.to_dense()[L - 1] == 0.0)[0])
-    z[L - 1, j] += 10.0
-    factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
-    factors = replace(factors, left=z, right=np.eye(L))
-    return params, A, factors, j
+    gap_values = sweep.log_gap_values
+
+    def edited_gap_values(target, eps1, eps2):
+        gap = gap_values(target, eps1, eps2)
+        gap[target.row_ptr[L - 1]] = value
+        return gap
+
+    monkeypatch.setattr(sweep, "log_gap_values", edited_gap_values)
+    V = svd_factor(build_log_gap(A, params.eps1, params.eps2))
+    return params, A, V, j
 
 
 @pytest.mark.parametrize(
@@ -333,11 +363,9 @@ BLOCK_EDGE_LENGTHS = [4, 5, 16, 17, 48, 49, 64]
 
 @pytest.mark.parametrize("L", BLOCK_EDGE_LENGTHS)
 @pytest.mark.parametrize("n_redraws", [1, 3])
-def test_search_width_finds_a_violation_in_the_last_row(n_redraws, L):
-    params, A, factors, j = last_row_violation_instance(L)
-    passing, used, z, report = search_width(
-        factors, A, 2 * L, n_redraws, 5, params.eps1, params.eps2
-    )
+def test_search_width_finds_a_violation_in_the_last_row(n_redraws, L, monkeypatch):
+    params, A, V, j = last_row_violation_instance(monkeypatch, L)
+    passing, used, z, report = search_width(V, A, 2 * L, n_redraws, 5, params.eps1, params.eps2)
     assert (passing, used) == (None, n_redraws)
     assert report == check_conditions(z, A, params.eps1, params.eps2)
     assert report.first_violation[:2] == (L - 1, j)
@@ -345,15 +373,14 @@ def test_search_width_finds_a_violation_in_the_last_row(n_redraws, L):
 
 
 @pytest.mark.parametrize("L", BLOCK_EDGE_LENGTHS)
-def test_search_width_rejects_nonfinite_logit_in_the_last_row(L):
-    params, A, factors, _ = last_row_violation_instance(L)
-    factors.left[-1, 0] = np.nan
+def test_search_width_rejects_nonfinite_logit_in_the_last_row(L, monkeypatch):
+    params, A, V, _ = last_row_violation_instance(monkeypatch, L, value=np.nan)
     with pytest.raises(VerificationError, match=f"non-finite logit nan at row {L - 1}, column"):
-        search_width(factors, A, 2 * A.L, 1, 5, params.eps1, params.eps2)
+        search_width(V, A, 2 * A.L, 1, 5, params.eps1, params.eps2)
 
 
 def test_search_width_forms_keys_only_for_redraws_that_pass_row_47(monkeypatch):
-    """The keys F_R G C^-1 (one inverse of C) are formed only by a redraw
+    """The keys V G C^-1 (one inverse of C) are formed only by a redraw
     whose rows 0-47 hold no violation; the last redraw is checked in full."""
     checked = []
     inverses = []
@@ -371,10 +398,8 @@ def test_search_width_forms_keys_only_for_redraws_that_pass_row_47(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
     params = ApproxParams(L=128, k=1, gamma=1.0, eps1=0.15, eps2=1.41)
     A = generate(params, 4)
-    factors = svd_factor(build_log_gap(A, params.eps1, params.eps2))
-    _, used, _, _ = search_width(
-        factors, A, 120, 12, 0, params.eps1, params.eps2
-    )
+    V = svd_factor(build_log_gap(A, params.eps1, params.eps2))
+    _, used, _, _ = search_width(V, A, 120, 12, 0, params.eps1, params.eps2)
     # Split the checked blocks by redraw: each redraw starts at row 0.
     starts = [n for n, lo in enumerate(checked) if lo == 0] + [len(checked)]
     redraws = [checked[a:b] for a, b in zip(starts, starts[1:])]
@@ -486,6 +511,14 @@ def test_run_sweep_resume_rejects_torn_row(tmp_path):
     path.write_text("\n".join(lines[:-1] + [torn]) + "\n")
     with pytest.raises(ValueError, match=re.escape(torn)):
         run_sweep(cfg, csv_path=path)
+
+
+def test_run_sweep_resume_names_the_file_and_row_it_cannot_read(tmp_path):
+    path = tmp_path / "unreadable.csv"
+    line = "16,0,1.0,3x,1.0,4,5"
+    path.write_text(sweep.CSV_HEADER + "\n" + line + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: row {line!r}: invalid literal")):
+        run_sweep(small_cfg(), csv_path=path)
 
 
 def test_run_sweep_resume_rejects_other_master_seed(tmp_path):

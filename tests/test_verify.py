@@ -109,7 +109,7 @@ def test_exact_projection_pass_through_pipeline():
         params = ApproxParams(L=16, k=2, gamma=2.0, eps1=0.2, eps2=0.6)
         A = generate(params, seed)
         gap = build_log_gap(A, params.eps1, params.eps2)
-        pair = compress(svd_factor(gap), sample_stiefel(16, 16, seed), 32)
+        pair = compress(gap, svd_factor(gap), sample_stiefel(16, 16, seed), 32)
         z = pair.left @ pair.right.T
         assert check_conditions(z, A, params.eps1, params.eps2).passed
 
