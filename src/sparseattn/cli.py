@@ -177,16 +177,17 @@ def cmd_approx(args) -> int:
         "report": json.loads(report.to_json()),
     }
     text = json.dumps(payload, indent=2, allow_nan=False)
+    # Every file is written before the verdict is printed, so a write that
+    # fails leaves no verdict on stdout that its exit code contradicts.
     if args.report is not None:
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
-    print(text)
-
     if args.dump_logits is not None:
         write_dense_dump(z, args.dump_logits)
     if args.dump_m is not None:
         m = attention.csam(z) if A.causal else attention.sam(z)
         write_dense_dump(m, args.dump_m)
+    print(text)
     return 0 if payload["passed"] else 1
 
 
@@ -208,7 +209,10 @@ def cmd_render(args) -> int:
         matrix = read_dense_dump(args.input)
     else:
         raise ValueError(f"{args.input}: neither a COO file nor a dense dump")
-    render_pgm(matrix, args.out, pool=args.pool, clip=args.clip)
+    try:
+        render_pgm(matrix, args.out, pool=args.pool, clip=args.clip)
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
     side = matrix.shape[0] // args.pool
     print(f"wrote {side}x{side} PGM to {args.out}")
     return 0

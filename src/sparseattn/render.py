@@ -12,8 +12,8 @@ from .matrices import SparseStochasticMatrix
 def pooled_pixels(matrix, pool: int, clip: float) -> np.ndarray:
     """Max-pool into (L/pool)^2 blocks, clip, and quantize to 0..255.
 
-    Raises ValueError unless ``pool`` is at least 1 and divides L and
-    ``clip`` lies in (0, 1].
+    Raises ValueError unless ``pool`` is at least 1 and divides L, ``clip``
+    lies in (0, 1] and every entry is finite and >= 0.
     """
     if pool < 1:
         raise ValueError(f"pool must be >= 1, got {pool}")
@@ -25,6 +25,10 @@ def pooled_pixels(matrix, pool: int, clip: float) -> np.ndarray:
     L = matrix.shape[0]
     if matrix.shape != (L, L):
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    drawable = np.isfinite(matrix) & (matrix >= 0.0)
+    if not drawable.all():
+        i, j = (int(v) for v in np.argwhere(~drawable)[0])
+        raise ValueError(f"entry ({i}, {j}) is {matrix[i, j]}, not a finite value >= 0")
     if L % pool != 0:
         raise ValueError(f"pool={pool} does not divide L={L}")
     side = L // pool

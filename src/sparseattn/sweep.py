@@ -491,6 +491,9 @@ def run_sweep(cfg: SweepConfig, csv_path=None) -> list[SweepRecord]:
     pool = fh = None
     records: list[SweepRecord] = []
     try:
+        # Opened before any record runs, so an unwritable path fails first.
+        if missing and csv_path is not None:
+            fh = _open_for_append(csv_path)
         if n_workers > 1:
             order = sorted(missing, key=lambda cell: -cell[0])
             pool, futures = _record_pool(n_workers, [(_run_record, cfg, *cell) for cell in order])
@@ -499,9 +502,7 @@ def run_sweep(cfg: SweepConfig, csv_path=None) -> list[SweepRecord]:
             record = done.get((L, trial, cfg.q))
             if record is None:
                 record = pending[L, trial].result() if pool else _run_record(cfg, L, trial)
-                if csv_path is not None:
-                    if fh is None:
-                        fh = _open_for_append(csv_path)
+                if fh is not None:
                     fh.write(record.to_csv_row() + "\n")
                     fh.flush()
             records.append(record)

@@ -18,9 +18,10 @@ block of logits it forms, in whatever row schedule it keeps, and reports
 through ``check_conditions``.
 
 The check takes its mode from the target: a causal target (``A.causal``) is
-judged on the positions at or below the diagonal only.  Every target row
-holds a nonzero: ``SparseStochasticMatrix`` rejects an empty row when it is
-built.
+judged on the positions at or below the diagonal only, a rule stated once,
+in ``_zero_positions``, for the row maxima and the violation scan.  Every
+target row holds a nonzero: ``SparseStochasticMatrix`` rejects an empty row
+when it is built.
 
 The report names the canonical first violation: triples are scanned row by
 row, zero/nonzero pairs before nonzero/nonzero pairs within a row, and
@@ -111,10 +112,7 @@ def check_conditions(
             # First zero column whose logit is large enough to violate
             # against the row's smallest nonzero logit, then the first
             # nonzero column it actually violates against.
-            zero_row = np.ones(A.L, dtype=bool)
-            zero_row[cols] = False
-            if A.causal:
-                zero_row[i + 1:] = False
+            zero_row = _zero_positions(A, i, i + 1)[0]
             j1 = int(np.argmax(zero_row & (z_row - z_nz.min() >= log_eps1)))
             j2 = int(cols[np.argmax(z_row[j1] - z_nz >= log_eps1)])
             first_violation = (i, j1, j2, KIND_ZERO_RATIO)
@@ -137,6 +135,19 @@ def check_conditions(
     )
 
 
+def _zero_positions(A: SparseStochasticMatrix, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo .. hi - 1`` by ``L`` bool mask of each row's zero positions:
+    the positions it considers (every column, or ``j <= i`` for row ``i`` in
+    causal mode) less its nonzeros."""
+    if A.causal:
+        zero = np.arange(A.L) <= np.arange(lo, hi)[:, None]
+    else:
+        zero = np.ones((hi - lo, A.L), dtype=bool)
+    start, end = A.row_ptr[lo], A.row_ptr[hi]
+    zero.reshape(-1)[(A.rows[start:end] - lo) * A.L + A.cols[start:end]] = False
+    return zero
+
+
 def row_margins(
     z_rows: np.ndarray, A: SparseStochasticMatrix, lo: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -150,54 +161,32 @@ def row_margins(
     a non-finite logit at a considered position of these rows.
 
     The rows' nonzeros are the slice ``A.row_ptr[lo]:A.row_ptr[hi]`` of the
-    target's arrays, gathered at their row-major offsets into ``z_rows``.  A
-    row has zero positions when it holds fewer nonzeros than the positions
-    considered: ``L``, or ``i + 1`` for row ``i`` in causal mode.  In
-    non-causal mode the zero-position maximum needs no mask: those cells are
-    set to -inf for one plain row-max and then restored, so ``z_rows`` reads
-    bit-identical after the call (a read-only block is copied first); a row
-    whose zero-position maximum is a signed zero is reduced again under the
-    mask, so the sign does not hang on how the plain max pairs elements.
-    Causal mode masks the positions above the diagonal.
+    target's arrays, gathered at their row-major offsets into ``z_rows``.
+    The zero-position maximum is one reduction under the rows'
+    ``_zero_positions`` mask in both modes, and ``z_rows`` is only read.
     """
     hi = lo + z_rows.shape[0]
     ptr = A.row_ptr[lo:hi + 1]
     start, end = ptr[0], ptr[-1]
     flat = (A.rows[start:end] - lo) * A.L + A.cols[start:end]
-    if not np.isfinite(z_rows).all():
-        bad = ~np.isfinite(z_rows)
-        if A.causal:
-            bad &= np.arange(A.L) <= np.arange(lo, hi)[:, None]
+    z_nz = z_rows.reshape(-1)[flat]
+    # Tested before the mask is built, so the two L-wide bool temporaries
+    # are never alive together.
+    finite = np.isfinite(z_rows).all()
+    zero = _zero_positions(A, lo, hi)
+    if not finite:
+        # The considered positions are the zero positions and the nonzeros.
+        bad = ~np.isfinite(z_rows) & zero
+        bad.reshape(-1)[flat] = ~np.isfinite(z_nz)
         if bad.any():
             i, j = (int(v) for v in np.argwhere(bad)[0])
             raise VerificationError(f"non-finite logit {z_rows[i, j]} at row {lo + i}, column {j}")
-    z_flat = z_rows.reshape(-1)
-    z_nz = z_flat[flat]
-    if A.causal:
-        zero_mask = np.arange(A.L) <= np.arange(lo, hi)[:, None]
-        zero_mask.reshape(-1)[flat] = False
-        z_zero_max = np.max(z_rows, axis=1, where=zero_mask, initial=-np.inf)
-    else:
-        if not z_flat.flags.writeable:
-            z_flat = z_flat.copy()
-        z_flat[flat] = -np.inf
-        z_blocked = z_flat.reshape(z_rows.shape)
-        z_zero_max = z_blocked.max(axis=1)
-        if not z_zero_max.all():
-            # A plain max may return either sign of a zero maximum, as its
-            # pairing of elements goes; such rows are reduced again over the
-            # zero positions in the masked reduction's order, the one the
-            # causal branch keeps, so the sign is that order's.
-            tied = np.flatnonzero(z_zero_max == 0.0)
-            sub = z_blocked[tied]
-            z_zero_max[tied] = np.max(sub, axis=1, where=sub > -np.inf, initial=-np.inf)
-        z_flat[flat] = z_nz
+    z_zero_max = np.max(z_rows, axis=1, where=zero, initial=-np.inf)
 
     t = z_nz - np.log(A.vals[start:end])
     starts = ptr[:-1] - start
+    # A row without zero positions keeps the reduction's -inf as its gap.
     gap = z_zero_max - np.minimum.reduceat(z_nz, starts)
     spread = np.maximum.reduceat(t, starts) - np.minimum.reduceat(t, starts)
     nz_counts = ptr[1:] - ptr[:-1]  # np.diff without its call overhead
-    considered = np.arange(lo + 1, hi + 1) if A.causal else A.L
-    return (np.where(nz_counts < considered, gap, -np.inf),
-            np.where(nz_counts >= 2, spread, -np.inf))
+    return gap, np.where(nz_counts >= 2, spread, -np.inf)

@@ -129,10 +129,10 @@ def reference_scaled_left(B):
 
 
 def reference_row_margins(z_rows, A, lo):
-    """Masked route that ``verify.row_margins`` replaces: one L-wide boolean
-    mask of the block's zero positions per call, the nonzeros gathered by
-    (row, column) pairs.  ``row_margins`` must return bit-equal condition
-    values, or raise the same VerificationError.  The row pointer, the counts
+    """Oracle for ``verify.row_margins``, written apart from it: one L-wide
+    boolean mask of the block's zero positions per call, the nonzeros
+    gathered by (row, column) pairs.  ``row_margins`` must return bit-equal
+    condition values, or raise the same VerificationError.  The row pointer, the counts
     and the log-values are rebuilt here from ``A.rows`` and ``A.vals``, not
     read from ``A.row_ptr``."""
     L, hi = A.L, lo + z_rows.shape[0]

@@ -158,6 +158,15 @@ def test_approx_dumps_are_loadable(tmp_path):
     np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_approx_prints_no_verdict_when_a_dump_cannot_be_written(tmp_path, capsys):
+    coo = tmp_path / "id.coo"
+    write_identity_coo(coo, L=8)
+    code = run("approx", "--input", coo, "--d", 16, "--eps1", 0.5, "--eps2", 0.5,
+               "--dump-logits", tmp_path / "missing" / "z.txt")
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 # --------------------------------------------------------------------- sweep
 
 
@@ -349,7 +358,10 @@ def test_render_dense_dump_input(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content", ["a b\n1 0\n0 1\n", "2 2\n1 0\n0 x\n"], ids=["header", "entry"]
+    "content",
+    ["a b\n1 0\n0 1\n", "2 2\n1 0\n0 x\n", "2 2\n1 -0.5\n0 1\n", "2 2\n1 0\nnan 1\n",
+     "2 3\n1 0 0\n0 1 0\n"],
+    ids=["header", "entry", "negative", "nan", "non_square"],
 )
 def test_render_bad_dense_dump_names_the_file(tmp_path, capsys, content):
     dump = tmp_path / "bad.txt"

@@ -479,6 +479,15 @@ def test_run_sweep_resume_computes_only_missing_cells(tmp_path, monkeypatch):
     assert calls == cells[2:]  # each missing cell once, in grid order
 
 
+def test_run_sweep_refuses_an_unwritable_csv_before_any_record(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(sweep, "_run_record", lambda cfg, L, trial: calls.append((L, trial)))
+    monkeypatch.setattr(sweep, "_worker_count", lambda n_cells: 1)
+    with pytest.raises(OSError):
+        run_sweep(small_cfg(L_grid=[16], trials_per_L=1), csv_path=tmp_path / "missing" / "r.csv")
+    assert calls == []
+
+
 def test_run_sweep_resume_after_lost_final_newline(tmp_path):
     cfg = small_cfg()
     full = tmp_path / "full.csv"
