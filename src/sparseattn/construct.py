@@ -76,7 +76,16 @@ def build_log_gap(A: SparseStochasticMatrix, eps1: float, eps2: float) -> np.nda
 def svd_factor(B: np.ndarray) -> np.ndarray:
     """Orthogonal right factor ``V`` of the full SVD of the log-gap matrix
     ``B``.  ``B V`` is the left singular vectors scaled by the singular
-    values (descending), so ``(B V) V^T`` reproduces ``B`` to roundoff."""
+    values (descending), so ``(B V) V^T`` reproduces ``B`` to roundoff.
+
+    Only the span of ``V``'s columns at each singular value is fixed; within
+    a repeated one, the basis LAPACK returns follows the BLAS thread count.
+    A k=2, gamma=2 target at L=268 has seven distinct singular values, and
+    its ``V`` moves by O(1) between one and two threads while each span
+    agrees to 3e-13.  So the samples ``V G`` of a redraw repeat bit for bit
+    only at a fixed thread count: ``run_sweep`` computes every record at one
+    BLAS thread, while ``sparseattn approx`` and direct ``find_dmin`` or
+    ``sweep.search_width`` calls run at the caller's."""
     if not np.all(np.isfinite(B)):
         raise FactorizationError("log-gap matrix has non-finite entries")
     try:

@@ -30,11 +30,12 @@ and redraw ``t`` at width ``d`` uses ``derive_seed(record_seed, 1, d, t)``,
 so every (L, trial, d, t) combination has its own stream and results do not
 depend on scheduling.  A record can be replayed from its CSV row alone.
 
-``run_sweep`` computes the missing records in a pool of spawned worker
-processes, one per usable CPU, each started with one BLAS thread, and writes
-the rows in grid order: the CSV bytes do not depend on the CPU count.  Under
-``spawn`` each worker re-imports the main script, so a script that calls
-``run_sweep`` must do so under ``if __name__ == "__main__":``.
+``run_sweep`` computes every missing record, however few, in a pool of
+spawned worker processes, one per usable CPU, each started with one BLAS
+thread, and writes the rows in grid order: the CSV bytes depend on neither
+the CPU count nor the caller's BLAS threads.  Under ``spawn`` each worker
+re-imports the main script, so a script that calls ``run_sweep`` must do so
+under ``if __name__ == "__main__":``.
 """
 
 from __future__ import annotations
@@ -342,39 +343,34 @@ def find_dmin(A: SparseStochasticMatrix, cfg: SweepConfig, seed: int) -> SweepRe
     return record
 
 
-def _matrix_seed(record_seed: int) -> int:
-    return derive_seed(record_seed, 0)
-
-
 def _run_record(cfg: SweepConfig, L: int, trial: int) -> SweepRecord:
     record_seed = derive_seed(cfg.master_seed, L, trial)
-    A = generate(replace(cfg.params, L=L), _matrix_seed(record_seed))
+    A = generate(replace(cfg.params, L=L), derive_seed(record_seed, 0))
     record = find_dmin(A, cfg, record_seed)
     record.trial = trial
     return record
 
 
-def _read_existing(csv_path, cfg: SweepConfig) -> list[SweepRecord]:
-    """Rows of an earlier run of this sweep.  Each row's seed must be the one
-    ``cfg.master_seed`` derives for its (L, trial), which rejects torn rows and
-    files written under another master seed; its ``theoretical_d`` must be the
-    bound of ``cfg.params`` at its L, which rejects files written under k,
-    gamma, eps1 or eps2 that give another bound; and its (d_min, redraws_used)
-    must be a result ``cfg.d_grid()`` can produce (``_grid_can_produce``),
-    which rejects files written under another d-grid.  The bound reads gamma
-    and eps1 only through its margin ``max(log(gamma / eps1) + eps2, 1)``, so
-    another gamma or eps1 goes unseen while that margin is 1; and no column
-    records ``causal``, so a file written in the other mode is not rejected."""
-    if csv_path is None or not os.path.exists(csv_path):
-        return []
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        return []
-    if lines[0] != CSV_HEADER:
-        raise ValueError(f"{csv_path}: unexpected CSV header {lines[0]!r}")
-    records = []
-    for line in lines[1:]:
+def _read_existing(csv_path, cfg: SweepConfig) -> dict[tuple[int, int, float], SweepRecord]:
+    """Rows of an earlier run of this sweep, by (L, trial, q); a cell that two
+    rows hold is refused.  Each row's seed must be the one ``cfg.master_seed``
+    derives for its (L, trial), which rejects torn rows and files written under
+    another master seed; its ``theoretical_d`` must be the bound of
+    ``cfg.params`` at its L, which rejects files written under k, gamma, eps1
+    or eps2 that give another bound; and its (d_min, redraws_used) must be a
+    result ``cfg.d_grid()`` can produce (``_grid_can_produce``), which rejects
+    files written under another d-grid.  The bound reads gamma and eps1 only
+    through its margin ``max(log(gamma / eps1) + eps2, 1)``, so another gamma
+    or eps1 goes unseen while that margin is 1; and no column records
+    ``causal``, so a file written in the other mode is not rejected."""
+    lines = []  # (line number, text) of each non-blank line
+    if csv_path is not None and os.path.exists(csv_path):
+        with open(csv_path, "r", encoding="utf-8") as fh:
+            lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    if lines and lines[0][1] != CSV_HEADER:
+        raise ValueError(f"{csv_path}: unexpected CSV header {lines[0][1]!r}")
+    records, first = {}, {}  # cell -> its record, and its (line number, row)
+    for n, line in lines[1:]:
         try:
             record = SweepRecord.from_csv_row(line)
             n_redraws = redraw_budget(record.q, record.L)
@@ -398,7 +394,14 @@ def _read_existing(csv_path, cfg: SweepConfig) -> list[SweepRecord]:
                 f"(d_min, redraws_used) cannot come from the d-grid d_lower={cfg.d_lower}, "
                 f"d_upper={cfg.d_upper}, d_points={cfg.d_points}"
             )
-        records.append(record)
+        cell = (record.L, record.trial, record.q)
+        if cell in first:
+            raise ValueError(
+                f"{csv_path}: line {first[cell][0]} {first[cell][1]!r} and line {n} "
+                f"{line!r} both hold L={record.L}, trial={record.trial}, q={record.q!r}"
+            )
+        first[cell] = n, line
+        records[cell] = record
     return records
 
 
@@ -431,8 +434,7 @@ def _open_for_append(csv_path):
 
 
 def _worker_count(n_cells: int) -> int:
-    """Worker processes for ``n_cells`` records: one per usable CPU, at most
-    one per record."""
+    """Workers for ``n_cells`` records: one per usable CPU, at most one per record."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
@@ -472,36 +474,34 @@ def run_sweep(cfg: SweepConfig, csv_path=None) -> list[SweepRecord]:
     """Run every (L, trial) cell of the sweep, streaming rows to ``csv_path``.
 
     Cells whose (L, trial, q) row is already in the CSV are taken from it,
-    not recomputed, so an interrupted sweep resumes where it stopped.  The
-    missing records run in ``_worker_count`` spawned worker processes with
-    one BLAS thread each (in-process when that is one), submitted largest L
-    first so that a long record does not start last.  Rows are written in
-    grid order, each flushed as soon as every row before it is known, so the
-    CSV bytes do not depend on the worker count.  A record's exception is
-    raised at its grid position: the rows before it are written, the rows
-    after it are not.  No worker outlives the call.  Returns all records for
-    this config, including previously completed ones.
+    not recomputed, so an interrupted sweep resumes where it stopped.  Every
+    missing record, however few, runs in one of ``_worker_count`` spawned
+    worker processes with one BLAS thread each, submitted largest L first so
+    that a long record does not start last.  Rows are written in grid order,
+    each flushed as soon as every row before it is known, so the CSV bytes
+    depend on neither the worker count nor the caller's BLAS threads.  A
+    record's exception is raised at its grid position: the rows before it are
+    written, the rows after it are not.  No worker outlives the call.
+    Returns all records for this config, including previously completed ones.
     """
     from concurrent.futures.process import BrokenProcessPool
 
-    done = {(r.L, r.trial, r.q): r for r in _read_existing(csv_path, cfg)}
+    done = _read_existing(csv_path, cfg)
     cells = [(L, trial) for L in cfg.L_grid for trial in range(cfg.trials_per_L)]
-    missing = [cell for cell in cells if (*cell, cfg.q) not in done]
-    n_workers = _worker_count(len(missing))
+    order = sorted((c for c in cells if (*c, cfg.q) not in done), key=lambda c: -c[0])
     pool = fh = None
     records: list[SweepRecord] = []
     try:
-        # Opened before any record runs, so an unwritable path fails first.
-        if missing and csv_path is not None:
-            fh = _open_for_append(csv_path)
-        if n_workers > 1:
-            order = sorted(missing, key=lambda cell: -cell[0])
-            pool, futures = _record_pool(n_workers, [(_run_record, cfg, *cell) for cell in order])
+        if order:  # the CSV first, so an unwritable path fails before any record
+            if csv_path is not None:
+                fh = _open_for_append(csv_path)
+            jobs = [(_run_record, cfg, *cell) for cell in order]
+            pool, futures = _record_pool(_worker_count(len(order)), jobs)
             pending = dict(zip(order, futures))
         for L, trial in cells:
             record = done.get((L, trial, cfg.q))
             if record is None:
-                record = pending[L, trial].result() if pool else _run_record(cfg, L, trial)
+                record = pending[L, trial].result()
                 if fh is not None:
                     fh.write(record.to_csv_row() + "\n")
                     fh.flush()

@@ -456,36 +456,55 @@ def test_run_sweep_resume_skips_completed_cells(tmp_path):
     assert full.read_bytes() == before
 
 
+_REAL_RUN_RECORD = sweep._run_record
+
+
+def _record_logging_its_cell(cfg, L, trial):
+    """A module-level stand-in for ``_run_record``, so spawned workers can
+    unpickle it; it appends its cell to the file that ``RECORD_CALL_LOG``
+    names, which the workers inherit from the test."""
+    with open(os.environ["RECORD_CALL_LOG"], "a", encoding="utf-8") as fh:
+        fh.write(f"{L},{trial}\n")
+    return _REAL_RUN_RECORD(cfg, L, trial)
+
+
 def test_run_sweep_resume_computes_only_missing_cells(tmp_path, monkeypatch):
     cfg = small_cfg(trials_per_L=3)
     full = tmp_path / "full.csv"
     run_sweep(cfg, csv_path=full)
     lines = full.read_text().splitlines()
 
-    calls = []
-    run_record = sweep._run_record
-
-    def counting_run_record(cfg, L, trial):
-        calls.append((L, trial))
-        return run_record(cfg, L, trial)
-
-    monkeypatch.setattr(sweep, "_run_record", counting_run_record)
-    # Spawned workers cannot see the patch; records must run in-process.
-    monkeypatch.setattr(sweep, "_worker_count", lambda n_cells: 1)
+    log = tmp_path / "calls.log"
+    monkeypatch.setenv("RECORD_CALL_LOG", str(log))
+    monkeypatch.setattr(sweep, "_run_record", _record_logging_its_cell)
     partial = tmp_path / "partial.csv"
-    partial.write_text("\n".join(lines[:3]) + "\n")  # header and two rows
+    partial.write_text("\n".join(lines[:3]) + "\n")  # header, (16, 0) and (16, 1)
     run_sweep(cfg, csv_path=partial)
-    cells = [(L, trial) for L in cfg.L_grid for trial in range(cfg.trials_per_L)]
-    assert calls == cells[2:]  # each missing cell once, in grid order
+    assert partial.read_bytes() == full.read_bytes()
+    # Each missing cell once, in whichever worker; (16, 0) and (16, 1) never.
+    assert sorted(log.read_text().splitlines()) == ["16,2", "32,0", "32,1", "32,2"]
 
 
 def test_run_sweep_refuses_an_unwritable_csv_before_any_record(tmp_path, monkeypatch):
-    calls = []
-    monkeypatch.setattr(sweep, "_run_record", lambda cfg, L, trial: calls.append((L, trial)))
-    monkeypatch.setattr(sweep, "_worker_count", lambda n_cells: 1)
+    pools = []
+    monkeypatch.setattr(sweep, "_record_pool", lambda n, jobs: pools.append(list(jobs)))
     with pytest.raises(OSError):
         run_sweep(small_cfg(L_grid=[16], trials_per_L=1), csv_path=tmp_path / "missing" / "r.csv")
-    assert calls == []
+    assert pools == []
+
+
+def test_run_sweep_refuses_a_cell_held_by_two_rows(tmp_path):
+    # Two rows for one (L, trial, q), as two runs appending to one file leave.
+    cfg = small_cfg(L_grid=[16], trials_per_L=2, master_seed=3)
+    path = tmp_path / "twice.csv"
+    run_sweep(replace(cfg, trials_per_L=1), csv_path=path)
+    row = path.read_text().splitlines()[1]
+    path.write_text(sweep.CSV_HEADER + "\n" + row + "\n" + row + "\n")
+    before = path.read_bytes()
+    message = f"{path}: line 2 {row!r} and line 3 {row!r} both hold L=16, trial=0, q=1.0"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_sweep(cfg, csv_path=path)
+    assert path.read_bytes() == before
 
 
 def test_run_sweep_resume_after_lost_final_newline(tmp_path):
@@ -643,9 +662,6 @@ def test_run_sweep_leaves_no_worker_running(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-_REAL_RUN_RECORD = sweep._run_record
-
-
 def _record_failing_at_32_0(cfg, L, trial):
     """A module-level stand-in for ``_run_record``, so spawned workers can
     unpickle it."""
@@ -669,6 +685,22 @@ def test_run_sweep_reraises_a_record_error_at_its_grid_position(tmp_path, monkey
     assert multiprocessing.active_children() == []
 
 
+def env_with_src(**variables):
+    """The environment with ``variables`` set and this package's source first
+    on ``PYTHONPATH``, for a subprocess."""
+    src = str(Path(sweep.__file__).resolve().parents[1])
+    env = dict(os.environ, **variables)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli_subprocess(*argv, **variables):
+    return subprocess.run(
+        [sys.executable, "-m", "sparseattn.cli", *map(str, argv)],
+        env=env_with_src(**variables), capture_output=True, text=True, timeout=300,
+    )
+
+
 def _pids_with_env_marker(marker: bytes) -> list[int]:
     pids = []
     for entry in os.listdir("/proc"):
@@ -688,22 +720,18 @@ def test_unguarded_script_fails_naming_the_main_guard(tmp_path):
     # run_sweep call runs again in each worker, which breaks the pool.
     script = tmp_path / "unguarded.py"
     script.write_text(textwrap.dedent("""\
-        from sparseattn import ApproxParams, SweepConfig, run_sweep, sweep
+        from sparseattn import ApproxParams, SweepConfig, run_sweep
 
-        sweep._worker_count = lambda n_cells: 2  # a pool even on one CPU
         run_sweep(SweepConfig(
             params=ApproxParams(L=16, k=1, gamma=1.0, eps1=0.15, eps2=1.41),
             L_grid=[16], d_lower=4, d_upper=32, d_points=4, trials_per_L=2,
         ))
     """))
     marker = f"unguarded-{uuid.uuid4().hex}"
-    src = str(Path(sweep.__file__).resolve().parents[1])
-    env = dict(os.environ, UNGUARDED_SCRIPT_MARKER=marker)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     try:
         proc = subprocess.run(
-            [sys.executable, str(script)], env=env, capture_output=True, text=True,
-            timeout=60, cwd=tmp_path,
+            [sys.executable, str(script)], env=env_with_src(UNGUARDED_SCRIPT_MARKER=marker),
+            capture_output=True, text=True, timeout=60, cwd=tmp_path,
         )
         deadline = time.monotonic() + 10
         while _pids_with_env_marker(marker.encode()) and time.monotonic() < deadline:
@@ -716,6 +744,60 @@ def test_unguarded_script_fails_naming_the_main_guard(tmp_path):
     assert 'if __name__ == "__main__":' in proc.stderr
     assert proc.stdout == ""
     assert left == []
+
+
+# Config A: at L=268 the right factor V of a k=2, gamma=2 target, and so
+# every sample V G, differs between one and two BLAS threads.
+CONFIG_A = """\
+k = 2
+gamma = 2.0
+eps1 = 0.15
+eps2 = 1.41
+L_grid = 268
+d_lower = 100
+d_upper = 500
+d_points = 11
+q = 0.05
+trials_per_L = 2
+master_seed = 7
+"""
+
+
+def test_resumed_sweep_matches_a_fresh_one_at_any_caller_blas_threads(tmp_path):
+    # A resume computes one record; it must run at one BLAS thread, as the
+    # fresh sweep's records do, whatever threads the caller's BLAS has.
+    config = tmp_path / "a.cfg"
+    config.write_text(CONFIG_A)
+    outputs = []
+    for threads in ("1", "2"):
+        fresh, resumed = tmp_path / f"fresh-{threads}.csv", tmp_path / f"resumed-{threads}.csv"
+        assert run_cli_subprocess("sweep", config, "--out", fresh,
+                                  OPENBLAS_NUM_THREADS=threads).returncode == 0
+        resumed.write_text("\n".join(fresh.read_text().splitlines()[:2]) + "\n")  # trial 0
+        assert run_cli_subprocess("sweep", config, "--out", resumed,
+                                  OPENBLAS_NUM_THREADS=threads).returncode == 0
+        outputs += [fresh.read_bytes(), resumed.read_bytes()]
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs == [outputs[0]] * 4
+
+
+def test_config_a_row_replays_through_cli_approx_at_one_blas_thread(tmp_path):
+    config = tmp_path / "a.cfg"
+    config.write_text(CONFIG_A)
+    (cfg,) = cli.load_sweep_configs(config)
+    rec = run_sweep(cfg)[1]
+    assert rec.d_min is not None
+    coo = tmp_path / "A.coo"
+    write_coo(generate(replace(cfg.params, L=rec.L), derive_seed(rec.seed, 0)), coo)
+    proc = run_cli_subprocess(
+        "approx", "--input", coo, "--d", rec.d_min, "--q", repr(rec.q), "--seed", rec.seed,
+        "--eps1", repr(cfg.params.eps1), "--eps2", repr(cfg.params.eps2),
+        **dict.fromkeys(sweep.BLAS_THREAD_VARS, "1"),  # as in the README's replay command
+    )
+    payload = json.loads(proc.stdout)
+    assert proc.returncode == 0 and payload["passed"]
+    earlier = [d for d in cfg.widths(rec.L) if d < rec.d_min]
+    assert payload["redraws_used"] == rec.redraws_used - redraw_budget(rec.q, rec.L) * len(earlier)
 
 
 def test_csv_round_trip_not_found_sentinel():
