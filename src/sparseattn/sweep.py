@@ -20,9 +20,10 @@ where ``C`` is ill-conditioned, so the logits it reports match those of ``y``
 to about 1e-12.  The check takes its mode, causal or not, from the target.
 
 The search owns its row schedule: ``row_blocks`` splits a redraw's rows into
-the blocks it forms and checks in turn, and ``SOLVE_SPANS`` and
-``KEYS_FROM`` say how each block's rows are formed.  ``verify.row_margins``
-checks whatever range of rows it is given.
+the blocks it forms and checks in turn.  Each block before row ``KEYS_FROM``
+is formed with its own solve against ``C``, and each block after it from
+keys formed once per redraw.  ``verify.row_margins`` checks whatever range of
+rows it is given.
 
 Seeding: each (L, trial) record gets ``derive_seed(master_seed, L, trial)``.
 From that record seed, the target matrix uses ``derive_seed(record_seed, 0)``
@@ -56,13 +57,11 @@ CSV_HEADER = "L,trial,q,d_min,theoretical_d,redraws_used,seed"
 # one thread: two processes sharing two cores lose to the serial loop when
 # each runs a multithreaded BLAS.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# How a redraw forms its logit rows, block by block of ``row_blocks``.  Each
-# key of SOLVE_SPANS starts a span of rows, ending at its value, that one
-# solve against C turns into s^2 (((B V) G) C^-1 G^T) V^T: rows [0, 16) and
-# [16, 48), each a whole number of blocks.  Rows from KEYS_FROM on use the
-# keys V G C^-1, which cost one L^2 h product.
-SOLVE_SPANS = {0: 16, 16: 48}
-KEYS_FROM = max(SOLVE_SPANS.values())
+# The block boundary of ``row_blocks`` from which a redraw forms its rows
+# against the keys V G C^-1, one L^2 h product and one inverse of C; the
+# blocks before it are each formed with a solve against C, which costs less
+# for a redraw that fails there, as most do.
+KEYS_FROM = 48
 # Above this 1-norm condition number of C, a redraw evaluated in full takes a
 # corrected seminormal step.  Below it, plain solves missed the orthogonal
 # sample's logits by < 15 u kappa_1(C) and < 3.4e-14 of the largest logit.
@@ -235,22 +234,21 @@ def search_width(
     0-3, 4-15, 16-47, then doubling), each block formed into one L x L
     buffer and checked against ``A``'s rows (``row_margins``) in turn, and a
     redraw that is not the last one stops at the first block holding a
-    violating row.  Rows 0-15 are ``s^2 (((B V)[0:16] G) C^-1 G^T) V^T``
-    from one solve against ``C``, formed and checked as rows 0-3 and then
-    4-15; rows 16-47 take the same route with a second solve.  Only a redraw
-    that survives row 47 inverts ``C`` and forms ``W = V G`` and the keys
-    ``W C^-1``, the one ``L^2 h`` product, for the blocks after, whose rows
-    are ``s^2 (B W) (W C^-1)^T``.  A redraw evaluated in full (a pass, or
-    the last) whose ``kappa_1(C)`` exceeds ``STEP_KAPPA`` (h near L) is
-    formed again from keys that take one corrected seminormal step
-    ``K += (V - K G^T) G C^-1``, which undoes the roundoff of ``C^-1``: the
-    logits then match ``y``'s to about 1e-12 at every width.  The report of
-    a redraw evaluated in full is ``check_conditions`` of the logits it
-    returns, so it is the full check of those logits by construction.  The
-    last redraw is always evaluated in full, so the logits and report
-    returned are complete.  A non-finite logit raises ``VerificationError``
-    in any row the search evaluates; rows after the failing block of an
-    earlier redraw are not evaluated.
+    violating row.  Each block ``[lo, hi)`` of rows 0-47 is
+    ``s^2 (((B V)[lo:hi] G) C^-1 G^T) V^T``, with one solve against ``C``
+    per block.  Only a redraw that survives row 47 inverts ``C`` and forms
+    ``W = V G`` and the keys ``W C^-1``, the one ``L^2 h`` product, for the
+    blocks after, whose rows are ``s^2 (B W) (W C^-1)^T``.  A redraw
+    evaluated in full (a pass, or the last) whose ``kappa_1(C)`` exceeds
+    ``STEP_KAPPA`` (h near L) is formed again from keys that take one
+    corrected seminormal step ``K += (V - K G^T) G C^-1``, which undoes the
+    roundoff of ``C^-1``: the logits then match ``y``'s to about 1e-12 at
+    every width.  The report of a redraw evaluated in full is
+    ``check_conditions`` of the logits it returns, so it is the full check
+    of those logits by construction.  The last redraw is always evaluated in
+    full, so the logits and report returned are complete.  A non-finite
+    logit raises ``VerificationError`` in any row the search evaluates; rows
+    after the failing block of an earlier redraw are not evaluated.
     """
     check_width(d, A.L)
     if n_redraws < 1:
@@ -265,7 +263,7 @@ def search_width(
     z = np.empty((L, L))
     for t in range(n_redraws):
         g, c = projector_basis(L, h, derive_seed(seed, 1, d, t))
-        # One L x d/2 array per redraw, filled span by span, rather than a
+        # One L x d/2 array per redraw, filled block by block, rather than a
         # temporary per block: block-sized temporaries stayed resident in the
         # C heap and raised the peak memory of repeated approx calls at
         # L=2048 by about 18 MB.
@@ -273,13 +271,10 @@ def search_width(
         w = keys = c_inv = None
         last = t == n_redraws - 1
         for lo, hi in blocks:
-            if lo in SOLVE_SPANS:  # s^2 ((B V) G) C^-1 for the span's rows
-                span_lo, span_hi = lo, min(SOLVE_SPANS[lo], L)
-                x = np.matmul(head[span_lo:span_hi], g, out=left[span_lo:span_hi])
+            if lo < KEYS_FROM:  # s^2 (((B V) G) C^-1 G^T) V^T
+                x = np.matmul(head[lo:hi], g, out=left[lo:hi])
                 x *= scale2
-                x = np.linalg.solve(c, x.T).T
-            if lo < KEYS_FROM:
-                np.matmul(x[lo - span_lo:hi - span_lo] @ g.T, V.T, out=z[lo:hi])
+                np.matmul(np.linalg.solve(c, x.T).T @ g.T, V.T, out=z[lo:hi])
             else:
                 if keys is None:
                     # An explicit inverse, not a solve against L right-hand

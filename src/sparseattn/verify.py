@@ -164,17 +164,18 @@ def row_margins(
     target's arrays, gathered at their row-major offsets into ``z_rows``.
     The zero-position maximum is one reduction under the rows'
     ``_zero_positions`` mask in both modes, and ``z_rows`` is only read.
+    Finiteness is screened by one sum of the rows, with no block-sized
+    temporary: a non-finite entry makes the sum non-finite, and so may a
+    finite block whose sum overflows, which the exact scan that locates the
+    entry then clears.
     """
     hi = lo + z_rows.shape[0]
     ptr = A.row_ptr[lo:hi + 1]
     start, end = ptr[0], ptr[-1]
     flat = (A.rows[start:end] - lo) * A.L + A.cols[start:end]
     z_nz = z_rows.reshape(-1)[flat]
-    # Tested before the mask is built, so the two L-wide bool temporaries
-    # are never alive together.
-    finite = np.isfinite(z_rows).all()
     zero = _zero_positions(A, lo, hi)
-    if not finite:
+    if not np.isfinite(z_rows.sum()):
         # The considered positions are the zero positions and the nonzeros.
         bad = ~np.isfinite(z_rows) & zero
         bad.reshape(-1)[flat] = ~np.isfinite(z_nz)

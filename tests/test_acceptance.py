@@ -9,12 +9,15 @@ set ``SPARSEATTN_FULL_ACCEPTANCE=1`` for the full grid
 import itertools
 import math
 import os
+import types
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from conftest import check_direct
 
+import sparseattn
 from sparseattn._seeds import derive_seed
 from sparseattn.attention import csam, logits, sam
 from sparseattn.concentration import (
@@ -162,6 +165,22 @@ def test_smoke_records_match_the_benchmark_expected_csv():
     rows = (expected / "sweep_growth-seed2024.csv").read_text(encoding="utf-8").splitlines()[1:]
     pinned = [SweepRecord.from_csv_row(row) for row in rows if row.strip()]
     assert [(r.L, r.trial, r.d_min, r.redraws_used) for r in pinned] == SMOKE_RECORDS_2024
+
+
+@pytest.mark.parametrize("name, seed", [("jlt_tails", 2024), ("jlt_tails", 11), ("sweep_growth", 11)])
+def test_benchmark_outputs_match_their_expected_files(name, seed, tmp_path):
+    # The benchmark's workloads give the outputs it pins.  workloads.py is
+    # run from its source text, so nothing is written under perfbench/.
+    # approx_large is left out: its samples follow the caller's BLAS threads.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    workloads = types.ModuleType("workloads")
+    source = (bench / "workloads.py").read_text(encoding="utf-8")
+    exec(compile(source, str(bench / "workloads.py"), "exec"), workloads.__dict__)
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.inputs(sparseattn, seed, str(tmp_path))
+    text = workload.output(workload.run(sparseattn, inputs, str(tmp_path), 0))
+    expected = bench / "expected" / f"{name}-seed{seed}{workload.suffix}"
+    assert text.encode("utf-8") == expected.read_bytes()
 
 
 def test_criterion_04_q_insensitivity():

@@ -381,10 +381,13 @@ def test_search_width_rejects_nonfinite_logit_in_the_last_row(L, monkeypatch):
 
 def test_search_width_forms_keys_only_for_redraws_that_pass_row_47(monkeypatch):
     """The keys V G C^-1 (one inverse of C) are formed only by a redraw
-    whose rows 0-47 hold no violation; the last redraw is checked in full."""
+    whose rows 0-47 hold no violation, and each block it checks before row
+    48 is formed with its own solve against C, one right-hand side per row;
+    the last redraw is checked in full."""
     checked = []
     inverses = []
-    margins, inv = sweep.row_margins, np.linalg.inv
+    solves = []  # (blocks checked so far, right-hand sides)
+    margins, inv, solve = sweep.row_margins, np.linalg.inv, np.linalg.solve
 
     def recording_margins(z_rows, target, lo):
         checked.append(lo)
@@ -394,8 +397,13 @@ def test_search_width_forms_keys_only_for_redraws_that_pass_row_47(monkeypatch):
         inverses.append(len(checked))
         return inv(c)
 
+    def recording_solve(c, b):
+        solves.append((len(checked), b.shape[1]))
+        return solve(c, b)
+
     monkeypatch.setattr(sweep, "row_margins", recording_margins)
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
     params = ApproxParams(L=128, k=1, gamma=1.0, eps1=0.15, eps2=1.41)
     A = generate(params, 4)
     V = svd_factor(build_log_gap(A, params.eps1, params.eps2))
@@ -408,6 +416,8 @@ def test_search_width_forms_keys_only_for_redraws_that_pass_row_47(monkeypatch):
     assert [sum(a <= n < b for n in inverses) for a, b in zip(starts, starts[1:])] == [
         int(r in reached) for r in range(used)
     ]
+    per_redraw = [[n for at, n in solves if a <= at < b] for a, b in zip(starts, starts[1:])]
+    assert per_redraw == [[4, 12, 32][:sum(lo < 48 for lo in blocks)] for blocks in redraws]
     # Observed: the earlier redraws stop in each of the first four blocks.
     assert {blocks[-1] for blocks in redraws[:-1]} == {0, 4, 16, 48}
     assert redraws[-1] == [0, 4, 16, 48, 112]

@@ -279,6 +279,36 @@ def test_nonfinite_logits_rejected():
         check_conditions(z, A, 0.15, 0.7)
 
 
+def test_row_margins_screen_finiteness_by_one_sum():
+    """A finite block whose sum overflows passes the screen's exact scan, a
+    non-finite logit at a zero position is named, and one above a causal
+    diagonal is not judged; rows 4-7 of an L=12 target, in both modes."""
+    lo, hi = 4, 8
+    for causal in (False, True):
+        params = ApproxParams(L=12, k=2, gamma=2.0, eps1=0.15, eps2=0.7, causal=causal)
+        A = generate(params, 5)
+        z = np.full((12, 12), 1e308)
+        z[A.rows, A.cols] = -1e308
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(z[lo:hi].sum())
+            want = reference_row_margins(z[lo:hi].copy(), A, lo)
+            got = row_margins(z[lo:hi], A, lo)
+        assert all(np.array_equal(w, g) for w, g in zip(want, got))
+
+        z = np.random.default_rng(5).normal(0.0, 3.0, (12, 12))
+        if causal:
+            above = z.copy()
+            above[5, 9] = np.inf
+            got = row_margins(above[lo:hi], A, lo)
+            want = reference_row_margins(z[lo:hi].copy(), A, lo)
+            assert all(np.array_equal(w, g) for w, g in zip(want, got))
+        j = int(np.flatnonzero(A.to_dense()[5, :6] == 0.0)[0])
+        z[5, j] = -np.inf
+        with pytest.raises(VerificationError) as raised:
+            row_margins(z[lo:hi], A, lo)
+        assert str(raised.value) == f"non-finite logit -inf at row 5, column {j}"
+
+
 def test_target_holds_no_dense_array():
     # O(nnz + L): per-nonzero and per-row arrays only, no L x L mask, and a
     # row pointer that every construction, replace() included, derives anew.
