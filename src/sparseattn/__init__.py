@@ -2,9 +2,11 @@
 
 A library for constructing self-attention inputs whose attention matrix
 matches a given sparse right-stochastic target up to row-ratio tolerances,
-for measuring how the smallest sufficient attention width grows with the
-sequence length, and for benchmarking the concentration of dot products
-under orthogonal random projections.
+for measuring how the width ``d_min`` grows with the sequence length, and
+for benchmarking the concentration of dot products under orthogonal random
+projections.  ``d_min`` is the width at which the paper's random
+construction succeeds at its bounded scale, since without a scale bound
+width 4 fits every k = 1 target.
 """
 
 from .attention import csam, logits, sam

@@ -79,13 +79,17 @@ def svd_factor(B: np.ndarray) -> np.ndarray:
     values (descending), so ``(B V) V^T`` reproduces ``B`` to roundoff.
 
     Only the span of ``V``'s columns at each singular value is fixed; within
-    a repeated one, the basis LAPACK returns follows the BLAS thread count.
-    A k=2, gamma=2 target at L=268 has seven distinct singular values, and
-    its ``V`` moves by O(1) between one and two threads while each span
-    agrees to 3e-13.  So the samples ``V G`` of a redraw repeat bit for bit
+    a repeated one, LAPACK's basis follows the BLAS thread count (at L=268,
+    k=2, gamma=2, ``V`` moves by O(1) between one and two threads while each
+    span agrees to 3e-13).  So a redraw's samples ``V G`` repeat bit for bit
     only at a fixed thread count: ``run_sweep`` computes every record at one
-    BLAS thread, while ``sparseattn approx`` and direct ``find_dmin`` or
-    ``sweep.search_width`` calls run at the caller's."""
+    BLAS thread, ``sparseattn approx`` and direct ``find_dmin`` or
+    ``sweep.search_width`` calls at the caller's.
+
+    ``np.linalg.svd`` also forms the L x L ``U``, dropped here: part of the
+    291-295 MB fresh-process peak at L=2048.  Repeated calls in one process
+    leave ~16 MB of freed heap resident (``approx_large`` reads ~312 MB, and
+    298 MB for one operation).  Only an SVD-free search removes either cost."""
     if not np.all(np.isfinite(B)):
         raise FactorizationError("log-gap matrix has non-finite entries")
     try:

@@ -11,19 +11,14 @@ least-squares fit of width against log L summarizes the growth rate.
 and by ``sparseattn approx`` at a single one; it reports through
 ``verify.check_conditions``.
 
-A redraw's logits depend on its orthogonal projection ``y`` only through the
-projector ``y y^T``, which equals ``G C^-1 G^T`` for the Gaussian draw ``G``
-that ``y`` orthogonalizes and ``C = G^T G``.  So ``search_width`` draws each
-redraw at every width through ``construct.projector_basis`` (draw ``G``, form
-``C``, no QR).  A redraw formed in full takes a corrected seminormal step
-where ``C`` is ill-conditioned, so the logits it reports match those of ``y``
-to about 1e-12.  The check takes its mode, causal or not, from the target.
+``search_width`` draws each redraw through ``construct.projector_basis``: a
+Gaussian ``G`` and ``C = G^T G``, no QR, as ``y y^T = G C^-1 G^T`` for the
+Haar ``y`` that orthogonalizes ``G``.  A redraw formed in full reports
+logits that match ``y``'s to about 1e-12.  The check takes its mode, causal
+or not, from the target.
 
-The search owns its row schedule: ``row_blocks`` splits a redraw's rows into
-the blocks it forms and checks in turn.  Each block before row ``KEYS_FROM``
-is formed with its own solve against ``C``, and each block after it from
-keys formed once per redraw.  ``verify.row_margins`` checks whatever range of
-rows it is given.
+The search owns its row schedule, ``row_blocks``, whose blocks have at most
+``verify.BLOCK_ROWS`` rows, the block size of ``check_conditions``.
 
 Seeding: each (L, trial) record gets ``derive_seed(master_seed, L, trial)``.
 From that record seed, the target matrix uses ``derive_seed(record_seed, 0)``
@@ -50,7 +45,7 @@ import numpy as np
 from ._seeds import derive_seed
 from .construct import build_log_gap, check_width, log_gap_values, projector_basis, svd_factor
 from .matrices import ApproxParams, SparseStochasticMatrix, generate
-from .verify import ApproxReport, check_conditions, row_margins
+from .verify import BLOCK_ROWS, ApproxReport, check_conditions, row_margins
 
 CSV_HEADER = "L,trial,q,d_min,theoretical_d,redraws_used,seed"
 # Set to 1 while the record pool's workers start, so each loads its BLAS with
@@ -70,14 +65,11 @@ STEP_KAPPA = 1e4
 
 def row_blocks(L: int) -> list[tuple[int, int]]:
     """The row blocks ``[lo, hi)`` in which a redraw search forms and checks
-    logits: ``[0, 4)``, ``[4, 16)``, ``[16, 48)``, then each block twice the
-    size of the one before, cut at ``L``.  Failing redraws mostly fail
-    within the first few rows."""
-    bounds, size = [0, 4, 16], 32
-    while bounds[-1] < L:
-        bounds.append(bounds[-1] + size)
-        size *= 2
-    return [(lo, min(hi, L)) for lo, hi in zip(bounds, bounds[1:]) if lo < L]
+    logits: ``[0, 4)``, ``[4, 16)``, ``[16, 48)``, then blocks of
+    ``BLOCK_ROWS`` rows, cut at ``L``.  Failing redraws mostly fail within
+    the first few rows."""
+    bounds = [b for b in (0, 4, 16, *range(KEYS_FROM, L, BLOCK_ROWS)) if b < L]
+    return list(zip(bounds, bounds[1:] + [L]))
 
 
 @dataclass
@@ -138,8 +130,8 @@ class SweepConfig:
     def __post_init__(self):
         if not self.L_grid:
             raise ValueError("L_grid must not be empty")
-        if any(L <= 1 for L in self.L_grid):
-            raise ValueError("every L in L_grid must be > 1")
+        for L in self.L_grid:  # ApproxParams' rules (L > 1, k <= L) at every L
+            replace(self.params, L=L)
         if len(set(self.L_grid)) != len(self.L_grid):
             raise ValueError(f"L_grid must not repeat a value, got {self.L_grid}")
         if not 2 <= self.d_lower <= self.d_upper:
@@ -195,16 +187,14 @@ def _gap_rows(A: SparseStochasticMatrix, gap: np.ndarray, w: np.ndarray,
               lo: int, hi: int, out: np.ndarray) -> np.ndarray:
     """Rows ``lo .. hi - 1`` of ``B w`` into ``out``: per row, the rows of
     ``w`` its nonzeros select (never none), times their ``gap`` values, summed
-    in stored order; 64 rows at a time, as block-sized gathers stayed resident
-    in the C heap (+2 MB peak over repeated approx calls at L=2048)."""
-    for a in range(lo, hi, 64):
-        ptr = A.row_ptr[a:min(a + 64, hi) + 1]
-        first, count = ptr[:-1], ptr[1:] - ptr[:-1]
-        rows = out[a - lo:a - lo + len(first)]
-        np.multiply(w[A.cols[first]], gap[first, None], out=rows)
-        for s in range(1, count.max()):  # each row's s-th nonzero, if any
-            more = first[count > s] + s
-            rows[count > s] += w[A.cols[more]] * gap[more, None]
+    in stored order.  The search passes at most ``BLOCK_ROWS`` rows: larger
+    gathers stayed resident in the C heap (+2 MB peak, approx at L=2048)."""
+    ptr = A.row_ptr[lo:hi + 1]
+    first, count = ptr[:-1], ptr[1:] - ptr[:-1]
+    np.multiply(w[A.cols[first]], gap[first, None], out=out)
+    for s in range(1, count.max()):  # each row's s-th nonzero, if any
+        more = first[count > s] + s
+        out[count > s] += w[A.cols[more]] * gap[more, None]
     return out
 
 
@@ -231,7 +221,7 @@ def search_width(
     width.  At ``d = 2L`` both are the identity.
 
     Each redraw is evaluated in the row blocks of ``row_blocks(L)`` (rows
-    0-3, 4-15, 16-47, then doubling), each block formed into one L x L
+    0-3, 4-15, 16-47, then 64 at a time), each block formed into one L x L
     buffer and checked against ``A``'s rows (``row_margins``) in turn, and a
     redraw that is not the last one stops at the first block holding a
     violating row.  Each block ``[lo, hi)`` of rows 0-47 is

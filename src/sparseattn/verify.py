@@ -13,9 +13,9 @@ target as it is stored: nonzeros in row-major order and a row pointer
 (``SparseStochasticMatrix.row_ptr``), O(nnz + L) with no L x L array.
 ``row_margins`` gives each row's two condition values for any range of rows,
 gathering from slices of those arrays.  ``check_conditions`` runs it over
-every row and builds the report; a redraw search runs ``row_margins`` on each
-block of logits it forms, in whatever row schedule it keeps, and reports
-through ``check_conditions``.
+blocks of ``BLOCK_ROWS`` rows, as a redraw search does over the blocks it
+forms, none larger, so no check masks more than ``BLOCK_ROWS`` x L cells;
+the search reports through ``check_conditions``.
 
 The check takes its mode from the target: a causal target (``A.causal``) is
 judged on the positions at or below the diagonal only, a rule stated once,
@@ -40,6 +40,7 @@ from .matrices import SparseStochasticMatrix
 
 KIND_ZERO_RATIO = "zero_ratio"
 KIND_NONZERO_DEV = "nonzero_dev"
+BLOCK_ROWS = 64  # the most rows a check masks at once: 1 MB at L = 16384
 
 
 class VerificationError(ValueError):
@@ -87,15 +88,17 @@ def check_conditions(
     eps2: float,
 ) -> ApproxReport:
     """Log-domain check of both ratio conditions on the logit matrix, in the
-    target's own mode: ``row_margins`` over every row of the target.  The
-    first violation is located in the first failing row, in the canonical
-    scan order, and the triples counted are the zero/nonzero and distinct
-    nonzero pairs of every row.  Raises on non-finite logits at considered
-    positions, where the softmax is undefined."""
+    target's own mode: ``row_margins`` over the target's rows in blocks of
+    ``BLOCK_ROWS``.  The first violation is located in the first failing
+    row, in the canonical scan order, and the triples counted are the
+    zero/nonzero and distinct nonzero pairs of every row.  Raises on
+    non-finite logits at considered positions, where the softmax is
+    undefined."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (A.L, A.L):
         raise VerificationError(f"logits shape {z.shape} does not match L={A.L}")
-    cond1, cond2 = row_margins(z, A, 0)
+    blocks = [row_margins(z[lo:lo + BLOCK_ROWS], A, lo) for lo in range(0, A.L, BLOCK_ROWS)]
+    cond1, cond2 = (np.concatenate(values) for values in zip(*blocks))
     worst_zero = float(cond1.max())
     worst_dev = float(cond2.max())
     log_eps1 = math.log(eps1)

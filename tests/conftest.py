@@ -9,6 +9,8 @@
 - ``reference_scaled_left``: the left singular vectors times the singular
   values, ``U * sigma``, the dense left factor the redraw search no longer
   keeps;
+- ``circle_witness``: width-4 attention inputs that fit any k = 1 target
+  when their scale is not bounded;
 - ``check_direct``: the ratio conditions evaluated literally on attention
   entries, against which ``verify.check_conditions`` is tested; both
   report the same canonical first violation;
@@ -126,6 +128,24 @@ def reference_scaled_left(B):
     that equals ``B V`` for the ``V`` of ``construct.svd_factor``."""
     u, sigma, _ = np.linalg.svd(B, full_matrices=True)
     return u * sigma
+
+
+def circle_witness(A, eps1):
+    """Queries ``P`` and keys ``K``, each L x 2 (width 4), whose logits
+    ``P K^T`` pass both conditions on a target with one nonzero per row.
+
+    Key j is ``u_j = (cos t_j, sin t_j)`` with ``t_j = 2 pi j / L``, and row
+    i's query is ``c u_p(i)`` for ``p(i)`` the column of its nonzero and
+    ``c = 2 log(1/eps1) / (1 - cos(2 pi / L))``.  Row i's logit is ``c`` at
+    its nonzero and at most ``c cos(2 pi / L)`` elsewhere, a gap of
+    ``2 log(1/eps1)``; with no second nonzero, condition 2 holds vacuously.
+    The scale ``c`` grows like L^2: the paper's random construction fits
+    at a bounded scale, where the width must grow like log L.
+    """
+    theta = 2.0 * math.pi * np.arange(A.L) / A.L
+    keys = np.column_stack([np.cos(theta), np.sin(theta)])
+    c = 2.0 * math.log(1.0 / eps1) / (1.0 - math.cos(2.0 * math.pi / A.L))
+    return c * keys[A.cols[A.row_ptr[:-1]]], keys
 
 
 def reference_row_margins(z_rows, A, lo):

@@ -221,6 +221,15 @@ def test_sweep_empty_L_grid_rejected(tmp_path, capsys):
         assert "L_grid must not be empty" in capsys.readouterr().err
 
 
+def test_sweep_grid_length_below_k_exits_before_any_record(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(sweep_config_text(L_grid="2,128", k=3, gamma=2.0))
+    out = tmp_path / "r.csv"
+    assert run("sweep", cfg, "--out", out) == 2
+    assert "k must satisfy 1 <= k <= L, got k=3, L=2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, causal", [("", False), ("causal = 1\n", True)])
 def test_sweep_config_causal_only_when_set(tmp_path, line, causal):
     from sparseattn.cli import load_sweep_configs

@@ -350,7 +350,7 @@ def last_row_violation_instance(monkeypatch, L=64, value=0.0):
         (5, [(0, 4), (4, 5)]),
         (17, [(0, 4), (4, 16), (16, 17)]),
         (64, [(0, 4), (4, 16), (16, 48), (48, 64)]),
-        (256, [(0, 4), (4, 16), (16, 48), (48, 112), (112, 240), (240, 256)]),
+        (256, [(0, 4), (4, 16), (16, 48), (48, 112), (112, 176), (176, 240), (240, 256)]),
     ],
 )
 def test_row_blocks_schedule(L, blocks):
@@ -922,6 +922,13 @@ def test_sweep_config_rejects_repeated_L():
         small_cfg(L_grid=[16, 16], trials_per_L=1)
     with pytest.raises(ValueError, match="repeat"):
         small_cfg(L_grid=[16, 32, 16])
+
+
+def test_sweep_config_rejects_a_grid_length_below_k():
+    # Refused on construction, not when the L=2 record fails in a worker.
+    params = ApproxParams(L=128, k=3, gamma=2.0, eps1=0.15, eps2=1.41)
+    with pytest.raises(ValueError, match=r"k must satisfy 1 <= k <= L, got k=3, L=2"):
+        small_cfg(params=params, L_grid=[2, 128])
 
 
 def test_sweep_config_rejects_zero_redraw_budget():

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import check_direct, reference_row_margins
+from conftest import check_direct, circle_witness, reference_row_margins
+from sparseattn import verify
 from sparseattn.attention import csam, sam
 from sparseattn.construct import build_log_gap, compress, sample_stiefel, svd_factor
 from sparseattn.matrices import ApproxParams, MatrixError, SparseStochasticMatrix, generate
-from sparseattn.sweep import row_blocks
+from sparseattn.sweep import row_blocks, search_width
 from sparseattn.verify import (
+    BLOCK_ROWS,
     ApproxReport,
     VerificationError,
     check_conditions,
@@ -148,7 +150,8 @@ def test_check_conditions_matches_naive_enumeration_hypothesis(seed, scale):
 # ----------------------------------------------------- log vs. direct checks
 
 
-@pytest.mark.parametrize("L", [8, 16])
+# L = 63, 64, 65 and 129 put rows on both sides of the check's block edges.
+@pytest.mark.parametrize("L", [8, 16, 63, 64, 65, 129])
 @pytest.mark.parametrize("seed", range(10))
 def test_log_and_direct_checks_agree(seed, L):
     A, z = random_instance(L, 2, 2.0, seed)
@@ -164,9 +167,13 @@ def test_log_and_direct_checks_agree(seed, L):
     )
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_log_and_direct_checks_agree_causal(seed):
-    A, z = random_instance(8, 2, 2.0, seed, causal=True)
+@pytest.mark.parametrize(  # the L = 8 cases keep their seed-only ids
+    "seed, L",
+    [pytest.param(seed, 8, id=str(seed)) for seed in range(8)]
+    + [(seed, L) for L in (63, 64, 65, 129) for seed in range(3)],
+)
+def test_log_and_direct_checks_agree_causal(seed, L):
+    A, z = random_instance(L, 2, 2.0, seed, causal=True)
     log_report = check_conditions(z, A, 0.15, 0.7)
     direct_report = check_direct(csam(z), A, 0.15, 0.7)
     assert log_report.passed == direct_report.passed
@@ -322,6 +329,45 @@ def test_target_holds_no_dense_array():
             assert np.array_equal(target.row_ptr, want)
 
 
+def test_no_check_masks_more_than_a_block_of_rows(monkeypatch):
+    """Every zero-position mask spans at most BLOCK_ROWS rows: in the check of
+    an L=2048 target, and in a search redraw formed in full at L=512, whose
+    blocks and full check each cover every row."""
+    sizes = []
+    zero_positions = verify._zero_positions
+
+    def recording(A, lo, hi):
+        sizes.append(hi - lo)
+        return zero_positions(A, lo, hi)
+
+    monkeypatch.setattr(verify, "_zero_positions", recording)
+    params = ApproxParams(L=2048, k=2, gamma=2.0, eps1=0.15, eps2=1.41)
+    A = generate(params, 1)
+    gap = build_log_gap(A, params.eps1, params.eps2)
+    assert check_conditions(gap, A, params.eps1, params.eps2).passed
+    assert sum(sizes) == 2048 and max(sizes) <= BLOCK_ROWS
+
+    sizes.clear()
+    A = generate(replace(params, L=512), 1)
+    V = svd_factor(build_log_gap(A, params.eps1, params.eps2))
+    search_width(V, A, 64, 1, 3, params.eps1, params.eps2)  # the last redraw: in full
+    assert sum(sizes) >= 2 * 512 and max(sizes) <= BLOCK_ROWS
+
+
+@pytest.mark.parametrize("L", [64, 1024, 4096])
+def test_width_four_fits_every_k1_target_without_a_scale_bound(L):
+    """The claim's scale caveat: unbounded, width 4 fits a k = 1 target at
+    any L, with max|z| the witness scale c, about 0.2 L^2."""
+    params = ApproxParams(L=L, k=1, gamma=1.0, eps1=0.15, eps2=1.41)
+    A = generate(params, 7)
+    P, K = circle_witness(A, params.eps1)
+    z = P @ K.T
+    assert P.shape == K.shape == (L, 2)
+    assert check_conditions(z, A, params.eps1, params.eps2).passed
+    c = 2.0 * math.log(1.0 / params.eps1) / (1.0 - math.cos(2.0 * math.pi / L))
+    assert np.abs(z).max() == pytest.approx(c, rel=1e-12)
+
+
 SPECIALS = (math.nan, math.inf, -math.inf)
 
 
@@ -363,11 +409,13 @@ def test_row_margins_match_the_masked_reference(L, k, seed, causal, ties, placem
         try:
             want = reference_row_margins(z[lo:hi].copy(), A, lo)
         except VerificationError as exc:
-            with pytest.raises(VerificationError) as got:
+            # inf and -inf in one block make the finiteness screen's sum NaN.
+            with pytest.raises(VerificationError) as got, np.errstate(invalid="ignore"):
                 row_margins(z[lo:hi], A, lo)
             assert str(got.value) == str(exc)
         else:
-            got = row_margins(z[lo:hi], A, lo)
+            with np.errstate(invalid="ignore"):  # specials above a causal diagonal
+                got = row_margins(z[lo:hi], A, lo)
             for w, g in zip(want, got):
                 assert g.dtype == np.float64
                 assert np.array_equal(w.view(np.uint64), g.view(np.uint64))
