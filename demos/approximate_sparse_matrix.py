@@ -19,6 +19,7 @@ from sparseattn import (
     SweepConfig,
     assemble,
     build_log_gap,
+    check_conditions,
     compress,
     find_dmin,
     generate,
@@ -48,7 +49,8 @@ print(f"full width d = {2 * L}: X is {inputs.x.shape[0]} x {inputs.x.shape[1]}, 
 
 print("\nwidth sweep (single projection draw each):")
 for d in (32, 64, 128, 192, 2 * L):
-    _, _, _, report = search_width(V, A, d, 1, 7, params.eps1, params.eps2)
+    _, _, z = search_width(V, A, d, 1, 7, params.eps1, params.eps2)
+    report = check_conditions(z, A, params.eps1, params.eps2)
     print(f"  d = {d:3d}: passed = {report.passed!s:5}   "
           f"zero-ratio log {report.worst_zero_ratio_log:7.3f} (< {np.log(params.eps1):.3f})   "
           f"nonzero dev {report.worst_nonzero_dev:6.3f} (< {params.eps2})")
@@ -61,8 +63,8 @@ print(f"  d_min = {record.d_min} after {record.redraws_used} redraws "
       f"(theoretical bound {record.theoretical_d:.0f})")
 
 # Replay the passing draw at the found width for rendering.
-passing, _, z, _ = search_width(V, A, record.d_min, redraw_budget(cfg.q, L),
-                                record.seed, params.eps1, params.eps2)
+passing, _, z = search_width(V, A, record.d_min, redraw_budget(cfg.q, L),
+                             record.seed, params.eps1, params.eps2)
 print(f"  replayed the passing draw (redraw {passing})")
 
 m = sam(z)

@@ -7,8 +7,9 @@ budget ``q``), ``render`` (pooled PGM attention maps), and ``jlt-bench``
 (projection tail benchmark).  ``approx`` and ``sweep`` share one redraw loop,
 ``sweep.search_width``, given the right SVD factor of the target's log-gap
 matrix, so a sweep CSV row replays through ``approx`` at its ``d_min`` and
-``seed``.  A sweep runs its records in one spawned worker process per usable
-CPU, each with one BLAS thread, and writes the rows in grid order.
+``seed``; ``approx`` reports through ``verify.check_conditions``.  A sweep
+runs its records in one spawned worker process per usable CPU, each with one
+BLAS thread, and writes the rows in grid order.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage or validation error.
@@ -23,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import attention, concentration, sweep as sweep_mod
+from . import attention, concentration, sweep as sweep_mod, verify
 from .construct import build_log_gap, check_width, svd_factor
 from .matrices import ApproxParams, generate, read_coo, write_coo
 from .render import render_pgm
@@ -160,9 +161,10 @@ def cmd_approx(args) -> int:
     check_width(args.d, A.L)
     n_redraws = sweep_mod.redraw_budget(args.q, A.L)
     V = svd_factor(build_log_gap(A, args.eps1, args.eps2))
-    passing, redraws_used, z, report = sweep_mod.search_width(
+    passing, redraws_used, z = sweep_mod.search_width(
         V, A, args.d, n_redraws, args.seed, args.eps1, args.eps2
     )
+    report = verify.check_conditions(z, A, args.eps1, args.eps2)
 
     payload = {
         "passed": report.passed,
@@ -220,11 +222,7 @@ def cmd_render(args) -> int:
 
 def cmd_jlt_bench(args) -> int:
     rows = concentration.run_bench(
-        p_values=_int_list(args.p_values),
-        m_values=_int_list(args.m_values),
-        eps_values=_float_list(args.eps_values),
-        n_samples=args.n_samples,
-        seed=args.seed,
+        args.p_values, args.m_values, args.eps_values, n_samples=args.n_samples, seed=args.seed
     )
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(concentration.BENCH_CSV_HEADER + "\n")
@@ -280,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("jlt-bench", help="projection tail benchmark CSV")
-    p.add_argument("--p-values", default="128,256")
-    p.add_argument("--m-values", default="8,16,32,64")
-    p.add_argument("--eps-values", default="0.1,0.25,0.5")
+    p.add_argument("--p-values", type=_int_list, default=concentration.DEFAULT_P_VALUES)
+    p.add_argument("--m-values", type=_int_list, default=concentration.DEFAULT_M_VALUES)
+    p.add_argument("--eps-values", type=_float_list, default=concentration.DEFAULT_EPS_VALUES)
     p.add_argument("--n-samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")

@@ -8,12 +8,12 @@ config's rows to a resumable CSV; a sweep over several ``q`` runs it once per
 value on the same CSV, and every ``q`` measures the same target matrices.  A
 least-squares fit of width against log L summarizes the growth rate.
 ``search_width`` is the one redraw loop, run by the sweep at every grid width
-and by ``sparseattn approx`` at a single one; it reports through
-``verify.check_conditions``.
+and by ``sparseattn approx`` at a single one; it returns a verdict and
+logits, and ``approx`` reports through ``verify.check_conditions``.
 
 ``search_width`` draws each redraw through ``construct.projector_basis``: a
 Gaussian ``G`` and ``C = G^T G``, no QR, as ``y y^T = G C^-1 G^T`` for the
-Haar ``y`` that orthogonalizes ``G``.  A redraw formed in full reports
+Haar ``y`` that orthogonalizes ``G``.  A redraw formed in full returns
 logits that match ``y``'s to about 1e-12.  The check takes its mode, causal
 or not, from the target.
 
@@ -45,7 +45,7 @@ import numpy as np
 from ._seeds import derive_seed
 from .construct import build_log_gap, check_width, log_gap_values, projector_basis, svd_factor
 from .matrices import ApproxParams, SparseStochasticMatrix, generate
-from .verify import BLOCK_ROWS, ApproxReport, check_conditions, row_margins
+from .verify import BLOCK_ROWS, row_margins
 
 CSV_HEADER = "L,trial,q,d_min,theoretical_d,redraws_used,seed"
 # Set to 1 while the record pool's workers start, so each loads its BLAS with
@@ -201,7 +201,7 @@ def _gap_rows(A: SparseStochasticMatrix, gap: np.ndarray, w: np.ndarray,
 def search_width(
     V: np.ndarray, A: SparseStochasticMatrix, d: int, n_redraws: int,
     seed: int, eps1: float, eps2: float,
-) -> tuple[int | None, int, np.ndarray, ApproxReport]:
+) -> tuple[int | None, int, np.ndarray]:
     """Redraw the shared projection at width ``d`` until target ``A``'s
     check passes.
 
@@ -211,8 +211,8 @@ def search_width(
     of the target's log-gap matrix ``B`` (``svd_factor``): the logits of the
     assembled attention inputs.  Stops at the first pass.  Returns the
     passing redraw (None if none passed), the redraws used, and the logits
-    and report of the last redraw checked.  ``_gap_rows`` forms rows of ``B``
-    times a matrix from the target's nonzeros: no L x L ``B`` or ``B V``.
+    of the last redraw checked.  ``_gap_rows`` forms rows of ``B`` times a
+    matrix from the target's nonzeros: no L x L ``B`` or ``B V``.
 
     ``z`` depends on ``y`` only through the projector ``y y^T``, so the
     search takes the Gaussian draw ``G`` that ``sample_stiefel`` would
@@ -233,12 +233,12 @@ def search_width(
     ``STEP_KAPPA`` (h near L) is formed again from keys that take one
     corrected seminormal step ``K += (V - K G^T) G C^-1``, which undoes the
     roundoff of ``C^-1``: the logits then match ``y``'s to about 1e-12 at
-    every width.  The report of a redraw evaluated in full is
-    ``check_conditions`` of the logits it returns, so it is the full check
-    of those logits by construction.  The last redraw is always evaluated in
-    full, so the logits and report returned are complete.  A non-finite
-    logit raises ``VerificationError`` in any row the search evaluates; rows
-    after the failing block of an earlier redraw are not evaluated.
+    every width, and are judged again.  A redraw passes if and only if no
+    block holds a violating row, which is ``check_conditions(z).passed``, as
+    a row's condition values do not depend on the blocks.  The last redraw is
+    evaluated in full, so ``z`` is complete.  A non-finite logit raises
+    ``VerificationError`` in any row the search evaluates; rows after the
+    failing block of an earlier redraw are not evaluated.
     """
     check_width(d, A.L)
     if n_redraws < 1:
@@ -251,6 +251,11 @@ def search_width(
     head = np.empty((min(KEYS_FROM, L), L))  # rows 0-47 of B V, once per call
     _gap_rows(A, gap, V, 0, len(head), head)
     z = np.empty((L, L))
+
+    def fails(lo, hi):  # whether a row of z[lo:hi] violates a condition
+        cond1, cond2 = row_margins(z[lo:hi], A, lo)
+        return cond1.max() >= log_eps1 or cond2.max() >= eps2
+
     for t in range(n_redraws):
         g, c = projector_basis(L, h, derive_seed(seed, 1, d, t))
         # One L x d/2 array per redraw, filled block by block, rather than a
@@ -259,7 +264,7 @@ def search_width(
         # L=2048 by about 18 MB.
         left = np.empty((L, h))
         w = keys = c_inv = None
-        last = t == n_redraws - 1
+        last, failed = t == n_redraws - 1, False
         for lo, hi in blocks:
             if lo < KEYS_FROM:  # s^2 (((B V) G) C^-1 G^T) V^T
                 x = np.matmul(head[lo:hi], g, out=left[lo:hi])
@@ -276,8 +281,8 @@ def search_width(
                 rows = _gap_rows(A, gap, w, lo, hi, left[lo:hi])
                 rows *= scale2
                 np.matmul(rows, keys.T, out=z[lo:hi])
-            cond1, cond2 = row_margins(z[lo:hi], A, lo)
-            if not last and (cond1.max() >= log_eps1 or cond2.max() >= eps2):
+            failed |= fails(lo, hi)
+            if failed and not last:
                 break
         else:  # every block evaluated: a pass, or the last redraw
             if c_inv is None:  # L <= KEYS_FROM
@@ -292,10 +297,10 @@ def search_width(
                 np.subtract(V, z, out=z)
                 keys += (z @ g) @ c_inv
                 np.matmul(left, keys.T, out=z)
-            report = check_conditions(z, A, eps1, eps2)
-            if report.passed:
-                return t, t + 1, z, report
-    return None, n_redraws, z, report
+                failed = any([fails(lo, hi) for lo, hi in blocks])  # a list: every row
+            if not failed:
+                return t, t + 1, z
+    return None, n_redraws, z
 
 
 def find_dmin(A: SparseStochasticMatrix, cfg: SweepConfig, seed: int) -> SweepRecord:
@@ -320,7 +325,7 @@ def find_dmin(A: SparseStochasticMatrix, cfg: SweepConfig, seed: int) -> SweepRe
         seed=seed,
     )
     for d in cfg.widths(L):
-        passing, used, _, _ = search_width(V, A, d, n_redraws, seed, params.eps1, params.eps2)
+        passing, used, _ = search_width(V, A, d, n_redraws, seed, params.eps1, params.eps2)
         record.redraws_used += used
         if passing is not None:
             record.d_min = d

@@ -15,7 +15,7 @@ target as it is stored: nonzeros in row-major order and a row pointer
 gathering from slices of those arrays.  ``check_conditions`` runs it over
 blocks of ``BLOCK_ROWS`` rows, as a redraw search does over the blocks it
 forms, none larger, so no check masks more than ``BLOCK_ROWS`` x L cells;
-the search reports through ``check_conditions``.
+the search keeps only the verdict of its ``row_margins`` blocks.
 
 The check takes its mode from the target: a causal target (``A.causal``) is
 judged on the positions at or below the diagonal only, a rule stated once,

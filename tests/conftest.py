@@ -9,8 +9,9 @@
 - ``reference_scaled_left``: the left singular vectors times the singular
   values, ``U * sigma``, the dense left factor the redraw search no longer
   keeps;
-- ``circle_witness``: width-4 attention inputs that fit any k = 1 target
-  when their scale is not bounded;
+- ``circle_witness`` and ``moment_witness``: width-4 and width-8 attention
+  inputs that fit any k = 1 and k = 2 target when their scale is not
+  bounded;
 - ``check_direct``: the ratio conditions evaluated literally on attention
   entries, against which ``verify.check_conditions`` is tested; both
   report the same canonical first violation;
@@ -146,6 +147,57 @@ def circle_witness(A, eps1):
     keys = np.column_stack([np.cos(theta), np.sin(theta)])
     c = 2.0 * math.log(1.0 / eps1) / (1.0 - math.cos(2.0 * math.pi / A.L))
     return c * keys[A.cols[A.row_ptr[:-1]]], keys
+
+
+def moment_witness(A, eps1):
+    """Queries ``P`` and keys ``K``, each L x 4 (width 8), whose logits
+    ``P K^T`` pass both conditions on a target with at most two nonzeros
+    per row, at any gamma.
+
+    Key j is ``k_j = (cos t_j, sin t_j, cos 2t_j, sin 2t_j)`` with
+    ``t_j = 2 pi j / L``, a point of the degree-2 trigonometric moment
+    curve.  A row with nonzeros ``a1`` and ``a2`` at ``t1`` and ``t2`` has
+    the query ``c_i q + (alpha, beta, 0, 0)``, where
+    ``q = (cos t1 + cos t2, sin t1 + sin t2, -cos(t1 + t2) / 2,
+    -sin(t1 + t2) / 2)`` gives ``q . k(t) = -(1 - cos(t - t1))(1 - cos(t - t2))``
+    up to a row constant: zero at both nonzeros, negative elsewhere.
+    ``(alpha, beta) = log(a1 / a2) D / |D|^2`` with
+    ``D = (cos t1 - cos t2, sin t1 - sin t2)`` makes the nonzero log-ratio
+    exact.  A row with one nonzero, at ``t1``, has the query
+    ``c_i (cos t1, sin t1, 0, 0)``.  ``c_i`` is the smallest scale that puts
+    every zero position the row considers ``2 log(1/eps1)`` or more below
+    each of its nonzeros; for two adjacent nonzeros it grows like L^4.
+    """
+    L = A.L
+    theta = 2.0 * math.pi * np.arange(L) / L
+    keys = np.column_stack([np.cos(theta), np.sin(theta), np.cos(2 * theta), np.sin(2 * theta)])
+    clear = 2.0 * math.log(1.0 / eps1)
+    queries = np.zeros((L, 4))
+    for i in range(L):
+        start, end = A.row_ptr[i], A.row_ptr[i + 1]
+        cols, vals = A.cols[start:end], A.vals[start:end]
+        t = theta[cols]
+        drift = np.zeros(4)  # (alpha, beta, 0, 0)
+        if len(cols) == 1:
+            q = np.array([math.cos(t[0]), math.sin(t[0]), 0.0, 0.0])
+            height = np.cos(theta - t[0]) - 1.0  # q . k(t) less its value at t1
+        elif len(cols) == 2:
+            q = np.array([
+                math.cos(t[0]) + math.cos(t[1]), math.sin(t[0]) + math.sin(t[1]),
+                -0.5 * math.cos(t[0] + t[1]), -0.5 * math.sin(t[0] + t[1]),
+            ])
+            height = -(1.0 - np.cos(theta - t[0])) * (1.0 - np.cos(theta - t[1]))
+            delta = keys[cols[0], :2] - keys[cols[1], :2]
+            drift[:2] = math.log(vals[0] / vals[1]) * delta / (delta @ delta)
+        else:
+            raise ValueError(f"row {i} holds {len(cols)} nonzeros; the witness takes 1 or 2")
+        zero = np.arange(L) <= i if A.causal else np.ones(L, dtype=bool)
+        zero[cols] = False
+        tilt = keys @ drift
+        # c (-height_j) >= clear + tilt_j - tilt_n at each zero j and nonzero n.
+        scale = (clear + tilt[zero] - tilt[cols].min()) / -height[zero]
+        queries[i] = scale.max(initial=0.0) * q + drift
+    return queries, keys
 
 
 def reference_row_margins(z_rows, A, lo):

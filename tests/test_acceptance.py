@@ -92,7 +92,7 @@ def test_criterion_02_fig3_reproduction():
     for ms in master_seeds:
         A = generate(params, seed=derive_seed(ms, 0))
         V = svd_factor(build_log_gap(A, params.eps1, params.eps2))
-        passing, _, z, _ = search_width(
+        passing, _, z = search_width(
             V, A, d, int(round(q * 512)), ms, params.eps1, params.eps2
         )
         if passing is not None:
@@ -255,7 +255,7 @@ def test_criterion_07_unbiasedness():
     n, d = 2000, 8
     samples = np.empty((n, 32, 32))
     for t in range(n):
-        _, _, samples[t], _ = search_width(
+        _, _, samples[t] = search_width(
             V, A, d, 1, derive_seed(700, t), params.eps1, params.eps2
         )
     mean = samples.mean(axis=0)

@@ -144,18 +144,33 @@ def test_approx_prints_strict_json_when_a_condition_has_no_pairs(tmp_path, capsy
     assert payload["report"]["worst_nonzero_dev"] is None
 
 
-def test_approx_dumps_are_loadable(tmp_path):
-    coo = tmp_path / "id.coo"
-    write_identity_coo(coo, L=8)
-    zpath, mpath = tmp_path / "z.txt", tmp_path / "m.txt"
-    run("approx", "--input", coo, "--d", 16, "--eps1", 0.5, "--eps2", 0.5,
-        "--dump-logits", zpath, "--dump-m", mpath)
+@pytest.mark.parametrize(
+    "causal, d, q, code",
+    [(False, 56, 1.0, 0), (False, 16, 0.25, 1), (True, 56, 1.0, 0)],
+    ids=["passing", "failing", "causal"],
+)
+def test_approx_dumps_are_loadable(tmp_path, causal, d, q, code):
+    """The dumps read back, and the report is the check of the dumped logits:
+    ``%.17g`` round-trips every float exactly."""
     from sparseattn.cli import read_dense_dump
+    from sparseattn.verify import check_conditions
 
+    coo = tmp_path / "a.coo"
+    causal_flag = ["--causal"] if causal else []
+    assert run("generate", "--L", 32, "--k", 2, "--gamma", 2, "--seed", 5, *causal_flag,
+               "--out", coo) == 0
+    zpath, mpath, report = tmp_path / "z.txt", tmp_path / "m.txt", tmp_path / "report.json"
+    assert run("approx", "--input", coo, "--d", d, "--q", q, "--seed", 7, "--eps1", 0.15,
+               "--eps2", 1.41, "--report", report, "--dump-logits", zpath,
+               "--dump-m", mpath) == code
     z = read_dense_dump(zpath)
     m = read_dense_dump(mpath)
-    assert z.shape == (8, 8) and m.shape == (8, 8)
+    assert z.shape == (32, 32) and m.shape == (32, 32)
     np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
+    A = read_coo(coo)
+    assert A.causal == causal
+    payload = json.loads(report.read_text())
+    assert payload["report"] == json.loads(check_conditions(z, A, 0.15, 1.41).to_json())
 
 
 def test_approx_prints_no_verdict_when_a_dump_cannot_be_written(tmp_path, capsys):
@@ -410,11 +425,17 @@ def test_coo_with_an_empty_row_is_refused_on_read(tmp_path, capsys, content, row
 
 
 def test_jlt_bench_default_grid_cardinality(tmp_path):
+    from sparseattn.concentration import BENCH_CSV_HEADER, run_bench
+
     out = tmp_path / "bench.csv"
     assert run("jlt-bench", "--n-samples", 50, "--out", out) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "p,m,epsilon,mode,empirical_tail,theoretical_tail,n_samples"
     assert len(lines) == 1 + 48  # 2 p x 4 m x 3 eps x 2 modes
+    # The CLI's default grid is run_bench's.
+    assert lines == [BENCH_CSV_HEADER] + [
+        row.to_csv_row() for row in run_bench(n_samples=50, seed=0)
+    ]
 
 
 def test_jlt_bench_rejects_zero_samples(tmp_path, capsys):

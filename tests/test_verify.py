@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import check_direct, circle_witness, reference_row_margins
+from conftest import check_direct, circle_witness, moment_witness, reference_row_margins
 from sparseattn import verify
 from sparseattn.attention import csam, sam
 from sparseattn.construct import build_log_gap, compress, sample_stiefel, svd_factor
@@ -332,7 +332,7 @@ def test_target_holds_no_dense_array():
 def test_no_check_masks_more_than_a_block_of_rows(monkeypatch):
     """Every zero-position mask spans at most BLOCK_ROWS rows: in the check of
     an L=2048 target, and in a search redraw formed in full at L=512, whose
-    blocks and full check each cover every row."""
+    blocks judge each row once."""
     sizes = []
     zero_positions = verify._zero_positions
 
@@ -351,7 +351,7 @@ def test_no_check_masks_more_than_a_block_of_rows(monkeypatch):
     A = generate(replace(params, L=512), 1)
     V = svd_factor(build_log_gap(A, params.eps1, params.eps2))
     search_width(V, A, 64, 1, 3, params.eps1, params.eps2)  # the last redraw: in full
-    assert sum(sizes) >= 2 * 512 and max(sizes) <= BLOCK_ROWS
+    assert sum(sizes) == 512 and max(sizes) <= BLOCK_ROWS
 
 
 @pytest.mark.parametrize("L", [64, 1024, 4096])
@@ -366,6 +366,21 @@ def test_width_four_fits_every_k1_target_without_a_scale_bound(L):
     assert check_conditions(z, A, params.eps1, params.eps2).passed
     c = 2.0 * math.log(1.0 / params.eps1) / (1.0 - math.cos(2.0 * math.pi / L))
     assert np.abs(z).max() == pytest.approx(c, rel=1e-12)
+
+
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("L", [64, 1024, 4096])
+def test_width_eight_fits_every_k2_target_without_a_scale_bound(L, causal):
+    """The k = 2 scale caveat: unbounded, width 8 fits a k = 2, gamma = 2
+    target at any L, in both modes, every zero position cleared by twice
+    the margin condition 1 asks for."""
+    params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=causal)
+    A = generate(params, 7)
+    P, K = moment_witness(A, params.eps1)
+    assert P.shape == K.shape == (L, 4)
+    report = check_conditions(P @ K.T, A, params.eps1, params.eps2)
+    assert report.passed
+    assert report.worst_zero_ratio_log == pytest.approx(2.0 * math.log(params.eps1), abs=0.1)
 
 
 SPECIALS = (math.nan, math.inf, -math.inf)
