@@ -127,8 +127,7 @@ def write_dense_dump(matrix: np.ndarray, path) -> None:
     matrix = np.asarray(matrix, dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
-        for row in matrix:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, matrix, fmt="%.17g")
 
 
 def read_dense_dump(path) -> np.ndarray:

@@ -27,10 +27,6 @@ import numpy as np
 from .matrices import SparseStochasticMatrix, check_tolerances, min_nonzero_rows
 
 
-class FactorizationError(RuntimeError):
-    """SVD backend failed to converge."""
-
-
 @dataclass
 class ProjectionPair:
     """Both factors compressed to L x (d/2) through one orthogonal sample."""
@@ -89,16 +85,16 @@ def svd_factor(B: np.ndarray) -> np.ndarray:
     ``np.linalg.svd`` also forms the L x L ``U``, dropped here: part of the
     291-295 MB fresh-process peak at L=2048.  Repeated calls in one process
     leave ~16 MB of freed heap resident (``approx_large`` reads ~312 MB, and
-    298 MB for one operation).  Only an SVD-free search removes either cost."""
+    298 MB for one operation).  Only an SVD-free search removes either cost.
+    Raises ValueError on non-finite entries (LAPACK returns without error on
+    +-inf) and when the SVD does not converge."""
     if not np.all(np.isfinite(B)):
-        raise FactorizationError("log-gap matrix has non-finite entries")
+        raise ValueError("log-gap matrix has non-finite entries")
     try:
         u, sigma, vt = np.linalg.svd(B, full_matrices=True)
     except np.linalg.LinAlgError as exc:
-        raise FactorizationError(
-            f"SVD did not converge on a {B.shape[0]}x{B.shape[1]} matrix "
-            f"(max |entry| = {np.abs(B).max():.3e}): {exc}"
-        ) from exc
+        raise ValueError(f"SVD did not converge on a {B.shape[0]}x{B.shape[1]} matrix "
+                         f"(max |entry| = {np.abs(B).max():.3e}): {exc}") from exc
     return vt.T
 
 

@@ -115,6 +115,20 @@ def test_approx_failure_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_approx_svd_failure_exits_two(tmp_path, capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    coo = tmp_path / "id.coo"
+    write_identity_coo(coo, L=8)
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    assert run("approx", "--input", coo, "--d", 16) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: SVD did not converge on a 8x8 matrix")
+
+
 def test_approx_rejects_zero_redraw_budget(tmp_path, capsys):
     coo = tmp_path / "id.coo"
     write_identity_coo(coo, L=16)
@@ -171,6 +185,26 @@ def test_approx_dumps_are_loadable(tmp_path, causal, d, q, code):
     assert A.causal == causal
     payload = json.loads(report.read_text())
     assert payload["report"] == json.loads(check_conditions(z, A, 0.15, 1.41).to_json())
+
+
+def test_dense_dump_text_is_pinned(tmp_path):
+    from sparseattn.cli import read_dense_dump, write_dense_dump
+
+    matrix = np.array([[-0.0, 5e-324, 1 / 3], [-1e300, 2.0, 0.1]])
+    path = tmp_path / "m.txt"
+    write_dense_dump(matrix, path)
+    assert path.read_bytes() == (
+        b"2 3\n-0 4.9406564584124654e-324 0.33333333333333331\n"
+        b"-1.0000000000000001e+300 2 0.10000000000000001\n"
+    )
+    assert read_dense_dump(path).tobytes() == matrix.tobytes()
+    # Any value, non-finite ones included, is written as "%.17g" formats it.
+    rng = np.random.default_rng(0)
+    matrix = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-320, 300, (6, 5))
+    matrix[0, :3] = [np.inf, -np.inf, np.nan]
+    write_dense_dump(matrix, path)
+    rows = ["6 5", *(" ".join(f"{v:.17g}" for v in row) for row in matrix)]
+    assert path.read_text(encoding="utf-8") == "\n".join(rows) + "\n"
 
 
 def test_approx_prints_no_verdict_when_a_dump_cannot_be_written(tmp_path, capsys):

@@ -83,6 +83,15 @@ def test_svd_zero_matrix():
     np.testing.assert_array_equal(np.zeros((3, 3)) @ V, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_svd_refuses_non_finite_entries(value):
+    # LAPACK raises on NaN but returns without error on +-inf.
+    B = np.eye(3)
+    B[0, 1] = value
+    with pytest.raises(ValueError, match="non-finite entries"):
+        svd_factor(B)
+
+
 def test_svd_scaled_identity():
     A = matrix_from_rows(np.eye(4))
     gap = build_log_gap(A, 0.5, 0.1)

@@ -97,6 +97,24 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     assert unused == []
 
 
+def test_every_exception_class_is_a_value_error():
+    # cli.main turns ValueError and OSError into exit code 2; an exception
+    # class outside that family would escape it with a traceback and exit 1,
+    # the code for a failed verification.
+    modules = [
+        importlib.import_module(f"sparseattn.{path.stem}")
+        for path in sorted((ROOT / "src" / "sparseattn").glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    defined = [
+        obj for module in modules for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+        and obj.__module__ == module.__name__
+    ]
+    assert defined
+    assert [cls.__qualname__ for cls in defined if not issubclass(cls, ValueError)] == []
+
+
 def test_package_imports_only_numpy_and_the_standard_library():
     # Every spawned sweep worker re-imports the package, and the benchmark's
     # peak memory counts the largest worker: a heavy import such as

@@ -229,6 +229,10 @@ def test_found_record_replays_through_cli_approx(tmp_path):
 # fails and redraw 1 passes.
 @example(L=59, half_d=58, n_redraws=4, seed=2442602185, causal=True)
 @example(L=64, half_d=63, n_redraws=4, seed=7, causal=False)
+# L <= KEYS_FROM: the step finds no keys and no inverse yet, and forms both.
+# Redraw 0 has kappa_1(C) = 4.1e4 and 1.5e5 and passes.
+@example(L=40, half_d=39, n_redraws=4, seed=7, causal=True)
+@example(L=48, half_d=47, n_redraws=4, seed=3, causal=False)
 def test_search_width_matches_reference_loop(L, half_d, n_redraws, seed, causal):
     d = 2 * min(half_d, L)
     params = ApproxParams(L=L, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=causal)
