@@ -43,7 +43,7 @@ V = svd_factor(B)
 print(f"largest singular value of the log-gap matrix: {np.linalg.norm(B, 2):.3f}")
 
 # At full width the embeddings and fixed weights reproduce the log-gap matrix B.
-inputs = assemble(compress(B, V, sample_stiefel(L, L, seed=7), 2 * L))
+inputs = assemble(*compress(B, V, sample_stiefel(L, L, seed=7)))
 print(f"full width d = {2 * L}: X is {inputs.x.shape[0]} x {inputs.x.shape[1]}, "
       f"max |logits - B| = {np.abs(logits(inputs) - B).max():.1e}")
 
@@ -68,7 +68,7 @@ passing, _, z = search_width(V, A, record.d_min, redraw_budget(cfg.q, L),
 print(f"  replayed the passing draw (redraw {passing})")
 
 m = sam(z)
-render_pgm(A, "target.pgm", pool=2, clip=0.05)
+render_pgm(A.to_dense(), "target.pgm", pool=2, clip=0.05)
 render_pgm(m, "attention.pgm", pool=2, clip=0.05)
 print("\nwrote target.pgm and attention.pgm (64x64, max-pooled, clipped at 0.05)")
 

@@ -6,7 +6,7 @@ for measuring how the width ``d_min`` grows with the sequence length, and
 for benchmarking the concentration of dot products under orthogonal random
 projections.  ``d_min`` is the width at which the paper's random
 construction succeeds at its bounded scale, since without a scale bound
-width 4 fits every k = 1 target.
+width 4 fits every k = 1 target and width 8 every k = 2 target.
 """
 
 from .attention import csam, logits, sam
@@ -18,7 +18,6 @@ from .concentration import (
 )
 from .construct import (
     AttentionInputs,
-    ProjectionPair,
     assemble,
     build_log_gap,
     compress,
@@ -50,7 +49,6 @@ __all__ = [
     "ApproxReport",
     "AttentionInputs",
     "JltParams",
-    "ProjectionPair",
     "SparseStochasticMatrix",
     "SweepConfig",
     "SweepRecord",

@@ -28,27 +28,17 @@ from .matrices import SparseStochasticMatrix, check_tolerances, min_nonzero_rows
 
 
 @dataclass
-class ProjectionPair:
-    """Both factors compressed to L x (d/2) through one orthogonal sample."""
-
-    left: np.ndarray
-    right: np.ndarray
-    d: int
-
-
-@dataclass
 class AttentionInputs:
     """Token embeddings plus fixed query/key weights.
 
-    ``x`` is ``[left | right]`` (L x d), ``w_query`` is the identity, and
-    ``w_key`` routes the right block into the first d/2 output columns, so
-    the logit product collapses to ``left @ right.T``.
+    ``x`` is ``[left | right]`` (L x d, so d is ``x.shape[1]``), ``w_query``
+    is the identity, and ``w_key`` routes the right block into the first d/2
+    output columns, so the logit product collapses to ``left @ right.T``.
     """
 
     x: np.ndarray
     w_query: np.ndarray
     w_key: np.ndarray
-    d: int
 
 
 def log_gap_values(A: SparseStochasticMatrix, eps1: float, eps2: float) -> np.ndarray:
@@ -140,26 +130,26 @@ def check_width(d: int, L: int) -> None:
         raise ValueError(f"need d <= 2L, got d={d}, L={L}")
 
 
-def compress(B: np.ndarray, V: np.ndarray, y: np.ndarray, d: int) -> ProjectionPair:
-    """Project both factors ``B V`` and ``V`` through the shared sample,
-    scaled by sqrt(2L/d): ``left = s B (V y)``, ``right = s V y``, whose
-    product ``left @ right.T`` is an unbiased estimate of ``B``."""
-    L = V.shape[0]
-    check_width(d, L)
-    if y.shape != (L, d // 2):
-        raise ValueError(f"expected sample of shape {(L, d // 2)}, got {y.shape}")
-    scale = math.sqrt(2.0 * L / d)
+def compress(B: np.ndarray, V: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project ``B V`` and ``V`` through the shared L x h sample ``y`` (width
+    ``d = 2h``), scaled by ``s = sqrt(L/h)``: ``(left, right) = (s B V y,
+    s V y)``, whose product ``left @ right.T`` is an unbiased estimate of B."""
+    L, h = V.shape[0], y.shape[1]
+    check_width(2 * h, L)
+    if y.shape[0] != L:
+        raise ValueError(f"expected a sample with {L} rows, got shape {y.shape}")
+    scale = math.sqrt(L / h)
     vy = V @ y
-    return ProjectionPair(left=scale * (B @ vy), right=scale * vy, d=d)
+    return scale * (B @ vy), scale * vy
 
 
-def assemble(pair: ProjectionPair) -> AttentionInputs:
-    """Lay out embeddings and fixed weights realizing the compressed logits."""
-    d = pair.d
-    half = d // 2
-    x = np.hstack([pair.left, pair.right])
+def assemble(left: np.ndarray, right: np.ndarray) -> AttentionInputs:
+    """Lay out embeddings and fixed weights realizing the logits
+    ``left @ right.T`` of two L x h factors, at width ``d = 2h``."""
+    half, d = left.shape[1], 2 * left.shape[1]
+    x = np.hstack([left, right])
     # Block matrix with the identity in the lower-left quarter: the key
     # projection swaps the right block of x into the first d/2 columns.
     w_key = np.zeros((d, d))
     w_key[half:, :half] = np.eye(half)
-    return AttentionInputs(x=x, w_query=np.eye(d), w_key=w_key, d=d)
+    return AttentionInputs(x=x, w_query=np.eye(d), w_key=w_key)

@@ -6,11 +6,9 @@ import textwrap
 
 import numpy as np
 
-from .matrices import SparseStochasticMatrix
-
 
 def pooled_pixels(matrix, pool: int, clip: float) -> np.ndarray:
-    """Max-pool into (L/pool)^2 blocks, clip, and quantize to 0..255.
+    """Max-pool a square array into (L/pool)^2 blocks, clip, and quantize to 0..255.
 
     Raises ValueError unless ``pool`` is at least 1 and divides L, ``clip``
     lies in (0, 1] and every entry is finite and >= 0.
@@ -19,8 +17,6 @@ def pooled_pixels(matrix, pool: int, clip: float) -> np.ndarray:
         raise ValueError(f"pool must be >= 1, got {pool}")
     if not 0.0 < clip <= 1.0:
         raise ValueError(f"clip must lie in (0, 1], got {clip}")
-    if isinstance(matrix, SparseStochasticMatrix):
-        matrix = matrix.to_dense()
     matrix = np.asarray(matrix, dtype=np.float64)
     L = matrix.shape[0]
     if matrix.shape != (L, L):

@@ -364,6 +364,7 @@ def _read_existing(csv_path, cfg: SweepConfig) -> dict[tuple[int, int, float], S
         try:
             record = SweepRecord.from_csv_row(line)
             n_redraws = redraw_budget(record.q, record.L)
+            bound = theoretical_d(cfg.params, record.L)
         except ValueError as exc:
             raise ValueError(f"{csv_path}: row {line!r}: {exc}") from None
         if record.seed != derive_seed(cfg.master_seed, record.L, record.trial):
@@ -372,7 +373,7 @@ def _read_existing(csv_path, cfg: SweepConfig) -> dict[tuple[int, int, float], S
                 f"not the one master_seed={cfg.master_seed} derives for "
                 f"L={record.L}, trial={record.trial}"
             )
-        if record.theoretical_d != theoretical_d(cfg.params, record.L):
+        if record.theoretical_d != bound:
             raise ValueError(
                 f"{csv_path}: row {line!r} does not belong to this sweep: its "
                 f"theoretical_d is not the bound for k={cfg.params.k}, "

@@ -18,6 +18,7 @@ import pytest
 from conftest import check_direct
 
 import sparseattn
+import sparseattn.cli
 from sparseattn._seeds import derive_seed
 from sparseattn.attention import csam, logits, sam
 from sparseattn.concentration import (
@@ -63,7 +64,7 @@ def run_exact_projection(params, A):
     V = svd_factor(gap)
     d = 2 * A.L
     y = sample_stiefel(A.L, A.L, derive_seed(1234, A.L, d))
-    inputs = assemble(compress(gap, V, y, d))
+    inputs = assemble(*compress(gap, V, y))
     z = logits(inputs)
     report = check_conditions(z, A, params.eps1, params.eps2)
     gap_error = float(np.abs(z - gap).max())
@@ -150,20 +151,37 @@ def test_criterion_03_logarithmic_growth(tmp_path):
     _verdict(3, "logarithmic growth", violations)
 
 
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def bench_workload(name):
+    # workloads.py is run from its source text, so nothing is written under
+    # perfbench/.
+    workloads = types.ModuleType("workloads")
+    source = (BENCH / "workloads.py").read_text(encoding="utf-8")
+    exec(compile(source, str(BENCH / "workloads.py"), "exec"), workloads.__dict__)
+    return workloads.WORKLOADS[name]
+
+
 @pytest.mark.parametrize("name, seed", [("jlt_tails", 2024), ("jlt_tails", 11), ("sweep_growth", 11)])
 def test_benchmark_outputs_match_their_expected_files(name, seed, tmp_path):
-    # The benchmark's workloads give the outputs it pins.  workloads.py is
-    # run from its source text, so nothing is written under perfbench/.
-    # approx_large is left out: its samples follow the caller's BLAS threads.
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
-    workloads = types.ModuleType("workloads")
-    source = (bench / "workloads.py").read_text(encoding="utf-8")
-    exec(compile(source, str(bench / "workloads.py"), "exec"), workloads.__dict__)
-    workload = workloads.WORKLOADS[name]
+    # The benchmark's workloads give the outputs it pins.  approx_large is
+    # left out: its samples follow the caller's BLAS threads.
+    workload = bench_workload(name)
     inputs = workload.inputs(sparseattn, seed, str(tmp_path))
     text = workload.output(workload.run(sparseattn, inputs, str(tmp_path), 0))
-    expected = bench / "expected" / f"{name}-seed{seed}{workload.suffix}"
+    expected = BENCH / "expected" / f"{name}-seed{seed}{workload.suffix}"
     assert text.encode("utf-8") == expected.read_bytes()
+
+
+def test_approx_large_meets_its_own_rule(tmp_path):
+    # approx_large's CLI flags and JSON keys, through the workload's own
+    # rule: exit 0, passed, and redraws_used == passing_redraw + 1.  Its
+    # expected file is not compared (see above).  One L=2048 SVD.
+    workload = bench_workload("approx_large")
+    argv = workload.inputs(sparseattn, 2024, str(tmp_path))
+    result = workload.run(sparseattn, argv, str(tmp_path), 0)
+    assert workload.problems(sparseattn, argv, result) == []
 
 
 def test_criterion_04_q_insensitivity():

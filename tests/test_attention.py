@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 
 from sparseattn.attention import csam, logits, sam
-from sparseattn.construct import ProjectionPair, assemble
+from sparseattn.construct import assemble
 
 
 def random_inputs(L=8, d=4, seed=0):
     rng = np.random.default_rng(seed)
-    pair = ProjectionPair(
-        left=rng.standard_normal((L, d // 2)),
-        right=rng.standard_normal((L, d // 2)),
-        d=d,
-    )
-    return assemble(pair)
+    return assemble(rng.standard_normal((L, d // 2)), rng.standard_normal((L, d // 2)))
 
 
 # -------------------------------------------------------------------- logits
@@ -28,11 +23,9 @@ def test_logits_zero_inputs():
 
 def test_logits_match_projection_product():
     rng = np.random.default_rng(3)
-    pair = ProjectionPair(
-        left=rng.standard_normal((8, 2)), right=rng.standard_normal((8, 2)), d=4
-    )
-    inputs = assemble(pair)
-    assert np.abs(logits(inputs) - pair.left @ pair.right.T).max() < 1e-12
+    left, right = rng.standard_normal((8, 2)), rng.standard_normal((8, 2))
+    inputs = assemble(left, right)
+    assert np.abs(logits(inputs) - left @ right.T).max() < 1e-12
 
 
 def test_logits_match_naive_four_matrix_product():

@@ -178,24 +178,26 @@ def full_pipeline_matrices(L=16, seed=2):
 def test_compress_full_dimension_reproduces_gap_matrix():
     _, gap, V = full_pipeline_matrices()
     y = sample_stiefel(16, 16, seed=1)
-    pair = compress(gap, V, y, 32)
-    np.testing.assert_allclose(pair.left @ pair.right.T, gap, atol=1e-8)
+    left, right = compress(gap, V, y)
+    np.testing.assert_allclose(left @ right.T, gap, atol=1e-8)
 
 
 def test_compress_zero_factorization():
     zero = np.zeros((3, 3))
-    pair = compress(zero, svd_factor(zero), sample_stiefel(3, 1, seed=0), 2)
-    np.testing.assert_array_equal(pair.left, np.zeros((3, 1)))
-    np.testing.assert_array_equal(pair.left @ pair.right.T, np.zeros((3, 3)))
+    left, right = compress(zero, svd_factor(zero), sample_stiefel(3, 1, seed=0))
+    np.testing.assert_array_equal(left, np.zeros((3, 1)))
+    np.testing.assert_array_equal(left @ right.T, np.zeros((3, 3)))
 
 
 def test_compress_dimension_checks():
     _, gap, V = full_pipeline_matrices()
-    y = sample_stiefel(16, 4, seed=0)
-    with pytest.raises(ValueError):
-        compress(gap, V, y, 10)  # y has 4 columns, d/2 = 5
-    with pytest.raises(ValueError):
-        compress(gap, V, y, 7)  # odd
+    # The width comes from the sample: d = 2 * y.shape[1].
+    with pytest.raises(ValueError, match="expected a sample with 16 rows"):
+        compress(gap, V, sample_stiefel(15, 4, seed=0))
+    with pytest.raises(ValueError, match="positive even integer, got 0"):
+        compress(gap, V, np.zeros((16, 0)))
+    with pytest.raises(ValueError, match="need d <= 2L"):
+        compress(gap, V, np.zeros((16, 17)))
 
 
 def test_compress_unbiased():
@@ -205,8 +207,8 @@ def test_compress_unbiased():
     samples = np.empty((n, 16, 16))
     for t in range(n):
         y = sample_stiefel(16, d // 2, seed=10_000 + t)
-        pair = compress(gap, V, y, d)
-        samples[t] = pair.left @ pair.right.T
+        left, right = compress(gap, V, y)
+        samples[t] = left @ right.T
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / math.sqrt(n)
     frac = np.mean(np.abs(mean - gap) <= 3.0 * se + 1e-12)
@@ -218,17 +220,16 @@ def test_compress_unbiased():
 
 def test_assemble_no_padding_by_default():
     _, gap, V = full_pipeline_matrices()
-    pair = compress(gap, V, sample_stiefel(16, 2, seed=5), 4)
-    inputs = assemble(pair)
+    left, right = compress(gap, V, sample_stiefel(16, 2, seed=5))
+    inputs = assemble(left, right)
     assert inputs.x.shape == (16, 4)
-    np.testing.assert_array_equal(inputs.x[:, :2], pair.left)
-    np.testing.assert_array_equal(inputs.x[:, 2:], pair.right)
+    np.testing.assert_array_equal(inputs.x[:, :2], left)
+    np.testing.assert_array_equal(inputs.x[:, 2:], right)
 
 
 def test_assemble_query_projection_selects_columns():
     _, gap, V = full_pipeline_matrices()
-    pair = compress(gap, V, sample_stiefel(16, 2, seed=5), 4)
-    inputs = assemble(pair)
+    inputs = assemble(*compress(gap, V, sample_stiefel(16, 2, seed=5)))
     np.testing.assert_array_equal(inputs.x @ inputs.w_query, inputs.x)
 
 
@@ -236,13 +237,7 @@ def test_assemble_logit_identity_vs_naive_product():
     # Oracle: the four-matrix product, evaluated literally.
     rng = np.random.default_rng(0)
     L, d = 8, 4
-    from sparseattn.construct import ProjectionPair
-
-    pair = ProjectionPair(
-        left=rng.standard_normal((L, d // 2)),
-        right=rng.standard_normal((L, d // 2)),
-        d=d,
-    )
-    inputs = assemble(pair)
+    left, right = rng.standard_normal((L, d // 2)), rng.standard_normal((L, d // 2))
+    inputs = assemble(left, right)
     naive = inputs.x @ inputs.w_query @ inputs.w_key.T @ inputs.x.T
-    assert np.abs(naive - pair.left @ pair.right.T).max() < 1e-12
+    assert np.abs(naive - left @ right.T).max() < 1e-12

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,7 @@ def test_public_names_resolve_once_each():
         (sparseattn.render, "read_pgm"),
         (sparseattn.construct, "Factorization"),
         (sparseattn.sweep, "_scaled_left"),
+        (sparseattn.construct, "ProjectionPair"),
     ]:
         assert not hasattr(sparseattn, gone) and not hasattr(module, gone)
 
@@ -59,6 +61,46 @@ def test_traced_layers_resolve():
     for module, attr in layers:
         layer = getattr(importlib.import_module(f"sparseattn.{module}"), attr, None)
         assert callable(layer), f"{module}.{attr}"
+
+
+def test_traced_layer_hooks_read_what_the_layers_return(monkeypatch):
+    # A hook that fails is recorded on its span as a hook_error, not raised,
+    # so a layer whose arguments or result change shape would read 0 in its
+    # per-layer metrics.  Each hook is fed a real call of its layer here.
+    # The tracer runs from its source text, registered so its dataclasses
+    # build, and nothing is written under perfbench/.
+    path = ROOT / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("perfbench_tracing")
+    monkeypatch.setitem(sys.modules, tracing.__name__, tracing)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing.__dict__)
+    hooks = {f"{module}.{attr}": hook for module, attr, hook in tracing.LAYERS if hook is not None}
+
+    params = sparseattn.ApproxParams(L=16, k=2, gamma=2.0, eps1=0.15, eps2=1.41)
+    A = sparseattn.generate(params, seed=3)
+    gap = sparseattn.build_log_gap(A, params.eps1, params.eps2)
+    V = sparseattn.svd_factor(gap)
+    cfg = sparseattn.SweepConfig(
+        params=params, L_grid=[16], d_lower=8, d_upper=32, d_points=4,
+        q=0.25, trials_per_L=1, master_seed=5,
+    )
+    inputs = sparseattn.assemble(*sparseattn.compress(gap, V, sparseattn.sample_stiefel(16, 3, 7)))
+    calls = {
+        "construct.sample_stiefel": [((16, 3, 7), {"L", "h", "flop"})],
+        "attention.logits": [((inputs,), {"L", "flop"})],
+        "verify.check_conditions": [
+            ((gap, A, params.eps1, params.eps2), {"L", "passed"}),
+            ((0.0 * gap, A, params.eps1, params.eps2), {"L", "passed", "first_fail_row_frac"}),
+        ],
+        "sweep.run_sweep": [((cfg,), {"redraws"})],
+    }
+    assert set(calls) == set(hooks)
+    for layer, cases in calls.items():
+        module, attr = layer.split(".")
+        fn = getattr(importlib.import_module(f"sparseattn.{module}"), attr)
+        for args, keys in cases:
+            info = hooks[layer](args, {}, fn(*args))
+            assert set(info) == keys, layer
+    assert hooks["attention.logits"]((inputs,), {}, None)["flop"] == 4.0 * 16 * 6 * 6 + 2.0 * 16**2 * 6
 
 
 def test_every_public_function_has_a_caller_outside_the_tests():

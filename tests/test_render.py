@@ -61,7 +61,7 @@ def test_pgm_round_trip(tmp_path):
     params = ApproxParams(L=32, k=2, gamma=2.0, eps1=0.5, eps2=0.5)
     A = generate(params, seed=6)
     out = tmp_path / "map.pgm"
-    render_pgm(A, out, pool=4, clip=0.05)
+    render_pgm(A.to_dense(), out, pool=4, clip=0.05)
     pixels = read_pgm(out)
     np.testing.assert_array_equal(pixels, pooled_pixels(A.to_dense(), 4, 0.05))
 

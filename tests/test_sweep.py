@@ -570,6 +570,15 @@ def test_run_sweep_resume_names_the_file_and_row_it_cannot_read(tmp_path):
         run_sweep(small_cfg(), csv_path=path)
 
 
+def test_run_sweep_resume_names_the_row_whose_length_has_no_bound(tmp_path):
+    # The seed matches, so the row reaches the bound, which L = 1 has none of.
+    path = tmp_path / "short.csv"
+    line = f"1,0,1.0,-1,1.0,1,{derive_seed(11, 1, 0)}"
+    path.write_text(sweep.CSV_HEADER + "\n" + line + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: row {line!r}: L must be > 1")):
+        run_sweep(small_cfg(), csv_path=path)
+
+
 def test_run_sweep_resume_rejects_other_master_seed(tmp_path):
     path = tmp_path / "other.csv"
     run_sweep(small_cfg(master_seed=11), csv_path=path)
