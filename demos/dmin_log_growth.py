@@ -13,7 +13,7 @@ guard.
 
 import math
 
-from sparseattn import ApproxParams, SweepConfig, log_fit, run_sweep
+from sparseattn import ApproxParams, SweepConfig, log_fit, run_sweep, theoretical_d
 
 
 def main():
@@ -38,11 +38,10 @@ def main():
     a, b, r2 = log_fit(records)
     print(f"\nleast-squares fit: d_min = {a:.1f} + {b:.1f} * log(L)   (r2 = {r2:.3f})")
 
-    # The bound's log factor is 2 log L + log(L-1) + log 2 ~ 3 log L, so its
-    # asymptotic slope is 3x its constant prefactor.
-    p = cfg.params
-    prefactor = 32 / p.eps2**2 * p.k**2 * max(math.log(p.gamma / p.eps1) + p.eps2, 1) ** 2
-    print(f"theoretical-bound slope for comparison: {3 * prefactor:.0f} per log L")
+    # The bound is a constant prefactor times 2 log L + log(L-1) + log 2 ~ 3 log L,
+    # so its asymptotic slope is 3x the prefactor; at L = 2 that factor is 3 log 2.
+    slope = theoretical_d(cfg.params, 2) / math.log(2)
+    print(f"theoretical-bound slope for comparison: {slope:.0f} per log L")
     print("records saved to dmin_growth.csv (rerunning resumes/skips completed cells)")
 
 

@@ -16,11 +16,8 @@ import numpy as np
 
 
 class MatrixError(ValueError):
-    """Structurally invalid matrix data (bad indices, duplicates, ...)."""
-
-
-class CooFormatError(MatrixError):
-    """A COO text file violates the documented format."""
+    """Structurally invalid matrix data (bad indices, duplicates, ...) or a
+    malformed COO file."""
 
 
 @dataclass(frozen=True)
@@ -260,39 +257,39 @@ def write_coo(A: SparseStochasticMatrix, path) -> None:
 def read_coo(path) -> SparseStochasticMatrix:
     """Parse the COO text format written by :func:`write_coo`.
 
-    Raises CooFormatError on a malformed header or entry line, and on any
-    data the matrix constructor rejects (out-of-range indices, duplicate
+    Raises MatrixError on a malformed header or entry line, and on any data
+    the matrix constructor rejects (out-of-range indices, duplicate
     coordinates, an above-diagonal entry under a causal header, a row with
-    no nonzero), naming the file.
+    no nonzero); each message starts with the file's path.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = [ln.strip() for ln in fh]
     lines = [ln for ln in raw_lines if ln]
     if not lines:
-        raise CooFormatError(f"{path}: empty file")
+        raise MatrixError(f"{path}: empty file")
     head = lines[0].split()
     if len(head) != 4:
-        raise CooFormatError(f"{path}: header must be 'L k gamma causal', got {lines[0]!r}")
+        raise MatrixError(f"{path}: header must be 'L k gamma causal', got {lines[0]!r}")
     try:
         L, k = int(head[0]), int(head[1])
         gamma = float(head[2])
         causal_flag = int(head[3])
     except ValueError as exc:
-        raise CooFormatError(f"{path}: unparsable header {lines[0]!r}") from exc
+        raise MatrixError(f"{path}: unparsable header {lines[0]!r}") from exc
     if causal_flag not in (0, 1):
-        raise CooFormatError(f"{path}: causal flag must be 0 or 1, got {head[3]}")
+        raise MatrixError(f"{path}: causal flag must be 0 or 1, got {head[3]}")
     if L < 1 or k < 1:
-        raise CooFormatError(f"{path}: header requires L >= 1 and k >= 1")
+        raise MatrixError(f"{path}: header requires L >= 1 and k >= 1")
 
     rows, cols, vals = [], [], []
     for n, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 3:
-            raise CooFormatError(f"{path}:{n}: expected 'i j value', got {ln!r}")
+            raise MatrixError(f"{path}:{n}: expected 'i j value', got {ln!r}")
         try:
             i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
-            raise CooFormatError(f"{path}:{n}: unparsable entry {ln!r}") from exc
+            raise MatrixError(f"{path}:{n}: unparsable entry {ln!r}") from exc
         rows.append(i)
         cols.append(j)
         vals.append(v)
@@ -302,4 +299,4 @@ def read_coo(path) -> SparseStochasticMatrix:
             np.array(vals), causal=bool(causal_flag), k=k, gamma=gamma,
         )
     except MatrixError as exc:
-        raise CooFormatError(f"{path}: {exc}") from exc
+        raise MatrixError(f"{path}: {exc}") from exc

@@ -30,12 +30,18 @@ depend on scheduling.  A record can be replayed from its CSV row alone.
 spawned worker processes, one per usable CPU, each started with one BLAS
 thread, and writes the rows in grid order: the CSV bytes depend on neither
 the CPU count nor the caller's BLAS threads.  Under ``spawn`` each worker
-re-imports the main script, so a script that calls ``run_sweep`` must do so
-under ``if __name__ == "__main__":``.
+re-imports the main script, so a script that calls ``run_sweep`` must be a
+file and do so under ``if __name__ == "__main__":``.
+
+Provenance: a fresh sweep writes the config its rows belong to, ``q`` aside,
+to the sidecar ``<csv>.json`` before the CSV's first byte, with the sample
+stream ``STREAM``; a resume refuses a CSV whose rows have no sidecar or one
+that records another config.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -48,6 +54,9 @@ from .matrices import ApproxParams, SparseStochasticMatrix, generate
 from .verify import BLOCK_ROWS, row_margins
 
 CSV_HEADER = "L,trial,q,d_min,theoretical_d,redraws_used,seed"
+# The sample stream a record's seeds draw and judge: a change to either bumps
+# it, so that a resume refuses a CSV whose rows came from the old stream.
+STREAM = 1
 # Set to 1 while the record pool's workers start, so each loads its BLAS with
 # one thread: two processes sharing two cores lose to the serial loop when
 # each runs a multithreaded BLAS.
@@ -341,24 +350,60 @@ def _run_record(cfg: SweepConfig, L: int, trial: int) -> SweepRecord:
     return record
 
 
+def _provenance(cfg: SweepConfig) -> dict:
+    """The config a sweep CSV's rows belong to, as its sidecar ``<csv>.json``
+    holds it: all but ``q``, which each row records, and the placeholder
+    ``params.L``."""
+    p = cfg.params
+    return {
+        "stream": STREAM, "k": int(p.k), "gamma": float(p.gamma), "eps1": float(p.eps1),
+        "eps2": float(p.eps2), "causal": bool(p.causal), "L_grid": [int(L) for L in cfg.L_grid],
+        "d_grid": cfg.d_grid(), "trials_per_L": int(cfg.trials_per_L),
+        "master_seed": int(cfg.master_seed),
+    }
+
+
+def _check_provenance(csv_path, cfg: SweepConfig) -> None:
+    """Refuse a CSV with rows unless its sidecar records ``cfg``, ``q`` aside;
+    the message names the first field that differs."""
+    sidecar = f"{csv_path}.json"
+    try:
+        with open(sidecar, "r", encoding="utf-8") as fh:
+            stored = json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(
+            f"{csv_path}: holds rows but has no sidecar {sidecar}, so the sweep they "
+            f"belong to is unknown; recompute it under a new path"
+        ) from None
+    except ValueError as exc:
+        raise ValueError(f"{sidecar}: unreadable sidecar: {exc}") from None
+    if not isinstance(stored, dict):
+        raise ValueError(f"{sidecar}: a sidecar holds a JSON object, got {stored!r}")
+    expected = _provenance(cfg)
+    for key in [*expected, *(key for key in stored if key not in expected)]:
+        if stored.get(key) != expected.get(key):
+            raise ValueError(
+                f"{sidecar}: the rows of {csv_path} belong to another sweep: its "
+                f"{key} is {stored.get(key)!r}, this config's is {expected.get(key)!r}"
+            )
+
+
 def _read_existing(csv_path, cfg: SweepConfig) -> dict[tuple[int, int, float], SweepRecord]:
     """Rows of an earlier run of this sweep, by (L, trial, q); a cell that two
-    rows hold is refused.  Each row's seed must be the one ``cfg.master_seed``
-    derives for its (L, trial), which rejects torn rows and files written under
-    another master seed; its ``theoretical_d`` must be the bound of
-    ``cfg.params`` at its L, which rejects files written under k, gamma, eps1
-    or eps2 that give another bound; and its (d_min, redraws_used) must be a
-    result ``cfg.d_grid()`` can produce (``_grid_can_produce``), which rejects
-    files written under another d-grid.  The bound reads gamma and eps1 only
-    through its margin ``max(log(gamma / eps1) + eps2, 1)``, so another gamma
-    or eps1 goes unseen while that margin is 1; and no column records
-    ``causal``, so a file written in the other mode is not rejected."""
+    rows hold is refused.  A CSV with rows must have the sidecar of ``cfg``
+    (``_check_provenance``).  Each row's seed must then be the one
+    ``cfg.master_seed`` derives for its (L, trial), which rejects torn rows;
+    its ``theoretical_d`` must be the bound of ``cfg.params`` at its L; and its
+    (d_min, redraws_used) must be a result ``cfg.d_grid()`` can produce
+    (``_grid_can_produce``).  These catch rows edited or appended by hand."""
     lines = []  # (line number, text) of each non-blank line
-    if csv_path is not None and os.path.exists(csv_path):
+    if os.path.exists(csv_path):
         with open(csv_path, "r", encoding="utf-8") as fh:
             lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
     if lines and lines[0][1] != CSV_HEADER:
         raise ValueError(f"{csv_path}: unexpected CSV header {lines[0][1]!r}")
+    if len(lines) > 1:
+        _check_provenance(csv_path, cfg)
     records, first = {}, {}  # cell -> its record, and its (line number, row)
     for n, line in lines[1:]:
         try:
@@ -461,11 +506,14 @@ def _record_pool(n: int, jobs):
                 os.environ[key] = value
 
 
-def run_sweep(cfg: SweepConfig, csv_path=None) -> list[SweepRecord]:
+def run_sweep(cfg: SweepConfig, csv_path) -> list[SweepRecord]:
     """Run every (L, trial) cell of the sweep, streaming rows to ``csv_path``.
 
     Cells whose (L, trial, q) row is already in the CSV are taken from it,
-    not recomputed, so an interrupted sweep resumes where it stopped.  Every
+    not recomputed, so an interrupted sweep resumes where it stopped.  A CSV
+    with no rows (or none at all) starts a fresh run, which first writes the
+    sidecar ``<csv>.json`` (``_provenance``); a resume refuses a CSV whose
+    sidecar is missing or records another config (``_read_existing``).  Every
     missing record, however few, runs in one of ``_worker_count`` spawned
     worker processes with one BLAS thread each, submitted largest L first so
     that a long record does not start last.  Rows are written in grid order,
@@ -484,8 +532,10 @@ def run_sweep(cfg: SweepConfig, csv_path=None) -> list[SweepRecord]:
     records: list[SweepRecord] = []
     try:
         if order:  # the CSV first, so an unwritable path fails before any record
-            if csv_path is not None:
-                fh = _open_for_append(csv_path)
+            if not done:  # a fresh run: its sidecar before the CSV's first byte
+                with open(f"{csv_path}.json", "w", encoding="utf-8") as side:
+                    side.write(json.dumps(_provenance(cfg)) + "\n")
+            fh = _open_for_append(csv_path)
             jobs = [(_run_record, cfg, *cell) for cell in order]
             pool, futures = _record_pool(_worker_count(len(order)), jobs)
             pending = dict(zip(order, futures))
@@ -493,15 +543,15 @@ def run_sweep(cfg: SweepConfig, csv_path=None) -> list[SweepRecord]:
             record = done.get((L, trial, cfg.q))
             if record is None:
                 record = pending[L, trial].result()
-                if fh is not None:
-                    fh.write(record.to_csv_row() + "\n")
-                    fh.flush()
+                fh.write(record.to_csv_row() + "\n")
+                fh.flush()
             records.append(record)
     except BrokenProcessPool as exc:
         raise RuntimeError(
             "a sweep worker process died.  Workers are spawned and re-import the "
             "main script, so a script that runs a sweep must call it under "
-            'if __name__ == "__main__":'
+            'if __name__ == "__main__":, and the main script must be a file the '
+            "workers can re-import, not one read from stdin"
         ) from exc
     finally:
         if fh is not None:

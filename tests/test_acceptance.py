@@ -184,13 +184,14 @@ def test_approx_large_meets_its_own_rule(tmp_path):
     assert workload.problems(sparseattn, argv, result) == []
 
 
-def test_criterion_04_q_insensitivity():
+def test_criterion_04_q_insensitivity(tmp_path):
     params = ApproxParams(L=256, k=1, gamma=1.0, eps1=0.15, eps2=1.41)
     cfg = SweepConfig(
         params=params, L_grid=[256], d_lower=40, d_upper=600, d_points=30,
         q=1.0, trials_per_L=3, master_seed=77,
     )
-    records = [r for q in (0.1, 1.0, 5.0) for r in run_sweep(replace(cfg, q=q))]
+    csv_path = tmp_path / "q.csv"
+    records = [r for q in (0.1, 1.0, 5.0) for r in run_sweep(replace(cfg, q=q), csv_path)]
     grid = cfg.d_grid()
     violations = []
     medians = {}

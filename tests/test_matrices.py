@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from sparseattn.matrices import (
     ApproxParams,
-    CooFormatError,
     MatrixError,
     SparseStochasticMatrix,
     generate,
@@ -272,14 +272,14 @@ def test_coo_round_trip_exact(tmp_path):
 def test_coo_duplicate_coordinate_rejected(tmp_path):
     path = tmp_path / "dup.coo"
     path.write_text("2 1 1 0\n0 0 0.5\n0 0 0.5\n1 1 1.0\n")
-    with pytest.raises(CooFormatError, match="duplicate"):
+    with pytest.raises(MatrixError, match=f"^{re.escape(str(path))}: .*duplicate"):
         read_coo(path)
 
 
 def test_coo_causal_violation_rejected(tmp_path):
     path = tmp_path / "causal.coo"
     path.write_text("2 1 1 1\n0 1 1.0\n1 1 1.0\n")
-    with pytest.raises(CooFormatError, match="diagonal"):
+    with pytest.raises(MatrixError, match=f"^{re.escape(str(path))}: .*diagonal"):
         read_coo(path)
 
 
@@ -290,7 +290,7 @@ def test_coo_causal_violation_rejected(tmp_path):
 def test_coo_malformed_rejected(tmp_path, content):
     path = tmp_path / "bad.coo"
     path.write_text(content)
-    with pytest.raises(CooFormatError):
+    with pytest.raises(MatrixError, match=f"^{re.escape(str(path))}:"):
         read_coo(path)
 
 

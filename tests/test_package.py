@@ -63,7 +63,7 @@ def test_traced_layers_resolve():
         assert callable(layer), f"{module}.{attr}"
 
 
-def test_traced_layer_hooks_read_what_the_layers_return(monkeypatch):
+def test_traced_layer_hooks_read_what_the_layers_return(tmp_path, monkeypatch):
     # A hook that fails is recorded on its span as a hook_error, not raised,
     # so a layer whose arguments or result change shape would read 0 in its
     # per-layer metrics.  Each hook is fed a real call of its layer here.
@@ -91,7 +91,7 @@ def test_traced_layer_hooks_read_what_the_layers_return(monkeypatch):
             ((gap, A, params.eps1, params.eps2), {"L", "passed"}),
             ((0.0 * gap, A, params.eps1, params.eps2), {"L", "passed", "first_fail_row_frac"}),
         ],
-        "sweep.run_sweep": [((cfg,), {"redraws"})],
+        "sweep.run_sweep": [((cfg, tmp_path / "sweep.csv"), {"redraws"})],
     }
     assert set(calls) == set(hooks)
     for layer, cases in calls.items():

@@ -55,6 +55,24 @@ def small_cfg(**overrides):
     return SweepConfig(**defaults)
 
 
+def sidecar(path):
+    return Path(f"{path}.json")
+
+
+def write_csv(path, cfg, rows):
+    """A sweep CSV of ``rows`` with the sidecar of ``cfg``, so that a resume
+    under ``cfg`` reaches its per-row checks."""
+    sidecar(path).write_text(json.dumps(sweep._provenance(cfg)))
+    path.write_text(sweep.CSV_HEADER + "\n" + "".join(row + "\n" for row in rows))
+
+
+def truncated_copy(src, dst, n_lines, end="\n"):
+    """The first ``n_lines`` lines of the CSV ``src`` into ``dst``, with its
+    sidecar, as an interrupted run leaves them."""
+    dst.write_text("\n".join(src.read_text().splitlines()[:n_lines]) + end)
+    sidecar(dst).write_bytes(sidecar(src).read_bytes())
+
+
 # ------------------------------------------------------------- width bound
 
 
@@ -165,20 +183,20 @@ def reference_search(B, V, A, d, n_redraws, seed, eps1, eps2):
     return None, n_redraws
 
 
-def found_records_and_targets(cfg):
-    for rec in run_sweep(cfg):
+def found_records_and_targets(cfg, csv_path):
+    for rec in run_sweep(cfg, csv_path):
         if rec.d_min is None:
             continue
         yield rec, generate(replace(cfg.params, L=rec.L), derive_seed(rec.seed, 0))
 
 
-def test_found_record_replays_to_a_passing_report():
+def test_found_record_replays_to_a_passing_report(tmp_path):
     for causal in (False, True):
         params = ApproxParams(L=16, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=causal)
         cfg = small_cfg(
             params=params, L_grid=[16], trials_per_L=2, d_lower=4, d_upper=32, d_points=6
         )
-        replays = list(found_records_and_targets(cfg))
+        replays = list(found_records_and_targets(cfg, tmp_path / f"causal-{causal}.csv"))
         assert replays
         for rec, A in replays:
             assert A.causal == causal
@@ -192,7 +210,7 @@ def test_found_record_replays_to_a_passing_report():
 
 def test_found_record_replays_through_cli_approx(tmp_path):
     cfg = small_cfg(L_grid=[16, 32], trials_per_L=2, d_lower=4, d_upper=40, d_points=8)
-    replays = list(found_records_and_targets(cfg))
+    replays = list(found_records_and_targets(cfg, tmp_path / "sweep.csv"))
     assert replays
     for rec, A in replays:
         coo, report = tmp_path / "A.coo", tmp_path / "report.json"
@@ -437,18 +455,18 @@ def test_search_width_forms_keys_only_for_redraws_that_pass_row_47(monkeypatch):
 # ---------------------------------------------------------------- run_sweep
 
 
-def test_run_sweep_record_cardinality():
+def test_run_sweep_record_cardinality(tmp_path):
     cfg = small_cfg(L_grid=[16, 32], trials_per_L=2)
-    records = run_sweep(cfg)
+    records = run_sweep(cfg, tmp_path / "grid.csv")
     assert len(records) == 4
     assert [(r.L, r.trial) for r in records] == [(16, 0), (16, 1), (32, 0), (32, 1)]
     cfg_single = small_cfg(L_grid=[16], trials_per_L=1)
-    assert len(run_sweep(cfg_single)) == 1
+    assert len(run_sweep(cfg_single, tmp_path / "single.csv")) == 1
 
 
 def test_run_sweep_theoretical_column_recomputes(tmp_path):
     cfg = small_cfg()
-    for rec in run_sweep(cfg):
+    for rec in run_sweep(cfg, tmp_path / "sweep.csv"):
         params = ApproxParams(
             L=rec.L, k=cfg.params.k, gamma=cfg.params.gamma,
             eps1=cfg.params.eps1, eps2=cfg.params.eps2,
@@ -464,7 +482,7 @@ def test_run_sweep_resume_skips_completed_cells(tmp_path):
     assert len(lines) == 1 + len(records)
 
     partial = tmp_path / "partial.csv"
-    partial.write_text("\n".join(lines[:3]) + "\n")
+    truncated_copy(full, partial, 3)
     resumed = run_sweep(cfg, csv_path=partial)
     assert partial.read_bytes() == full.read_bytes()
     assert [(r.L, r.trial, r.d_min) for r in resumed] == [
@@ -493,13 +511,12 @@ def test_run_sweep_resume_computes_only_missing_cells(tmp_path, monkeypatch):
     cfg = small_cfg(trials_per_L=3)
     full = tmp_path / "full.csv"
     run_sweep(cfg, csv_path=full)
-    lines = full.read_text().splitlines()
 
     log = tmp_path / "calls.log"
     monkeypatch.setenv("RECORD_CALL_LOG", str(log))
     monkeypatch.setattr(sweep, "_run_record", _record_logging_its_cell)
     partial = tmp_path / "partial.csv"
-    partial.write_text("\n".join(lines[:3]) + "\n")  # header, (16, 0) and (16, 1)
+    truncated_copy(full, partial, 3)  # header, (16, 0) and (16, 1)
     run_sweep(cfg, csv_path=partial)
     assert partial.read_bytes() == full.read_bytes()
     # Each missing cell once, in whichever worker; (16, 0) and (16, 1) never.
@@ -520,7 +537,7 @@ def test_run_sweep_refuses_a_cell_held_by_two_rows(tmp_path):
     path = tmp_path / "twice.csv"
     run_sweep(replace(cfg, trials_per_L=1), csv_path=path)
     row = path.read_text().splitlines()[1]
-    path.write_text(sweep.CSV_HEADER + "\n" + row + "\n" + row + "\n")
+    write_csv(path, cfg, [row, row])
     before = path.read_bytes()
     message = f"{path}: line 2 {row!r} and line 3 {row!r} both hold L=16, trial=0, q=1.0"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -532,21 +549,22 @@ def test_run_sweep_resume_after_lost_final_newline(tmp_path):
     cfg = small_cfg()
     full = tmp_path / "full.csv"
     run_sweep(cfg, csv_path=full)
-    lines = full.read_text().splitlines()
 
     partial = tmp_path / "partial.csv"
-    partial.write_text("\n".join(lines[:3]))  # the last row has no newline
+    truncated_copy(full, partial, 3, end="")  # the last row has no newline
     run_sweep(cfg, csv_path=partial)
     assert partial.read_bytes() == full.read_bytes()
 
 
 def test_run_sweep_resume_rejects_other_tolerances(tmp_path):
+    # Rows of one eps1 under the sidecar of another, as an edit leaves them.
     path = tmp_path / "other.csv"
     run_sweep(small_cfg(), csv_path=path)
-    first_row = path.read_text().splitlines()[1]
-    before = path.read_bytes()
+    rows = path.read_text().splitlines()[1:]
     other = small_cfg(params=ApproxParams(L=32, k=1, gamma=1.0, eps1=0.2, eps2=1.41))
-    with pytest.raises(ValueError, match=re.escape(first_row) + ".*theoretical_d"):
+    write_csv(path, other, rows)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=re.escape(rows[0]) + ".*theoretical_d"):
         run_sweep(other, csv_path=path)
     assert path.read_bytes() == before
 
@@ -565,7 +583,7 @@ def test_run_sweep_resume_rejects_torn_row(tmp_path):
 def test_run_sweep_resume_names_the_file_and_row_it_cannot_read(tmp_path):
     path = tmp_path / "unreadable.csv"
     line = "16,0,1.0,3x,1.0,4,5"
-    path.write_text(sweep.CSV_HEADER + "\n" + line + "\n")
+    write_csv(path, small_cfg(), [line])
     with pytest.raises(ValueError, match=re.escape(f"{path}: row {line!r}: invalid literal")):
         run_sweep(small_cfg(), csv_path=path)
 
@@ -574,7 +592,7 @@ def test_run_sweep_resume_names_the_row_whose_length_has_no_bound(tmp_path):
     # The seed matches, so the row reaches the bound, which L = 1 has none of.
     path = tmp_path / "short.csv"
     line = f"1,0,1.0,-1,1.0,1,{derive_seed(11, 1, 0)}"
-    path.write_text(sweep.CSV_HEADER + "\n" + line + "\n")
+    write_csv(path, small_cfg(), [line])
     with pytest.raises(ValueError, match=re.escape(f"{path}: row {line!r}: L must be > 1")):
         run_sweep(small_cfg(), csv_path=path)
 
@@ -582,6 +600,7 @@ def test_run_sweep_resume_names_the_row_whose_length_has_no_bound(tmp_path):
 def test_run_sweep_resume_rejects_other_master_seed(tmp_path):
     path = tmp_path / "other.csv"
     run_sweep(small_cfg(master_seed=11), csv_path=path)
+    write_csv(path, small_cfg(master_seed=12), path.read_text().splitlines()[1:])
     before = path.read_bytes()
     with pytest.raises(ValueError, match="does not belong to this sweep"):
         run_sweep(small_cfg(master_seed=12), csv_path=path)
@@ -593,9 +612,10 @@ def test_run_sweep_resume_rejects_other_d_grid(tmp_path):
     # grid [10, 28, 46, 64] cannot produce; merging them would mix grids.
     path = tmp_path / "other.csv"
     run_sweep(small_cfg(d_lower=4, d_upper=40, d_points=10), csv_path=path)
-    before = path.read_bytes()
     other = small_cfg(d_lower=10, d_upper=64, d_points=4)
     assert other.d_grid() == [10, 28, 46, 64]
+    write_csv(path, other, path.read_text().splitlines()[1:])
+    before = path.read_bytes()
     with pytest.raises(ValueError, match="does not belong to this sweep.*d-grid"):
         run_sweep(other, csv_path=path)
     assert path.read_bytes() == before
@@ -617,7 +637,7 @@ def test_run_sweep_resume_rejects_rows_the_d_grid_cannot_produce(tmp_path, row):
     L = int(row.split(",")[0])
     line = row.format(bound=theoretical_d(cfg.params, L), seed=derive_seed(cfg.master_seed, L, 0))
     path = tmp_path / "sweep.csv"
-    path.write_text(sweep.CSV_HEADER + "\n" + line + "\n")
+    write_csv(path, cfg, [line])
     with pytest.raises(ValueError, match=re.escape(line) + ".*d-grid"):
         run_sweep(cfg, csv_path=path)
 
@@ -627,7 +647,7 @@ def test_run_sweep_resume_accepts_a_row_without_redraws_when_no_width_fits(tmp_p
     cfg = small_cfg(L_grid=[8], trials_per_L=1, d_lower=18, d_upper=40, d_points=4)
     line = f"8,0,1.0,-1,{theoretical_d(cfg.params, 8)!r},0,{derive_seed(cfg.master_seed, 8, 0)}"
     path = tmp_path / "sweep.csv"
-    path.write_text(sweep.CSV_HEADER + "\n" + line + "\n")
+    write_csv(path, cfg, [line])
     before = path.read_bytes()
     (record,) = run_sweep(cfg, csv_path=path)
     assert record.to_csv_row() == line
@@ -647,6 +667,96 @@ def test_run_sweep_resume_accepts_rows_of_every_q(tmp_path):
     assert path.read_bytes() == before
 
 
+def test_run_sweep_writes_its_sidecar_before_the_csv(tmp_path, monkeypatch):
+    # A header-only CSV holds no rows, so it starts a fresh run too.
+    cfg = small_cfg(L_grid=[16], trials_per_L=1)
+    path = tmp_path / "sweep.csv"
+    path.write_text(sweep.CSV_HEADER + "\n")
+    opened = []
+    real_open = sweep._open_for_append
+
+    def open_for_append(csv_path):
+        opened.append(sidecar(csv_path).exists())
+        return real_open(csv_path)
+
+    monkeypatch.setattr(sweep, "_open_for_append", open_for_append)
+    run_sweep(cfg, path)
+    assert opened == [True]
+    assert json.loads(sidecar(path).read_text()) == {
+        "stream": sweep.STREAM, "k": 1, "gamma": 1.0, "eps1": 0.15, "eps2": 1.41,
+        "causal": False, "L_grid": [16], "d_grid": cfg.d_grid(), "trials_per_L": 1,
+        "master_seed": 11,
+    }
+
+
+SIDECAR_CONFIG = """\
+k = 2
+gamma = 2.0
+eps1 = 0.15
+eps2 = 1.41
+L_grid = 16, 32
+d_lower = 4
+d_upper = 64
+d_points = 16
+trials_per_L = 2
+master_seed = 3
+"""
+
+
+def test_resume_refuses_a_csv_written_in_the_other_mode(tmp_path, capsys):
+    # No row records causal, and both modes give every row the same seed,
+    # bound and grid: only the sidecar tells them apart.
+    causal, plain = tmp_path / "causal.cfg", tmp_path / "plain.cfg"
+    causal.write_text(SIDECAR_CONFIG + "causal = 1\n")
+    plain.write_text(SIDECAR_CONFIG)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", str(causal), "--out", str(out)]) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["sweep", str(plain), "--out", str(out)]) == 2
+    assert "its causal is True, this config's is False" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
+def test_resume_refuses_a_csv_with_rows_and_no_sidecar(tmp_path, capsys):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(SIDECAR_CONFIG.replace("16, 32", "16"))
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", str(config), "--out", str(out)]) == 0
+    sidecar(out).unlink(missing_ok=True)
+    capsys.readouterr()
+    assert cli.main(["sweep", str(config), "--out", str(out)]) == 2
+    assert f"{out}: holds rows but has no sidecar" in capsys.readouterr().err
+    assert not sidecar(out).exists()
+
+
+def test_resume_refuses_a_gamma_the_bound_does_not_see(tmp_path):
+    # The bound's margin max(log(gamma / eps1) + eps2, 1) clamps at 1 for
+    # both gammas, so every row's theoretical_d agrees.
+    params = ApproxParams(L=16, k=2, gamma=1.0, eps1=0.5, eps2=0.1)
+    other = replace(params, gamma=1.2)
+    assert theoretical_d(params, 16) == theoretical_d(other, 16)
+    cfg = small_cfg(params=params, L_grid=[16], trials_per_L=1, d_points=4)
+    path = tmp_path / "sweep.csv"
+    run_sweep(cfg, path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=re.escape("its gamma is 1.0, this config's is 1.2")):
+        run_sweep(replace(cfg, params=other), path)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("field, value", [("stream", 0), ("d_grid", [4, 8])])
+def test_resume_refuses_a_sidecar_of_another_stream_or_grid(tmp_path, field, value):
+    cfg = small_cfg(L_grid=[16], trials_per_L=1)
+    path = tmp_path / "sweep.csv"
+    run_sweep(cfg, path)
+    stored = json.loads(sidecar(path).read_text())
+    stored[field] = value
+    sidecar(path).write_text(json.dumps(stored))
+    with pytest.raises(ValueError, match=re.escape(f"its {field} is {value!r}, this config's")):
+        run_sweep(cfg, path)
+
+
 @pytest.mark.parametrize("causal", [False, True])
 def test_run_sweep_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, causal):
     params = replace(small_params(), k=2, gamma=2.0, causal=True) if causal else small_params()
@@ -656,9 +766,8 @@ def test_run_sweep_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, ca
         monkeypatch.setattr(sweep, "_worker_count", lambda n_cells, n=n: n)
         fresh = tmp_path / f"fresh-{n}.csv"
         run_sweep(cfg, csv_path=fresh)
-        lines = fresh.read_text().splitlines()
         resumed = tmp_path / f"resumed-{n}.csv"
-        resumed.write_text("\n".join(lines[:3]) + "\n")  # header and two rows
+        truncated_copy(fresh, resumed, 3)  # header and two rows
         run_sweep(cfg, csv_path=resumed)
         outputs[n] = (fresh.read_bytes(), resumed.read_bytes())
     assert len(outputs[1][0].splitlines()) == 1 + 6
@@ -686,9 +795,9 @@ def test_record_pool_workers_start_with_one_blas_thread(monkeypatch):
     assert list(os.environ) == list(before)
 
 
-def test_run_sweep_leaves_no_worker_running(monkeypatch):
+def test_run_sweep_leaves_no_worker_running(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "_worker_count", lambda n_cells: 2)
-    run_sweep(small_cfg())
+    run_sweep(small_cfg(), tmp_path / "sweep.csv")
     assert multiprocessing.active_children() == []
 
 
@@ -744,24 +853,14 @@ def _pids_with_env_marker(marker: bytes) -> list[int]:
     return pids
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc to find stray processes")
-def test_unguarded_script_fails_naming_the_main_guard(tmp_path):
-    # Spawned workers re-import the main script; without a main guard its
-    # run_sweep call runs again in each worker, which breaks the pool.
-    script = tmp_path / "unguarded.py"
-    script.write_text(textwrap.dedent("""\
-        from sparseattn import ApproxParams, SweepConfig, run_sweep
-
-        run_sweep(SweepConfig(
-            params=ApproxParams(L=16, k=1, gamma=1.0, eps1=0.15, eps2=1.41),
-            L_grid=[16], d_lower=4, d_upper=32, d_points=4, trials_per_L=2,
-        ))
-    """))
-    marker = f"unguarded-{uuid.uuid4().hex}"
+def run_sweep_script(tmp_path, argv, **kwargs):
+    """Run a sweep script in a subprocess in ``tmp_path``; return its result
+    and the pids of the processes it left running, which are then killed."""
+    marker = f"sweep-script-{uuid.uuid4().hex}"
     try:
         proc = subprocess.run(
-            [sys.executable, str(script)], env=env_with_src(UNGUARDED_SCRIPT_MARKER=marker),
-            capture_output=True, text=True, timeout=60, cwd=tmp_path,
+            argv, env=env_with_src(SWEEP_SCRIPT_MARKER=marker),
+            capture_output=True, text=True, timeout=60, cwd=tmp_path, **kwargs,
         )
         deadline = time.monotonic() + 10
         while _pids_with_env_marker(marker.encode()) and time.monotonic() < deadline:
@@ -770,8 +869,39 @@ def test_unguarded_script_fails_naming_the_main_guard(tmp_path):
     finally:
         for pid in _pids_with_env_marker(marker.encode()):
             os.kill(pid, 9)
+    return proc, left
+
+
+SWEEP_SCRIPT = """\
+from sparseattn import ApproxParams, SweepConfig, run_sweep
+
+run_sweep(SweepConfig(
+    params=ApproxParams(L=16, k=1, gamma=1.0, eps1=0.15, eps2=1.41),
+    L_grid=[16], d_lower=4, d_upper=32, d_points=4, trials_per_L=2,
+), "sweep.csv")
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc to find stray processes")
+def test_unguarded_script_fails_naming_the_main_guard(tmp_path):
+    # Spawned workers re-import the main script; without a main guard its
+    # run_sweep call runs again in each worker, which breaks the pool.
+    script = tmp_path / "unguarded.py"
+    script.write_text(SWEEP_SCRIPT)
+    proc, left = run_sweep_script(tmp_path, [sys.executable, str(script)])
     assert proc.returncode != 0
     assert 'if __name__ == "__main__":' in proc.stderr
+    assert proc.stdout == ""
+    assert left == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc to find stray processes")
+def test_guarded_script_read_from_stdin_fails_naming_the_file_rule(tmp_path):
+    # A worker cannot re-import a main script that has no file, guard or not.
+    guarded = 'if __name__ == "__main__":\n' + textwrap.indent(SWEEP_SCRIPT, "    ")
+    proc, left = run_sweep_script(tmp_path, [sys.executable, "-"], input=guarded)
+    assert proc.returncode != 0
+    assert "must be a file the workers can re-import, not one read from stdin" in proc.stderr
     assert proc.stdout == ""
     assert left == []
 
@@ -803,7 +933,7 @@ def test_resumed_sweep_matches_a_fresh_one_at_any_caller_blas_threads(tmp_path):
         fresh, resumed = tmp_path / f"fresh-{threads}.csv", tmp_path / f"resumed-{threads}.csv"
         assert run_cli_subprocess("sweep", config, "--out", fresh,
                                   OPENBLAS_NUM_THREADS=threads).returncode == 0
-        resumed.write_text("\n".join(fresh.read_text().splitlines()[:2]) + "\n")  # trial 0
+        truncated_copy(fresh, resumed, 2)  # trial 0
         assert run_cli_subprocess("sweep", config, "--out", resumed,
                                   OPENBLAS_NUM_THREADS=threads).returncode == 0
         outputs += [fresh.read_bytes(), resumed.read_bytes()]
@@ -815,7 +945,7 @@ def test_config_a_row_replays_through_cli_approx_at_one_blas_thread(tmp_path):
     config = tmp_path / "a.cfg"
     config.write_text(CONFIG_A)
     (cfg,) = cli.load_sweep_configs(config)
-    rec = run_sweep(cfg)[1]
+    rec = run_sweep(cfg, tmp_path / "sweep.csv")[1]
     assert rec.d_min is not None
     coo = tmp_path / "A.coo"
     write_coo(generate(replace(cfg.params, L=rec.L), derive_seed(rec.seed, 0)), coo)
@@ -852,9 +982,9 @@ def test_q_sweep_cardinality_and_tagging(tmp_path):
     assert len(csv_path.read_text().splitlines()) == 7  # header + six rows
 
 
-def test_sweeps_over_q_share_matrix_draws():
+def test_sweeps_over_q_share_matrix_draws(tmp_path):
     cfg = small_cfg(L_grid=[16], trials_per_L=1, d_lower=4, d_upper=32, d_points=4)
-    (low,), (high,) = (run_sweep(replace(cfg, q=q)) for q in (0.5, 2.0))
+    (low,), (high,) = (run_sweep(replace(cfg, q=q), tmp_path / f"{q}.csv") for q in (0.5, 2.0))
     assert low.seed == high.seed  # same (L, trial) record seed
 
 
@@ -908,12 +1038,12 @@ def test_log_fit_requires_two_distinct_L():
         log_fit(records)  # the second L never produced a width
 
 
-def test_causal_width_grows_with_L():
+def test_causal_width_grows_with_L(tmp_path):
     params = ApproxParams(L=64, k=2, gamma=2.0, eps1=0.15, eps2=1.41, causal=True)
     cfg = small_cfg(
         params=params, L_grid=[16, 32, 64], d_lower=8, d_upper=160, d_points=20
     )
-    records = run_sweep(cfg)
+    records = run_sweep(cfg, tmp_path / "causal.csv")
     assert len(records) == 6
     assert all(r.d_min is not None for r in records)
     _, slope, _ = log_fit(records)
