@@ -12,6 +12,7 @@ guard.
 """
 
 import math
+import sys
 
 from sparseattn import ApproxParams, SweepConfig, log_fit, run_sweep, theoretical_d
 
@@ -28,7 +29,12 @@ def main():
         master_seed=7,
     )
 
-    records = run_sweep(cfg, csv_path="dmin_growth.csv")
+    try:
+        records = run_sweep(cfg, csv_path="dmin_growth.csv")
+    except ValueError as exc:  # a CSV left by another config or version
+        print(f"error: {exc} (to start afresh, remove dmin_growth.csv and "
+              "dmin_growth.csv.json)", file=sys.stderr)
+        return 2
 
     print(f"{'L':>6} {'trial':>5} {'d_min':>6} {'bound':>8} {'redraws':>8}")
     for r in records:
@@ -46,4 +52,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

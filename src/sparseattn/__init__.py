@@ -28,7 +28,6 @@ from .matrices import (
     ApproxParams,
     SparseStochasticMatrix,
     generate,
-    min_nonzero_rows,
     read_coo,
     write_coo,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "generate",
     "log_fit",
     "logits",
-    "min_nonzero_rows",
     "pooled_pixels",
     "project_pair",
     "read_coo",

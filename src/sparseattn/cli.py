@@ -175,14 +175,11 @@ def cmd_approx(args) -> int:
         "eps1": args.eps1,
         "eps2": args.eps2,
         "causal": A.causal,
-        "report": json.loads(report.to_json()),
+        "report": report.to_dict(),
     }
     text = json.dumps(payload, indent=2, allow_nan=False)
     # Every file is written before the verdict is printed, so a write that
     # fails leaves no verdict on stdout that its exit code contradicts.
-    if args.report is not None:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
     if args.dump_logits is not None:
         write_dense_dump(z, args.dump_logits)
     if args.dump_m is not None:
@@ -259,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps2", type=float, default=1.41)
     p.add_argument("--q", type=float, default=1.0, help="redraw budget multiplier")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", default=None, help="write the JSON report here too")
     p.add_argument("--dump-logits", default=None, help="dense text dump of the logits")
     p.add_argument("--dump-m", default=None, help="dense text dump of the attention matrix")
     p.set_defaults(func=cmd_approx)

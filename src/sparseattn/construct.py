@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import SparseStochasticMatrix, check_tolerances, min_nonzero_rows
+from .matrices import SparseStochasticMatrix, check_tolerances
 
 
 @dataclass
@@ -48,7 +48,7 @@ def log_gap_values(A: SparseStochasticMatrix, eps1: float, eps2: float) -> np.nd
     gamma-variation-bounded target.  The tolerances must lie in the range
     ``ApproxParams`` accepts (``check_tolerances``)."""
     check_tolerances(eps1, eps2)
-    row_min = min_nonzero_rows(A)
+    row_min = np.minimum.reduceat(A.vals, A.row_ptr[:-1])
     return np.log(A.vals) - np.log(row_min[A.rows]) - math.log(eps1) + eps2
 
 

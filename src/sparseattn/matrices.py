@@ -239,11 +239,6 @@ def generate(params: ApproxParams, seed: int) -> SparseStochasticMatrix:
     )
 
 
-def min_nonzero_rows(A: SparseStochasticMatrix) -> np.ndarray:
-    """Per-row minimum over the nonzero entries (length-L vector)."""
-    return np.minimum.reduceat(A.vals, A.row_ptr[:-1])
-
-
 def write_coo(A: SparseStochasticMatrix, path) -> None:
     """Write the COO text format: header ``L k gamma causal``, then
     ``i j value`` lines sorted row-major, 17 significant digits, LF endings."""
@@ -260,29 +255,31 @@ def read_coo(path) -> SparseStochasticMatrix:
     Raises MatrixError on a malformed header or entry line, and on any data
     the matrix constructor rejects (out-of-range indices, duplicate
     coordinates, an above-diagonal entry under a causal header, a row with
-    no nonzero); each message starts with the file's path.
+    no nonzero).  Each message starts with the file's path, and an entry
+    line's message with that line's number in the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw_lines if ln]
+        # (line number, text) of each non-blank line
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise MatrixError(f"{path}: empty file")
-    head = lines[0].split()
+    (_, header), *entries = lines
+    head = header.split()
     if len(head) != 4:
-        raise MatrixError(f"{path}: header must be 'L k gamma causal', got {lines[0]!r}")
+        raise MatrixError(f"{path}: header must be 'L k gamma causal', got {header!r}")
     try:
         L, k = int(head[0]), int(head[1])
         gamma = float(head[2])
         causal_flag = int(head[3])
     except ValueError as exc:
-        raise MatrixError(f"{path}: unparsable header {lines[0]!r}") from exc
+        raise MatrixError(f"{path}: unparsable header {header!r}") from exc
     if causal_flag not in (0, 1):
         raise MatrixError(f"{path}: causal flag must be 0 or 1, got {head[3]}")
     if L < 1 or k < 1:
         raise MatrixError(f"{path}: header requires L >= 1 and k >= 1")
 
     rows, cols, vals = [], [], []
-    for n, ln in enumerate(lines[1:], start=2):
+    for n, ln in entries:
         parts = ln.split()
         if len(parts) != 3:
             raise MatrixError(f"{path}:{n}: expected 'i j value', got {ln!r}")

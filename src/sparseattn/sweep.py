@@ -104,7 +104,7 @@ class SweepRecord:
     def from_csv_row(cls, row: str) -> "SweepRecord":
         parts = row.strip().split(",")
         if len(parts) != 7:
-            raise ValueError(f"expected 7 CSV fields, got {row!r}")
+            raise ValueError(f"expected 7 CSV fields, got {len(parts)}")
         d = int(parts[3])
         return cls(
             L=int(parts[0]),

@@ -30,7 +30,6 @@ lexicographically by (j1, j2) within a kind.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -56,7 +55,7 @@ class ApproxReport:
     ``worst_nonzero_dev`` the largest absolute mismatch between logit
     differences and target log-ratios over nonzero pairs, to compare with
     eps2.  Either is -inf when no pair of its kind exists, which
-    ``to_json`` writes as null.  ``passed`` is the conjunction of the two
+    ``to_dict`` gives as None.  ``passed`` is the conjunction of the two
     strict inequalities.
     """
 
@@ -66,15 +65,14 @@ class ApproxReport:
     n_triples_checked: int
     first_violation: tuple[int, int, int, str] | None = None
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "passed": self.passed,
             "worst_zero_ratio_log": _null_if_no_pairs(self.worst_zero_ratio_log),
             "worst_nonzero_dev": _null_if_no_pairs(self.worst_nonzero_dev),
             "n_triples_checked": self.n_triples_checked,
             "first_violation": list(self.first_violation) if self.first_violation else None,
         }
-        return json.dumps(payload)
 
 
 def _null_if_no_pairs(worst: float) -> float | None:

@@ -28,7 +28,7 @@ import numpy as np
 
 from sparseattn.concentration import MODE_ORTHOGONAL
 from sparseattn.construct import sample_stiefel
-from sparseattn.matrices import ApproxParams, SparseStochasticMatrix, min_nonzero_rows
+from sparseattn.matrices import ApproxParams, SparseStochasticMatrix
 from sparseattn.verify import (
     KIND_NONZERO_DEV,
     KIND_ZERO_RATIO,
@@ -297,7 +297,8 @@ def validate(A: SparseStochasticMatrix, params: ApproxParams) -> ValidationRepor
             InvariantViolation("col_nnz", None, int(j), f"{col_counts[j]} nonzeros > k={params.k}")
         )
 
-    ratios = np.maximum.reduceat(A.vals, A.row_ptr[:-1]) / min_nonzero_rows(A)
+    starts = A.row_ptr[:-1]
+    ratios = np.maximum.reduceat(A.vals, starts) / np.minimum.reduceat(A.vals, starts)
     for i in np.nonzero(ratios > params.gamma * (1.0 + RATIO_RTOL))[0]:
         violations.append(
             InvariantViolation(

@@ -71,13 +71,9 @@ def test_generate_at_scale(tmp_path):
 def test_approx_identity_full_width_passes(tmp_path, capsys):
     coo = tmp_path / "id.coo"
     write_identity_coo(coo, L=8)
-    report_path = tmp_path / "report.json"
-    code = run(
-        "approx", "--input", coo, "--d", 16, "--eps1", 0.5, "--eps2", 0.5,
-        "--report", report_path,
-    )
+    code = run("approx", "--input", coo, "--d", 16, "--eps1", 0.5, "--eps2", 0.5)
     assert code == 0
-    payload = json.loads(report_path.read_text())
+    payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
     assert payload["passing_redraw"] == 0
     assert payload["report"]["first_violation"] is None
@@ -164,7 +160,7 @@ def test_approx_prints_strict_json_when_a_condition_has_no_pairs(tmp_path, capsy
     [(False, 56, 1.0, 0), (False, 16, 0.25, 1), (True, 56, 1.0, 0)],
     ids=["passing", "failing", "causal"],
 )
-def test_approx_dumps_are_loadable(tmp_path, causal, d, q, code):
+def test_approx_dumps_are_loadable(tmp_path, capsys, causal, d, q, code):
     """The dumps read back, and the report is the check of the dumped logits:
     ``%.17g`` round-trips every float exactly."""
     from sparseattn.cli import read_dense_dump
@@ -174,18 +170,18 @@ def test_approx_dumps_are_loadable(tmp_path, causal, d, q, code):
     causal_flag = ["--causal"] if causal else []
     assert run("generate", "--L", 32, "--k", 2, "--gamma", 2, "--seed", 5, *causal_flag,
                "--out", coo) == 0
-    zpath, mpath, report = tmp_path / "z.txt", tmp_path / "m.txt", tmp_path / "report.json"
+    capsys.readouterr()
+    zpath, mpath = tmp_path / "z.txt", tmp_path / "m.txt"
     assert run("approx", "--input", coo, "--d", d, "--q", q, "--seed", 7, "--eps1", 0.15,
-               "--eps2", 1.41, "--report", report, "--dump-logits", zpath,
-               "--dump-m", mpath) == code
+               "--eps2", 1.41, "--dump-logits", zpath, "--dump-m", mpath) == code
     z = read_dense_dump(zpath)
     m = read_dense_dump(mpath)
     assert z.shape == (32, 32) and m.shape == (32, 32)
     np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
     A = read_coo(coo)
     assert A.causal == causal
-    payload = json.loads(report.read_text())
-    assert payload["report"] == json.loads(check_conditions(z, A, 0.15, 1.41).to_json())
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["report"] == check_conditions(z, A, 0.15, 1.41).to_dict()
 
 
 def test_dense_dump_text_is_pinned(tmp_path):
@@ -280,7 +276,9 @@ def test_sweep_grid_length_below_k_exits_before_any_record(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line, causal", [("", False), ("causal = 1\n", True)])
+@pytest.mark.parametrize(
+    "line, causal", [("", False), ("causal = 1\n", True), ("causal = no\n", False)]
+)
 def test_sweep_config_causal_only_when_set(tmp_path, line, causal):
     from sparseattn.cli import load_sweep_configs
 
@@ -294,10 +292,24 @@ def test_sweep_config_causal_only_when_set(tmp_path, line, causal):
 
 def test_sweep_bad_keys_listed_individually(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(sweep_config_text() + "bogus = 1\nd_points = many\n")
+    # causal is a key the base text leaves out, so its value is parsed.
+    cfg.write_text(sweep_config_text() + "bogus = 1\ncausal = maybe\n")
     assert run("sweep", cfg, "--out", tmp_path / "r.csv") == 2
     err = capsys.readouterr().err
-    assert "bogus" in err and "d_points" in err
+    assert "unknown key 'bogus'" in err and "bad value for 'causal': 'maybe'" in err
+
+
+def test_sweep_config_lists_a_line_without_a_key_and_a_missing_key(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    # Comment and blank lines are skipped but counted.
+    text = sweep_config_text().replace("eps2 = 1.41\n", "# no eps2\n\n")
+    cfg.write_text(text + "L_grid 16\n")
+    out = tmp_path / "r.csv"
+    assert run("sweep", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "line 13: expected 'key = value', got 'L_grid 16'" in err
+    assert "missing required key 'eps2'" in err
+    assert not out.exists()
 
 
 def test_sweep_repeated_key_reported_with_unknown_key(tmp_path, capsys):
@@ -417,18 +429,34 @@ def test_render_dense_dump_input(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content",
-    ["a b\n1 0\n0 1\n", "2 2\n1 0\n0 x\n", "2 2\n1 -0.5\n0 1\n", "2 2\n1 0\nnan 1\n",
-     "2 3\n1 0 0\n0 1 0\n"],
-    ids=["header", "entry", "negative", "nan", "non_square"],
+    "content, message",
+    [
+        ("a b\n1 0\n0 1\n", "invalid literal for int() with base 10: 'a'"),
+        ("2 2\n1 0\n0 x\n", "could not convert string 'x' to float64"),
+        ("2 2\n1 -0.5\n0 1\n", "entry (0, 1) is -0.5, not a finite value >= 0"),
+        ("2 2\n1 0\nnan 1\n", "entry (1, 0) is nan, not a finite value >= 0"),
+        ("2 3\n1 0 0\n0 1 0\n", "expected a square matrix, got shape (2, 3)"),
+        ("2 2\n1 0 0\n0 1 0\n", "expected shape (2, 2), got (2, 3)"),
+        ("2 2 1\n1 0\n0 1\n", "neither a COO file nor a dense dump"),
+    ],
+    ids=["header", "entry", "negative", "nan", "non_square", "rows_disagree", "three_tokens"],
 )
-def test_render_bad_dense_dump_names_the_file(tmp_path, capsys, content):
+def test_render_bad_dense_dump_names_the_file(tmp_path, capsys, content, message):
     dump = tmp_path / "bad.txt"
     dump.write_text(content)
     out = tmp_path / "bad.pgm"
     assert run("render", "--input", dump, "--pool", 1, "--out", out) == 2
-    assert f"error: {dump}: " in capsys.readouterr().err
+    assert f"error: {dump}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_read_dense_dump_rejects_a_header_without_two_tokens(tmp_path):
+    from sparseattn.cli import read_dense_dump
+
+    dump = tmp_path / "bad.txt"
+    dump.write_text("2 2 1\n1 0\n0 1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(dump))}: expected 'rows cols' header$"):
+        read_dense_dump(dump)
 
 
 def test_render_pool_must_divide(tmp_path, capsys):

@@ -9,6 +9,7 @@ from sparseattn.construct import (
     assemble,
     build_log_gap,
     compress,
+    log_gap_values,
     sample_stiefel,
     svd_factor,
 )
@@ -61,6 +62,21 @@ def test_log_gap_zero_pattern_and_bounds():
     nz = gap[dense != 0.0]
     assert np.all(nz >= -math.log(params.eps1) + params.eps2 - 1e-12)
     assert np.all(nz <= math.log(params.gamma / params.eps1) + params.eps2 + 1e-12)
+
+
+def test_log_gap_values_shift_by_a_row_minimum_in_range():
+    # Normalized row patterns for k=2, gamma=2 are {1}, {1,1}, {1,2}, {2,2};
+    # their minima are 1, 1/2, 1/3, 1/2, so every row minimum lies in
+    # [1/(1+gamma), 1] = [1/3, 1].  Each row's smallest value is the shift
+    # alone, and the row minimum is recovered from any entry of the row.
+    eps1, eps2 = 0.5, 0.5
+    A = generate(ApproxParams(L=512, k=2, gamma=2.0, eps1=eps1, eps2=eps2), seed=3)
+    values = log_gap_values(A, eps1, eps2)
+    shift = -math.log(eps1) + eps2
+    np.testing.assert_allclose(np.minimum.reduceat(values, A.row_ptr[:-1]), shift, rtol=1e-15)
+    row_min = A.vals * np.exp(shift - values)
+    assert np.all(row_min >= 1 / 3 - 1e-15)
+    assert np.all(row_min <= 1.0 + 1e-15)
 
 
 def test_log_gap_rejects_bad_eps():

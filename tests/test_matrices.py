@@ -14,7 +14,6 @@ from sparseattn.matrices import (
     MatrixError,
     SparseStochasticMatrix,
     generate,
-    min_nonzero_rows,
     read_coo,
     write_coo,
 )
@@ -224,36 +223,6 @@ def test_validate_never_mutates():
     assert np.array_equal(A.vals, before[2])
 
 
-# ------------------------------------------------------------- row minima
-
-
-def test_min_nonzero_identity():
-    np.testing.assert_array_equal(min_nonzero_rows(identity_matrix(5)), np.ones(5))
-
-
-def test_min_nonzero_simple_row():
-    A = SparseStochasticMatrix(2, [0, 0, 1], [0, 1, 1], [2 / 3, 1 / 3, 1.0])
-    np.testing.assert_allclose(min_nonzero_rows(A), [1 / 3, 1.0], rtol=1e-15)
-
-
-def test_min_nonzero_range_for_generated():
-    # Normalized row patterns for k=2, gamma=2 are {1}, {1,1}, {1,2}, {2,2};
-    # their minima are 1, 1/2, 1/3, 1/2, so every row minimum lies in
-    # [1/(1+gamma), 1] = [1/3, 1].
-    params = ApproxParams(L=512, k=2, gamma=2.0, eps1=0.5, eps2=0.5)
-    A = generate(params, seed=3)
-    mn = min_nonzero_rows(A)
-    assert np.all(mn >= 1 / 3 - 1e-15)
-    assert np.all(mn <= 1.0)
-
-
-def test_min_nonzero_rejects_empty_row():
-    # A row with no nonzero has no minimum; the matrix is refused when it is
-    # built, so min_nonzero_rows never receives one.
-    with pytest.raises(MatrixError, match="row 1"):
-        min_nonzero_rows(SparseStochasticMatrix(3, [0, 2], [0, 2], [1.0, 1.0]))
-
-
 # ------------------------------------------------------------------ file IO
 
 
@@ -292,6 +261,36 @@ def test_coo_malformed_rejected(tmp_path, content):
     path.write_text(content)
     with pytest.raises(MatrixError, match=f"^{re.escape(str(path))}:"):
         read_coo(path)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("0 1 1.0 0\n", ": header requires L >= 1 and k >= 1"),
+        ("2 1 1 0\n0 x 1.0\n", ":2: unparsable entry '0 x 1.0'"),
+        # Blank lines are skipped but counted: the bad entry is on line 5.
+        ("2 1 1.0 0\n\n0 0 1.0\n\n1 x 1.0\n", ":5: unparsable entry '1 x 1.0'"),
+        ("2 1 1 0\n0 0 1.0\n2 1 1.0\n", ": row index out of range"),
+        ("2 1 1 0\n0 0 1.0\n1 2 1.0\n", ": column index out of range"),
+        ("2 1 1 0\n0 0 0\n1 1 1.0\n", ": entries must be positive (zeros are implicit)"),
+        ("2 1 1 0\n0 0 nan\n1 1 1.0\n", ": entries must be finite"),
+        ("2 1 1 0\n0 0 inf\n1 1 1.0\n", ": entries must be finite"),
+    ],
+    ids=["zero_L", "entry", "blank_lines", "row", "column", "zero_value", "nan_value",
+         "inf_value"],
+)
+def test_coo_refusal_names_the_file_and_the_fault(tmp_path, content, message):
+    path = tmp_path / "bad.coo"
+    path.write_text(content)
+    with pytest.raises(MatrixError, match=f"^{re.escape(str(path) + message)}$"):
+        read_coo(path)
+
+
+def test_matrix_rejects_no_length_and_unequal_arrays():
+    with pytest.raises(MatrixError, match=r"^L must be >= 1, got 0$"):
+        SparseStochasticMatrix(0, [], [], [])
+    with pytest.raises(MatrixError, match="^rows, cols, vals must have equal length$"):
+        SparseStochasticMatrix(2, [0, 1], [0, 1], [1.0])
 
 
 def test_coo_line_endings_are_lf(tmp_path):

@@ -42,6 +42,8 @@ def test_public_names_resolve_once_each():
         (sparseattn.construct, "Factorization"),
         (sparseattn.sweep, "_scaled_left"),
         (sparseattn.construct, "ProjectionPair"),
+        (sparseattn.matrices, "min_nonzero_rows"),
+        (sparseattn.verify.ApproxReport, "to_json"),
     ]:
         assert not hasattr(sparseattn, gone) and not hasattr(module, gone)
 
@@ -187,15 +189,33 @@ def test_demo_imports_resolve():
                     assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"
 
 
-@pytest.mark.parametrize("demo", ["approximate_sparse_matrix.py", "jlt_concentration.py"])
-def test_demo_runs(demo, tmp_path):
+def run_demo(demo, cwd):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.mark.parametrize("demo", ["approximate_sparse_matrix.py", "jlt_concentration.py"])
+def test_demo_runs(demo, tmp_path):
+    result = run_demo(demo, tmp_path)
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_growth_demo_refuses_a_stale_csv_without_a_traceback(tmp_path):
+    # A CSV with rows and no sidecar, as versions before the sidecar left it.
+    # The refusal comes before any record runs, so no worker starts.
+    from sparseattn.sweep import CSV_HEADER
+
+    (tmp_path / "dmin_growth.csv").write_text(f"{CSV_HEADER}\n32,0,1.0,10,1.0,1,1\n")
+    result = run_demo("dmin_log_growth.py", tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and "no sidecar" in result.stderr
+    assert "dmin_growth.csv.json" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 def readme_blocks(lang):
@@ -205,7 +225,8 @@ def readme_blocks(lang):
 
 def test_readme_commands_parse_and_its_config_loads(tmp_path):
     # Every sparseattn command the README shows parses with the CLI's own
-    # parser (lines with <placeholders> aside), and its config block loads.
+    # parser (lines with <placeholders> aside, and without the shell's
+    # output redirection), and its config block loads.
     parser = sparseattn.cli.build_parser()
     commands = []
     for block in readme_blocks("sh"):
@@ -216,7 +237,7 @@ def test_readme_commands_parse_and_its_config_loads(tmp_path):
     assert {command.split()[1] for command in commands} >= {"approx", "sweep", "render"}
     for command in commands:
         try:
-            parser.parse_args(shlex.split(command)[1:])
+            parser.parse_args(shlex.split(command.split(">", 1)[0])[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
     (config,) = readme_blocks("ini")

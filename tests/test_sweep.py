@@ -162,6 +162,14 @@ def test_find_dmin_skips_widths_beyond_two_L():
     assert rec.redraws_used == 0  # every grid width exceeds 2L = 16
 
 
+def test_search_width_rejects_a_zero_redraw_budget():
+    params = small_params(L=8)
+    A = generate(params, seed=1)
+    V = svd_factor(build_log_gap(A, params.eps1, params.eps2))
+    with pytest.raises(ValueError, match="n_redraws must be >= 1, got 0"):
+        search_width(V, A, 8, 0, 3, params.eps1, params.eps2)
+
+
 def test_find_dmin_deterministic():
     params = small_params(L=16)
     A = generate(params, seed=4)
@@ -208,19 +216,19 @@ def test_found_record_replays_to_a_passing_report(tmp_path):
             assert passing is not None
 
 
-def test_found_record_replays_through_cli_approx(tmp_path):
+def test_found_record_replays_through_cli_approx(tmp_path, capsys):
     cfg = small_cfg(L_grid=[16, 32], trials_per_L=2, d_lower=4, d_upper=40, d_points=8)
     replays = list(found_records_and_targets(cfg, tmp_path / "sweep.csv"))
     assert replays
     for rec, A in replays:
-        coo, report = tmp_path / "A.coo", tmp_path / "report.json"
+        coo = tmp_path / "A.coo"
         write_coo(A, coo)
         code = cli.main([
             "approx", "--input", str(coo), "--d", str(rec.d_min), "--q", repr(rec.q),
             "--eps1", repr(cfg.params.eps1), "--eps2", repr(cfg.params.eps2),
-            "--seed", str(rec.seed), "--report", str(report),
+            "--seed", str(rec.seed),
         ])
-        payload = json.loads(report.read_text())
+        payload = json.loads(capsys.readouterr().out)
         assert code == 0 and payload["passed"]
         # The sweep row also counts the full budget spent at every earlier width.
         earlier = [d for d in cfg.widths(rec.L) if d < rec.d_min]
@@ -588,6 +596,23 @@ def test_run_sweep_resume_names_the_file_and_row_it_cannot_read(tmp_path):
         run_sweep(small_cfg(), csv_path=path)
 
 
+def test_run_sweep_resume_names_a_row_of_six_fields_once(tmp_path):
+    path = tmp_path / "short.csv"
+    line = f"16,0,1.0,-1,1.0,{derive_seed(11, 16, 0)}"
+    write_csv(path, small_cfg(), [line])
+    with pytest.raises(ValueError) as exc:
+        run_sweep(small_cfg(), csv_path=path)
+    assert str(exc.value) == f"{path}: row {line!r}: expected 7 CSV fields, got 6"
+    assert str(exc.value).count(line) == 1
+
+
+def test_run_sweep_resume_refuses_another_csv_header(tmp_path):
+    path = tmp_path / "other.csv"
+    path.write_text("L,trial,d_min\n16,0,4\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unexpected CSV header 'L,trial,d_min'")):
+        run_sweep(small_cfg(), csv_path=path)
+
+
 def test_run_sweep_resume_names_the_row_whose_length_has_no_bound(tmp_path):
     # The seed matches, so the row reaches the bound, which L = 1 has none of.
     path = tmp_path / "short.csv"
@@ -755,6 +780,23 @@ def test_resume_refuses_a_sidecar_of_another_stream_or_grid(tmp_path, field, val
     sidecar(path).write_text(json.dumps(stored))
     with pytest.raises(ValueError, match=re.escape(f"its {field} is {value!r}, this config's")):
         run_sweep(cfg, path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("{", "unreadable sidecar: Expecting property name"),
+     ("[1, 2]", "a sidecar holds a JSON object, got [1, 2]")],
+    ids=["not_json", "not_an_object"],
+)
+def test_resume_refuses_a_sidecar_that_is_not_a_json_object(tmp_path, text, message):
+    cfg = small_cfg(L_grid=[16], trials_per_L=1)
+    path = tmp_path / "sweep.csv"
+    run_sweep(cfg, path)
+    sidecar(path).write_text(text)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=re.escape(f"{sidecar(path)}: {message}")):
+        run_sweep(cfg, path)
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("causal", [False, True])
@@ -1064,6 +1106,8 @@ def test_sweep_config_validation():
         small_cfg(q=0.0)
     with pytest.raises(ValueError):
         small_cfg(trials_per_L=0)
+    with pytest.raises(ValueError, match="d_points must be >= 1"):
+        small_cfg(d_points=0)
 
 
 def test_sweep_config_rejects_repeated_L():

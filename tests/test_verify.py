@@ -241,7 +241,7 @@ def test_causal_check_ignores_upper_triangle():
 def test_target_row_without_nonzero_rejected(causal):
     # Row 1 holds no nonzero: no softmax row can approximate it, and the
     # log-gap shift has no row minimum to divide by.  Building the target
-    # rejects it, so neither check nor min_nonzero_rows ever sees one.
+    # rejects it, so neither check nor log_gap_values ever sees one.
     with pytest.raises(MatrixError, match="row 1 has no nonzero entry"):
         SparseStochasticMatrix(3, [0, 2], [0, 2], [1.0, 1.0], causal=causal)
     with pytest.raises(MatrixError, match="row 0 has no nonzero entry"):
@@ -259,7 +259,7 @@ def test_report_json_round_trip():
         n_triples_checked=42,
         first_violation=(1, 2, 3, "zero_ratio"),
     )
-    back = json.loads(report.to_json())
+    back = json.loads(json.dumps(report.to_dict(), allow_nan=False))
     assert back == {
         "passed": False,
         "worst_zero_ratio_log": -0.25,
@@ -267,7 +267,7 @@ def test_report_json_round_trip():
         "n_triples_checked": 42,
         "first_violation": [1, 2, 3, "zero_ratio"],
     }
-    payload = json.loads(ApproxReport(True, -math.inf, -math.inf, 0, None).to_json())
+    payload = ApproxReport(True, -math.inf, -math.inf, 0, None).to_dict()
     assert payload["passed"] is True
     assert payload["first_violation"] is None
 
